@@ -30,14 +30,14 @@
 //!   a frame batch is less than half its JSON size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use perpetuum_bench::MutexMapStore;
 use perpetuum_core::network::Network;
 use perpetuum_geom::Point2;
 use perpetuum_online::ControllerSeed;
 use perpetuum_online::{OnlineConfig, OnlineController, TelemetryBatch, TelemetryRecord};
 use perpetuum_serve::wire::{self, Frame};
 use perpetuum_serve::{
-    start, FsyncPolicy, JournalSet, Metrics, MutexMapStore, ServerConfig, ServerHandle,
-    SessionSlot, SessionStore,
+    start, FsyncPolicy, JournalSet, Metrics, ServerConfig, ServerHandle, SessionSlot, SessionStore,
 };
 use std::cell::Cell;
 use std::io::{Read as _, Write as _};

@@ -129,7 +129,7 @@ pub fn q_rooted_tsp_routed_src(
 
 /// The worker count the parallel per-root tour build defaults to.
 ///
-/// Thread spawn costs ~tens of µs; below [`PAR_TERMINALS_THRESHOLD`]
+/// Thread spawn costs ~tens of µs; below `PAR_TERMINALS_THRESHOLD`
 /// terminals the whole per-root build is cheaper than that, so stay
 /// sequential (the result is identical either way — see
 /// [`q_rooted_tsp_routed_src`]).

@@ -668,24 +668,6 @@ impl OnlineController {
         })
     }
 
-    /// Batch-apply entry point: ingest a run of telemetry batches in
-    /// order under one `&mut` borrow — the serve layer's
-    /// `/telemetry/batch` handler acquires the session lock once and
-    /// applies every frame addressed to this session here, instead of
-    /// paying a lock/dispatch round per frame.
-    ///
-    /// Semantics are *identical* to calling [`Self::ingest`] once per
-    /// batch (pinned by the batch-equivalence property test): each batch
-    /// gets its own report, a rejected batch leaves the controller
-    /// untouched and does **not** abort the run — exactly as if the
-    /// frames had been posted as separate requests.
-    pub fn ingest_all<'a, I>(&mut self, batches: I) -> Vec<Result<IngestReport, OnlineError>>
-    where
-        I: IntoIterator<Item = &'a TelemetryBatch>,
-    {
-        batches.into_iter().map(|b| self.ingest(b)).collect()
-    }
-
     /// Ingest a suppressed-event batch from edge clients: reconstruct the
     /// per-sensor estimator state carried by each [`crate::ClassEvent`]
     /// verbatim

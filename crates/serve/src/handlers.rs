@@ -20,8 +20,8 @@ use perpetuum_core::refine::{refine, Budget, RefineReport};
 use perpetuum_core::ScheduleSeries;
 use perpetuum_exp::scenario::{world_from_value, Algo, ScenarioError};
 use perpetuum_online::{
-    ClassEvent, ControllerSeed, EventBatch, OnlineConfig, OnlineError, TelemetryBatch,
-    TelemetryRecord,
+    ClassEvent, ControllerSeed, EventBatch, IngestReport, OnlineConfig, OnlineError,
+    TelemetryBatch, TelemetryRecord,
 };
 use perpetuum_sim::FaultModel;
 use serde::{Deserialize, Serialize as _};
@@ -426,7 +426,11 @@ pub fn simulate(body: &[u8]) -> Response {
 }
 
 fn no_session(id: u64) -> Response {
-    Response::error(404, "unknown_session", &format!("no session {id} (expired or deleted?)"))
+    Response::error(404, "unknown_session", &FrameError::UnknownSession.text(id))
+}
+
+fn quarantined(id: u64) -> Response {
+    Response::error(500, "session_quarantined", &FrameError::Quarantined.text(id))
 }
 
 /// Removes a session whose in-memory state can no longer be trusted to
@@ -435,10 +439,9 @@ fn no_session(id: u64) -> Response {
 /// applied a batch. The session is removed, counted, and journaled as
 /// ended, so neither a retrying client nor a restart can act on state of
 /// unknown integrity; subsequent requests for the id get a plain 404.
-/// Returns whether the session was present.
-fn quarantine_session(state: &AppState, id: u64) -> bool {
+fn quarantine_session(state: &AppState, id: u64) {
     if !state.sessions.remove(id) {
-        return false;
+        return;
     }
     state.metrics.sessions_quarantined.fetch_add(1, Relaxed);
     if let Some(journal) = &state.journal {
@@ -448,17 +451,6 @@ fn quarantine_session(state: &AppState, id: u64) -> bool {
         // journaled stream still closes.
         let _ = journal.flush();
     }
-    true
-}
-
-/// [`quarantine_session`] + the 500 the panic paths answer with.
-fn quarantine(state: &AppState, id: u64) -> Response {
-    quarantine_session(state, id);
-    Response::error(
-        500,
-        "session_quarantined",
-        &format!("session {id} panicked during ingest and was quarantined"),
-    )
 }
 
 /// `POST /session` — realise a scenario and open a closed-loop telemetry
@@ -568,77 +560,116 @@ pub fn session_create(state: &AppState, body: &[u8]) -> Response {
     }
 }
 
+/// Why [`apply_frames`] did not apply a frame. The single-session
+/// endpoints map it to an HTTP status ([`FrameError::response`]); the
+/// batch endpoint reports its [`text`](FrameError::text) in place.
+#[derive(Debug, Clone)]
+enum FrameError {
+    /// No live session has the frame's id.
+    UnknownSession,
+    /// The session's lock was poisoned or its controller panicked; the
+    /// session has been quarantined.
+    Quarantined,
+    /// The controller refused the frame and is unchanged.
+    Rejected(OnlineError),
+}
+
+impl FrameError {
+    fn text(&self, session: u64) -> String {
+        match self {
+            FrameError::UnknownSession => format!("no session {session} (expired or deleted?)"),
+            FrameError::Quarantined => {
+                format!("session {session} panicked during ingest and was quarantined")
+            }
+            FrameError::Rejected(e) => e.to_string(),
+        }
+    }
+
+    /// The single-session endpoints' answer; `invalid` is the endpoint's
+    /// `400` kind. A `SyncRequired` refusal mutated nothing and was never
+    /// journaled, so it goes back as a retryable `409`.
+    fn response(&self, session: u64, invalid: &str) -> Response {
+        match self {
+            FrameError::UnknownSession => no_session(session),
+            FrameError::Quarantined => quarantined(session),
+            FrameError::Rejected(OnlineError::SyncRequired) => Response::error(
+                409,
+                "sync_required",
+                "full replan required: retry with a sync batch covering all sensors",
+            ),
+            FrameError::Rejected(_) => Response::error(400, invalid, &self.text(session)),
+        }
+    }
+}
+
+/// The request-level journal flush failed after frames were applied; every
+/// session that accepted a frame has been quarantined.
+struct FlushFailed {
+    quarantined: usize,
+    error: std::io::Error,
+}
+
+impl FlushFailed {
+    /// The `500 journal_error` answer; `who` names the quarantined
+    /// sessions (`"session 7"`, `"3 session(s)"`).
+    fn response(&self, who: &str) -> Response {
+        Response::error(
+            500,
+            "journal_error",
+            &format!("journal flush failed after ingest; {who} quarantined: {}", self.error),
+        )
+    }
+}
+
+/// Parses a UTF-8 JSON body into `T`, answering `400 bad_json` otherwise.
+fn json_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, Response> {
+    let text =
+        std::str::from_utf8(body).map_err(|e| bad_json(format!("body is not UTF-8: {e}")))?;
+    serde_json::from_str(text).map_err(bad_json)
+}
+
+/// Applies one decoded frame addressed to session `id` and renders the
+/// single-session answer: the ingest report, or the mapped error
+/// (`invalid` is the endpoint's `400` kind). A body that did not decode
+/// still answers `404` when the session is unknown — the session
+/// lookup, not the body, decides first.
+fn ingest_one(
+    state: &AppState,
+    id: u64,
+    frame: Result<wire::Frame, Response>,
+    invalid: &str,
+) -> Response {
+    let frame = match frame {
+        Ok(f) => f,
+        Err(bad) if state.sessions.get(id).is_some() => return bad,
+        Err(_) => return no_session(id),
+    };
+    let mut outcomes = match apply_frames(state, std::slice::from_ref(&frame)) {
+        Ok(o) => o,
+        Err(failed) => return failed.response(&format!("session {id}")),
+    };
+    // One frame in, one outcome out.
+    match outcomes.swap_remove(0) {
+        Ok(report) => match serde_json::to_string(&report.to_value()) {
+            Ok(s) => Response::json(200, s),
+            Err(e) => Response::error(500, "internal_error", &e.to_string()),
+        },
+        Err(e) => e.response(id, invalid),
+    }
+}
+
 /// `POST /session/{id}/telemetry` — ingest one telemetry batch.
 ///
 /// Request: a [`TelemetryBatch`]: `{"time": t, "records": [{"sensor": i,
 /// "rate"?: f64, "level"?: f64}, ...]}`. Response: the controller's
-/// [`IngestReport`](perpetuum_online::IngestReport) — revision, replan
-/// kind, changed classes, emergency dispatches, and the number of planner
-/// invocations this batch cost (0 when every touched sensor stayed inside
-/// its rounding band).
+/// [`IngestReport`] — revision, replan kind, changed classes, emergency
+/// dispatches, and the number of planner invocations this batch cost (0
+/// when every touched sensor stayed inside its rounding band). Errors:
+/// `404 unknown_session`, `400 bad_json`/`invalid_telemetry`, `500
+/// session_quarantined`/`journal_error`.
 pub fn session_telemetry(state: &AppState, id: u64, body: &[u8]) -> Response {
-    let Some(slot) = state.sessions.get(id) else {
-        return no_session(id);
-    };
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(e) => return bad_json(format!("body is not UTF-8: {e}")),
-    };
-    let batch: TelemetryBatch = match serde_json::from_str(text) {
-        Ok(b) => b,
-        Err(e) => return bad_json(e),
-    };
-    // Per-session lock: concurrent batches for this session serialize
-    // here; batches for other sessions proceed in parallel. A poisoned
-    // lock means a previous request panicked mid-mutation — quarantine.
-    let mut controller = match slot.lock() {
-        Ok(g) => g,
-        Err(_) => return quarantine(state, id),
-    };
-    let started = Instant::now();
-    // Panic isolation: a controller bug takes down this session, not the
-    // worker (the guard survives the catch, so the mutex stays clean and
-    // the explicit quarantine below is the only consequence).
-    let outcome = catch_unwind(AssertUnwindSafe(|| controller.ingest(&batch)));
-    let report = match outcome {
-        Ok(Ok(report)) => report,
-        Ok(Err(e)) => return Response::error(400, "invalid_telemetry", &e.to_string()),
-        Err(_) => {
-            drop(controller);
-            return quarantine(state, id);
-        }
-    };
-    // The batch was accepted: stage it while the slot lock still orders
-    // this session's appends, then flush before acking.
-    if let Some(journal) = &state.journal {
-        journal.append_frames(id, vec![wire::Frame::telemetry(id, batch)]);
-    }
-    drop(controller);
-    if let Some(journal) = &state.journal {
-        if let Err(e) = journal.flush() {
-            // The controller already applied the batch, and the failed
-            // flush re-staged its Frames record — so a client retry after
-            // this 500 would double-ingest (the same `time` passes the
-            // monotonicity check) and journal the batch twice. Fail-stop
-            // instead: quarantine the session so acknowledged, live, and
-            // durable state can never drift apart.
-            quarantine_session(state, id);
-            return Response::error(
-                500,
-                "journal_error",
-                &format!("journal flush failed after ingest; session {id} quarantined: {e}"),
-            );
-        }
-    }
-    state.metrics.record_ingest(
-        report.replan,
-        report.emergency_sensors as u64,
-        started.elapsed().as_secs_f64(),
-    );
-    match serde_json::to_string(&report.to_value()) {
-        Ok(s) => Response::json(200, s),
-        Err(e) => Response::error(500, "internal_error", &e.to_string()),
-    }
+    let frame = json_body(body).map(|batch| wire::Frame::telemetry(id, batch));
+    ingest_one(state, id, frame, "invalid_telemetry")
 }
 
 /// `POST /session/{id}/events` — ingest one suppressed-event batch from
@@ -657,98 +688,30 @@ pub fn session_telemetry(state: &AppState, id: u64, body: &[u8]) -> Response {
 /// is never journaled (nothing changed), so recovery replay sees only
 /// the accepted stream.
 pub fn session_events(state: &AppState, id: u64, req: &Request) -> Response {
-    let Some(slot) = state.sessions.get(id) else {
-        return no_session(id);
-    };
-    let batch: EventBatch = if req.body_is(wire::CONTENT_TYPE) {
-        let frames = match wire::decode_frames(&req.body) {
-            Ok(f) => f,
-            Err(e) => return Response::error(400, "bad_wire", &e.to_string()),
-        };
-        match <[wire::Frame; 1]>::try_from(frames) {
-            Ok([frame]) if frame.session == id => match frame.payload {
-                wire::FramePayload::Events(b) => b,
-                wire::FramePayload::Telemetry(_) => {
-                    return Response::error(
-                        400,
-                        "bad_wire",
-                        "frame is telemetry; POST it to /session/{id}/telemetry",
-                    );
-                }
-            },
-            Ok([frame]) => {
-                return Response::error(
-                    400,
-                    "bad_wire",
-                    &format!("frame addresses session {}, path says {id}", frame.session),
-                );
-            }
-            Err(frames) => {
-                return Response::error(
-                    400,
-                    "bad_wire",
-                    &format!("expected exactly 1 frame, got {}", frames.len()),
-                );
-            }
-        }
+    let frame = if req.body_is(wire::CONTENT_TYPE) {
+        binary_events_frame(id, &req.body)
     } else {
-        let text = match std::str::from_utf8(&req.body) {
-            Ok(t) => t,
-            Err(e) => return bad_json(format!("body is not UTF-8: {e}")),
-        };
-        match serde_json::from_str(text) {
-            Ok(b) => b,
-            Err(e) => return bad_json(e),
-        }
+        json_body(&req.body).map(|batch| wire::Frame::events(id, batch))
     };
-    let mut controller = match slot.lock() {
-        Ok(g) => g,
-        Err(_) => return quarantine(state, id),
-    };
-    let started = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| controller.ingest_events(&batch)));
-    let report = match outcome {
-        Ok(Ok(report)) => report,
-        // The sync refusal mutates nothing — safe to hand back for retry.
-        Ok(Err(OnlineError::SyncRequired)) => {
-            return Response::error(
-                409,
-                "sync_required",
-                "full replan required: retry with a sync batch covering all sensors",
-            );
+    ingest_one(state, id, frame, "invalid_events")
+}
+
+/// Decodes a binary `/session/{id}/events` body: exactly one events frame,
+/// addressed to the path's session.
+fn binary_events_frame(id: u64, body: &[u8]) -> Result<wire::Frame, Response> {
+    let bad_wire = |msg: &str| Response::error(400, "bad_wire", msg);
+    let frames = wire::decode_frames(body).map_err(|e| bad_wire(&e.to_string()))?;
+    match <[wire::Frame; 1]>::try_from(frames) {
+        Ok([frame]) if frame.session != id => {
+            Err(bad_wire(&format!("frame addresses session {}, path says {id}", frame.session)))
         }
-        Ok(Err(e)) => return Response::error(400, "invalid_events", &e.to_string()),
-        Err(_) => {
-            drop(controller);
-            return quarantine(state, id);
-        }
-    };
-    let (observed, sent) = (batch.observed, batch.sent);
-    // Accepted: stage under the slot lock, flush before acking — same
-    // durability contract as the telemetry path.
-    if let Some(journal) = &state.journal {
-        journal.append_frames(id, vec![wire::Frame::events(id, batch)]);
-    }
-    drop(controller);
-    if let Some(journal) = &state.journal {
-        if let Err(e) = journal.flush() {
-            quarantine_session(state, id);
-            return Response::error(
-                500,
-                "journal_error",
-                &format!("journal flush failed after ingest; session {id} quarantined: {e}"),
-            );
-        }
-    }
-    state.metrics.record_ingest(
-        report.replan,
-        report.emergency_sensors as u64,
-        started.elapsed().as_secs_f64(),
-    );
-    state.metrics.record_events(observed, sent);
-    match serde_json::to_string(&report.to_value()) {
-        Ok(s) => Response::json(200, s),
-        Err(e) => Response::error(500, "internal_error", &e.to_string()),
+        Ok([frame]) => match frame.payload {
+            wire::FramePayload::Events(_) => Ok(frame),
+            wire::FramePayload::Telemetry(_) => {
+                Err(bad_wire("frame is telemetry; POST it to /session/{id}/telemetry"))
+            }
+        },
+        Err(frames) => Err(bad_wire(&format!("expected exactly 1 frame, got {}", frames.len()))),
     }
 }
 
@@ -758,10 +721,9 @@ pub fn session_events(state: &AppState, id: u64, req: &Request) -> Response {
 /// Request: JSON `{"frames": [{"session": id, "time": t, "records":
 /// [...]}, ...]}`, or the compact binary frame batch of
 /// [`crate::wire`] when `Content-Type:` is [`wire::CONTENT_TYPE`].
-/// Frames are grouped by session (each session's slot is acquired and
-/// locked exactly once, its frames applied in arrival order as one
-/// controller step) and session groups are bucketed by store shard;
-/// distinct shards apply in parallel, bounded by `--session-threads`.
+/// The frames are applied as one request: grouped by session (each
+/// session locked once, its frames applied in arrival order) and by
+/// store shard, distinct shards in parallel up to `--session-threads`.
 ///
 /// The response carries one outcome per frame **in request order** —
 /// a frame that fails (unknown session, non-monotone time) is reported
@@ -781,32 +743,18 @@ pub fn telemetry_batch(state: &AppState, req: &Request) -> Response {
         }
     };
 
-    let outcomes = apply_frames(state, &frames);
-    // One group commit for the whole batch: every accepted frame staged
-    // above reaches the kernel before any outcome is acknowledged.
-    if let Some(journal) = &state.journal {
-        if let Err(e) = journal.flush() {
-            // Accepted frames were applied in memory but not made
-            // durable, and the failed flush re-staged them — a retry of
-            // this batch would double-ingest. Fail-stop: quarantine every
-            // session that accepted at least one frame.
-            let mut failed: Vec<u64> =
-                outcomes.iter().filter(|o| o.result.is_ok()).map(|o| o.session).collect();
-            failed.sort_unstable();
-            failed.dedup();
-            for &id in &failed {
-                quarantine_session(state, id);
-            }
-            return Response::error(
-                500,
-                "journal_error",
-                &format!(
-                    "journal flush failed after ingest; {} session(s) quarantined: {e}",
-                    failed.len()
-                ),
-            );
-        }
-    }
+    let results = match apply_frames(state, &frames) {
+        Ok(r) => r,
+        Err(failed) => return failed.response(&format!("{} session(s)", failed.quarantined)),
+    };
+    let outcomes: Vec<wire::FrameOutcome> = frames
+        .iter()
+        .zip(results)
+        .map(|(f, r)| wire::FrameOutcome {
+            session: f.session,
+            result: r.map_err(|e| e.text(f.session)),
+        })
+        .collect();
     let errors = outcomes.iter().filter(|o| o.result.is_err()).count();
     state.metrics.batch_frames.fetch_add(outcomes.len() as u64, Relaxed);
     state.metrics.batch_frame_errors.fetch_add(errors as u64, Relaxed);
@@ -897,11 +845,24 @@ fn json_frames(body: &[u8]) -> Result<Vec<wire::Frame>, Response> {
         .collect()
 }
 
-/// Applies a decoded frame batch: group by session, bucket sessions by
-/// shard, apply shard buckets in parallel (each session locked once,
-/// all its frames ingested as one [`OnlineController::ingest_all`]
-/// step). Returns one outcome per input frame, in input order.
-fn apply_frames(state: &AppState, frames: &[wire::Frame]) -> Vec<wire::FrameOutcome> {
+/// The one place a telemetry or event frame is applied — every ingest
+/// endpoint decodes its body into frames and hands them here.
+///
+/// Frames are grouped by session, preserving each session's arrival
+/// order, and session groups are bucketed by store shard; distinct
+/// shards apply in parallel, bounded by `--session-threads`. Each
+/// session's group goes through [`apply_session`]. Acknowledgement
+/// follows the durability contract of DESIGN.md §14: when any frame was
+/// accepted, one `flush()` makes the staged frames durable before the
+/// caller answers; if it fails, every session that accepted a frame is
+/// quarantined (a retry would double-ingest) and the request gets
+/// [`FlushFailed`]. Refused frames are never journaled.
+///
+/// Returns one outcome per input frame, in input order.
+fn apply_frames(
+    state: &AppState,
+    frames: &[wire::Frame],
+) -> Result<Vec<Result<IngestReport, FrameError>>, FlushFailed> {
     // Group frame indices by session, preserving first-appearance order
     // of sessions and arrival order of each session's frames.
     let mut session_order: Vec<u64> = Vec::new();
@@ -925,116 +886,22 @@ fn apply_frames(state: &AppState, frames: &[wire::Frame]) -> Vec<wire::FrameOutc
     }
     buckets.retain(|b| !b.is_empty());
 
-    let apply_bucket = |sessions: &[u64]| -> Vec<(usize, wire::FrameOutcome)> {
+    let apply_bucket = |sessions: &[u64]| -> Vec<(usize, Result<IngestReport, FrameError>)> {
         let mut out = Vec::new();
         for &session in sessions {
-            let Some(indices) = groups.get(&session) else { continue };
-            let Some(slot) = state.sessions.get(session) else {
-                for &i in indices {
-                    out.push((
-                        i,
-                        wire::FrameOutcome {
-                            session,
-                            result: Err(format!("no session {session} (expired or deleted?)")),
-                        },
-                    ));
-                }
-                continue;
-            };
-            // One slot lookup, one lock, one controller step for the
-            // session's whole frame group — the batch path's saving over
-            // per-frame requests. Poisoned lock or a panic inside the
-            // controller quarantines the session and fails its frames in
-            // place; the rest of the batch is unaffected.
-            let quarantine_frames = |out: &mut Vec<(usize, wire::FrameOutcome)>| {
-                quarantine(state, session);
-                for &i in indices {
-                    out.push((
-                        i,
-                        wire::FrameOutcome {
-                            session,
-                            result: Err(format!(
-                                "session {session} panicked during ingest and was quarantined"
-                            )),
-                        },
-                    ));
-                }
-            };
-            let mut controller = match slot.lock() {
-                Ok(g) => g,
-                Err(_) => {
-                    quarantine_frames(&mut out);
-                    continue;
-                }
-            };
-            let started = Instant::now();
-            let reports = match catch_unwind(AssertUnwindSafe(|| {
-                indices
-                    .iter()
-                    .map(|&i| match &frames[i].payload {
-                        wire::FramePayload::Telemetry(batch) => controller.ingest(batch),
-                        wire::FramePayload::Events(batch) => controller.ingest_events(batch),
-                    })
-                    .collect::<Vec<_>>()
-            })) {
-                Ok(reports) => reports,
-                Err(_) => {
-                    drop(controller);
-                    quarantine_frames(&mut out);
-                    continue;
-                }
-            };
-            // Stage exactly the accepted frames, in ingest order, while
-            // the slot lock still orders this session's appends; the
-            // request-level flush in `telemetry_batch` group-commits them
-            // before any outcome is acknowledged.
-            if let Some(journal) = &state.journal {
-                let accepted: Vec<wire::Frame> = indices
-                    .iter()
-                    .zip(&reports)
-                    .filter(|(_, r)| r.is_ok())
-                    .map(|(&i, _)| frames[i].clone())
-                    .collect();
-                if !accepted.is_empty() {
-                    journal.append_frames(session, accepted);
-                }
-            }
-            drop(controller);
-            // The group shared one clock; meter each frame its share.
-            let per_frame = started.elapsed().as_secs_f64() / indices.len().max(1) as f64;
-            for (&i, report) in indices.iter().zip(reports) {
-                let result = match report {
-                    Ok(report) => {
-                        state.metrics.record_ingest(
-                            report.replan,
-                            report.emergency_sensors as u64,
-                            per_frame,
-                        );
-                        if let wire::FramePayload::Events(b) = &frames[i].payload {
-                            state.metrics.record_events(b.observed, b.sent);
-                        }
-                        Ok(report)
-                    }
-                    Err(e) => Err(e.to_string()),
-                };
-                out.push((i, wire::FrameOutcome { session, result }));
-            }
+            let indices = &groups[&session];
+            out.extend(indices.iter().copied().zip(apply_session(state, session, indices, frames)));
         }
         out
     };
 
     let threads = state.batch_threads.min(buckets.len()).max(1);
-    let mut results: Vec<Option<wire::FrameOutcome>> = frames.iter().map(|_| None).collect();
-    if threads <= 1 {
-        for bucket in &buckets {
-            for (i, outcome) in apply_bucket(bucket) {
-                results[i] = Some(outcome);
-            }
-        }
+    let mut placed: Vec<(usize, Result<IngestReport, FrameError>)> = if threads <= 1 {
+        buckets.iter().flat_map(|bucket| apply_bucket(bucket)).collect()
     } else {
         let lane_size = buckets.len().div_ceil(threads);
         let apply = &apply_bucket;
-        let merged = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .chunks(lane_size)
                 .map(|lane| {
@@ -1043,27 +910,97 @@ fn apply_frames(state: &AppState, frames: &[wire::Frame]) -> Vec<wire::FrameOutc
                     })
                 })
                 .collect();
-            handles.into_iter().filter_map(|h| h.join().ok()).collect::<Vec<_>>()
-        });
-        for lane in merged {
-            for (i, outcome) in lane {
-                results[i] = Some(outcome);
+            // Controller panics are caught per session inside the lane;
+            // anything else is a bug the router's panic barrier reports.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    placed.sort_unstable_by_key(|&(i, _)| i);
+    let results: Vec<_> = placed.into_iter().map(|(_, r)| r).collect();
+
+    if let Some(journal) = &state.journal {
+        if results.iter().any(Result::is_ok) {
+            if let Err(error) = journal.flush() {
+                let mut failed: Vec<u64> = frames
+                    .iter()
+                    .zip(&results)
+                    .filter(|(_, r)| r.is_ok())
+                    .map(|(f, _)| f.session)
+                    .collect();
+                failed.sort_unstable();
+                failed.dedup();
+                for &id in &failed {
+                    quarantine_session(state, id);
+                }
+                return Err(FlushFailed { quarantined: failed.len(), error });
             }
         }
     }
+    Ok(results)
+}
 
-    // A panicked lane (caught by join) leaves holes; surface them as
-    // per-frame errors rather than dropping frames from the response.
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(i, outcome)| {
-            outcome.unwrap_or_else(|| wire::FrameOutcome {
-                session: frames[i].session,
-                result: Err("internal error: frame processing failed".to_string()),
+/// Applies one session's frames (`indices` into `frames`, in arrival
+/// order) as one controller step: one slot lookup, one lock, and one
+/// `catch_unwind` around ingesting each frame, staging the accepted ones
+/// in the journal while the lock still orders this session's appends,
+/// and metering them. A rejected frame leaves the controller untouched
+/// and does not stop the frames after it. A poisoned lock or a panic
+/// anywhere in the step quarantines the session. Returns one outcome
+/// per index.
+fn apply_session(
+    state: &AppState,
+    session: u64,
+    indices: &[usize],
+    frames: &[wire::Frame],
+) -> Vec<Result<IngestReport, FrameError>> {
+    let Some(slot) = state.sessions.get(session) else {
+        return vec![Err(FrameError::UnknownSession); indices.len()];
+    };
+    let applied = catch_unwind(AssertUnwindSafe(|| {
+        let mut controller = slot.lock().ok()?;
+        let started = Instant::now();
+        let reports: Vec<_> = indices
+            .iter()
+            .map(|&i| match &frames[i].payload {
+                wire::FramePayload::Telemetry(batch) => controller.ingest(batch),
+                wire::FramePayload::Events(batch) => controller.ingest_events(batch),
             })
-        })
-        .collect()
+            .collect();
+        if let Some(journal) = &state.journal {
+            let accepted: Vec<wire::Frame> = indices
+                .iter()
+                .zip(&reports)
+                .filter(|(_, r)| r.is_ok())
+                .map(|(&i, _)| frames[i].clone())
+                .collect();
+            if !accepted.is_empty() {
+                journal.append_frames(session, accepted);
+            }
+        }
+        drop(controller);
+        // The group shared one clock; meter each frame its share.
+        let per_frame = started.elapsed().as_secs_f64() / indices.len() as f64;
+        for (&i, report) in indices.iter().zip(&reports) {
+            let Ok(report) = report else { continue };
+            state.metrics.record_ingest(report.replan, report.emergency_sensors as u64, per_frame);
+            if let wire::FramePayload::Events(b) = &frames[i].payload {
+                state.metrics.record_events(b.observed, b.sent);
+            }
+        }
+        Some(reports)
+    }));
+    match applied {
+        Ok(Some(reports)) => reports.into_iter().map(|r| r.map_err(FrameError::Rejected)).collect(),
+        // Poisoned lock (`None`) or a panic: the controller's state can no
+        // longer be trusted to match its journal.
+        Ok(None) | Err(_) => {
+            quarantine_session(state, session);
+            vec![Err(FrameError::Quarantined); indices.len()]
+        }
+    }
 }
 
 /// `GET /session/{id}/plan` — the session's current plan: revision,
@@ -1076,7 +1013,10 @@ pub fn session_plan(state: &AppState, id: u64, req: &Request) -> Response {
     };
     let controller = match slot.lock() {
         Ok(g) => g,
-        Err(_) => return quarantine(state, id),
+        Err(_) => {
+            quarantine_session(state, id);
+            return quarantined(id);
+        }
     };
     if req.accepts(wire::CONTENT_TYPE) {
         let plan = wire::PlanWire {
@@ -1753,6 +1693,186 @@ mod tests {
         assert!(state.sessions.is_empty(), "both accepting sessions quarantined");
         assert_eq!(state.metrics.sessions_quarantined.load(Relaxed), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The three ingest endpoints share one core, so they share its error
+    /// mapping. Every cell runs on a fresh journaled state holding one
+    /// session and posts one frame (or one malformed body); it pins the
+    /// status, the `kind` — for the batch endpoint's in-place errors, a
+    /// fragment of the frame's error text — and how many records beyond
+    /// the session's `Create` reach the WAL once flushing works again.
+    #[test]
+    fn ingest_endpoints_share_one_error_mapping() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Endpoint {
+            Telemetry,
+            Events,
+            Batch,
+        }
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Case {
+            UnknownSession,
+            UnknownSessionMalformedBody,
+            MalformedBody,
+            Rejected,
+            SyncRequired,
+            PoisonedSlot,
+            FlushFailure,
+        }
+        use Case::*;
+        use Endpoint::*;
+        type Cell = Option<(u16, &'static str, usize)>;
+        // Columns: telemetry (JSON), events (PBT1), batch (PBT1 in, JSON
+        // out). A telemetry frame never needs a sync, so that cell is
+        // empty; the batch endpoint gets an events frame for it.
+        let table: [(Case, [Cell; 3]); 7] = [
+            (
+                UnknownSession,
+                [
+                    Some((404, "unknown_session", 0)),
+                    Some((404, "unknown_session", 0)),
+                    Some((200, "no session 777", 0)),
+                ],
+            ),
+            (
+                UnknownSessionMalformedBody,
+                [
+                    Some((404, "unknown_session", 0)),
+                    Some((404, "unknown_session", 0)),
+                    Some((400, "bad_wire", 0)),
+                ],
+            ),
+            (
+                MalformedBody,
+                [
+                    Some((400, "bad_json", 0)),
+                    Some((400, "bad_wire", 0)),
+                    Some((400, "bad_wire", 0)),
+                ],
+            ),
+            (
+                Rejected,
+                [
+                    Some((400, "invalid_telemetry", 0)),
+                    Some((400, "invalid_events", 0)),
+                    Some((200, "sensor 999 out of range", 0)),
+                ],
+            ),
+            (
+                SyncRequired,
+                [None, Some((409, "sync_required", 0)), Some((200, "full replan required", 0))],
+            ),
+            (
+                PoisonedSlot,
+                [
+                    Some((500, "session_quarantined", 1)),
+                    Some((500, "session_quarantined", 1)),
+                    Some((200, "was quarantined", 1)),
+                ],
+            ),
+            (
+                FlushFailure,
+                [
+                    Some((500, "journal_error", 2)),
+                    Some((500, "journal_error", 2)),
+                    Some((500, "journal_error", 2)),
+                ],
+            ),
+        ];
+
+        for (case, cells) in table {
+            for (endpoint, cell) in [Telemetry, Events, Batch].into_iter().zip(cells) {
+                let Some((status, kind, journaled)) = cell else { continue };
+                let dir = journal_dir(&format!("table-{case:?}-{endpoint:?}"));
+                let state = with_journal(AppState::new(8).with_sessions(16, 4), &dir);
+                let live = make_sessions(&state, 1)[0];
+                let id = if matches!(case, UnknownSession | UnknownSessionMalformedBody) {
+                    777
+                } else {
+                    live
+                };
+                let frame = if endpoint == Events || case == SyncRequired {
+                    let events = match case {
+                        Rejected => vec![ClassEvent::new(999, 0.1, 0.1, 0.5)],
+                        // A rate this high undercuts τ₁: a full replan.
+                        SyncRequired => vec![ClassEvent::new(0, 1e6, 1e6, 0.5)],
+                        _ => Vec::new(),
+                    };
+                    wire::Frame::events(id, EventBatch::new(1.0, events))
+                } else {
+                    let records = match case {
+                        Rejected => vec![TelemetryRecord::rate(999, 0.1)],
+                        _ => Vec::new(),
+                    };
+                    wire::Frame::telemetry(id, TelemetryBatch { time: 1.0, records })
+                };
+                let malformed = matches!(case, MalformedBody | UnknownSessionMalformedBody);
+                let binary = if malformed {
+                    WRONG_MAGIC.to_vec()
+                } else {
+                    wire::encode_frames(std::slice::from_ref(&frame))
+                };
+                match case {
+                    PoisonedSlot => {
+                        let slot = state.sessions.get(live).expect("present");
+                        let _ = catch_unwind(AssertUnwindSafe(|| {
+                            let _guard = slot.lock().expect("clean lock");
+                            panic!("controller bug");
+                        }));
+                    }
+                    FlushFailure => state.journal.as_ref().unwrap().fail_flush.store(true, Relaxed),
+                    _ => {}
+                }
+
+                let r = match endpoint {
+                    Telemetry => {
+                        let body = match (&frame.payload, malformed) {
+                            (wire::FramePayload::Telemetry(b), false) => {
+                                serde_json::to_string(b).unwrap().into_bytes()
+                            }
+                            _ => b"{".to_vec(),
+                        };
+                        session_telemetry(&state, id, &body)
+                    }
+                    Events => {
+                        let mut req = Request::new("POST", format!("/session/{id}/events"), binary);
+                        req.content_type = Some(wire::CONTENT_TYPE.to_string());
+                        session_events(&state, id, &req)
+                    }
+                    Batch => telemetry_batch(&state, &batch_req(binary, true, false)),
+                };
+                let text = String::from_utf8(r.body).unwrap();
+                let cell = format!("{case:?} on {endpoint:?}: {text}");
+                assert_eq!(r.status, status, "{cell}");
+                if status == 200 {
+                    let v = serde_json::parse_value(&text).unwrap();
+                    let Some(Value::Arr(results)) = v.get("results") else { panic!("{cell}") };
+                    let Some(Value::Str(error)) = results[0].get("error") else { panic!("{cell}") };
+                    assert!(error.contains(kind), "{cell}");
+                } else {
+                    assert!(text.contains(&format!("\"kind\":\"{kind}\"")), "{cell}");
+                }
+
+                let journal = state.journal.as_ref().unwrap();
+                journal.fail_flush.store(false, Relaxed);
+                journal.flush().expect("flush");
+                let records: usize = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+                    .flat_map(|p| crate::journal::decode_log(&std::fs::read(p).unwrap()).records)
+                    .filter(|r| {
+                        matches!(
+                            r,
+                            crate::journal::Record::Frames(_) | crate::journal::Record::End { .. }
+                        )
+                    })
+                    .count();
+                assert_eq!(records, journaled, "{cell}");
+                drop(state);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

@@ -56,5 +56,5 @@ pub use handlers::{AppState, DEFAULT_SESSION_CAPACITY};
 pub use journal::{EndReason, FsyncPolicy, JournalSet, RecoveryStats};
 pub use metrics::Metrics;
 pub use server::{start, ServerConfig, ServerHandle};
-pub use session::{MutexMapStore, SessionSlot, SessionStore, DEFAULT_SHARDS, MAX_SHARDS};
+pub use session::{SessionSlot, SessionStore, DEFAULT_SHARDS, MAX_SHARDS};
 pub use shutdown::{install_signal_forwarder, ShutdownSignal};

@@ -23,10 +23,8 @@
 //! per shard and in one aggregate atomic, so `/metrics` scrapes read
 //! gauges without touching any lock.
 //!
-//! [`MutexMapStore`] preserves the previous single-`Mutex<HashMap>`
-//! design. It is not used by the daemon — it exists so the ingest
-//! benchmark can race the sharded store against the exact baseline it
-//! replaced.
+//! The single-`Mutex<HashMap>` store this design replaced lives on only
+//! as the ingest benchmark's baseline, in `perpetuum-bench`.
 
 use perpetuum_online::OnlineController;
 use std::collections::HashMap;
@@ -55,6 +53,13 @@ pub struct SessionSlot {
 }
 
 impl SessionSlot {
+    /// A slot around `controller`, never yet used. The store stamps
+    /// recency on insert; other containers (the ingest benchmark's
+    /// baseline store) wrap it in their own `Arc`.
+    pub fn new(controller: OnlineController) -> Self {
+        Self { controller: Mutex::new(controller), last_used: AtomicU64::new(0) }
+    }
+
     /// Locks the controller for one ingest/plan operation.
     ///
     /// Poisoning is surfaced, not swallowed: a poisoned mutex means some
@@ -178,10 +183,8 @@ impl SessionStore {
     pub fn insert_with_id(&self, id: u64, controller: OnlineController) -> Option<u64> {
         self.bump_next_id(id);
         let shard = &self.shards[self.shard_of(id)];
-        let slot = Arc::new(SessionSlot {
-            controller: Mutex::new(controller),
-            last_used: AtomicU64::new(shard.tick.fetch_add(1, Relaxed)),
-        });
+        let slot = Arc::new(SessionSlot::new(controller));
+        slot.last_used.store(shard.tick.fetch_add(1, Relaxed), Relaxed);
         let mut map = shard.write();
         let mut evicted = None;
         if map.len() >= self.per_shard_capacity {
@@ -254,74 +257,6 @@ impl SessionStore {
     /// Per-shard live-session gauges — atomic loads, no locks.
     pub fn shard_lens(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.live.load(Relaxed)).collect()
-    }
-}
-
-/// The pre-sharding store: one global `Mutex<HashMap>` with whole-store
-/// LRU. Kept verbatim as the ingest benchmark's contention baseline; the
-/// daemon never instantiates it.
-pub struct MutexMapStore {
-    inner: Mutex<HashMap<u64, Arc<SessionSlot>>>,
-    capacity: usize,
-    next_id: AtomicU64,
-    tick: AtomicU64,
-}
-
-impl MutexMapStore {
-    /// A store holding at most `capacity` live sessions (at least one).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            next_id: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-        }
-    }
-
-    fn map(&self) -> MutexGuard<'_, HashMap<u64, Arc<SessionSlot>>> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Registers a controller; returns its id and whether the LRU session
-    /// was evicted.
-    pub fn insert(&self, controller: OnlineController) -> (u64, bool) {
-        let id = self.next_id.fetch_add(1, Relaxed) + 1;
-        let slot = Arc::new(SessionSlot {
-            controller: Mutex::new(controller),
-            last_used: AtomicU64::new(self.tick.fetch_add(1, Relaxed)),
-        });
-        let mut map = self.map();
-        let mut evicted = false;
-        if map.len() >= self.capacity {
-            if let Some(&lru) =
-                map.iter().min_by_key(|(_, s)| s.last_used.load(Relaxed)).map(|(k, _)| k)
-            {
-                map.remove(&lru);
-                evicted = true;
-            }
-        }
-        map.insert(id, slot);
-        (id, evicted)
-    }
-
-    /// Looks a session up through the global lock, refreshing recency.
-    pub fn get(&self, id: u64) -> Option<Arc<SessionSlot>> {
-        let slot = Arc::clone(self.map().get(&id)?);
-        slot.last_used.store(self.tick.fetch_add(1, Relaxed), Relaxed);
-        Some(slot)
-    }
-
-    /// Number of live sessions (takes the store lock).
-    pub fn len(&self) -> usize {
-        self.map().len()
-    }
-
-    /// True when no sessions are live (takes the store lock).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -452,17 +387,5 @@ mod tests {
         assert!(store.remove(ids[3]));
         assert_eq!(store.len(), 3);
         assert_eq!(store.shard_lens()[0], 3);
-    }
-
-    #[test]
-    fn mutex_baseline_still_works() {
-        let store = MutexMapStore::new(2);
-        let (a, _) = store.insert(controller());
-        let (b, _) = store.insert(controller());
-        assert!(store.get(a).is_some());
-        let (_, evicted) = store.insert(controller());
-        assert!(evicted);
-        assert!(store.get(b).is_none(), "LRU evicted");
-        assert_eq!(store.len(), 2);
     }
 }

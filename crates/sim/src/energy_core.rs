@@ -17,10 +17,10 @@
 //!
 //! # Invariants (see DESIGN.md § Simulation performance)
 //!
-//! - `batteries[i].level()` is the level at `touch[i]`; [`Self::settle`]
-//!   advances the pair, [`Self::peek`] reads without advancing. Both agree
-//!   with the dense sweep up to float re-association (one multiply instead
-//!   of a per-segment cascade).
+//! - `batteries[i].level()` is the level at `touch[i]`;
+//!   [`EnergyCore::settle`] advances the pair, [`EnergyCore::peek`] reads
+//!   without advancing. Both agree with the dense sweep up to float
+//!   re-association (one multiply instead of a per-segment cascade).
 //! - The dense sweep kills sensor `i` in segment `[t, tn)` iff
 //!   `ρ·(tn − t) > level(t) + 1e-9`. Telescoped over consecutive segments
 //!   this is `tn > d + 1e-9/ρ` with `d = touch + level(touch)/ρ`, so the
