@@ -3,7 +3,8 @@
 //!
 //! * rounding — Algorithm 3 vs the per-sensor exact-cadence strawman vs
 //!   charging everyone every `τ_min`;
-//! * tour polish — plain tree-doubling routing vs + 2-opt/Or-opt;
+//! * tour polish — plain tree-doubling routing vs the same plan refined to
+//!   a local optimum by the `perpetuum-opt` refiner;
 //! * repair — nearest-scheduling `V^a` insertion vs charge-all-now, run
 //!   through the full simulator.
 
@@ -11,6 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::naive::{plan_charge_all, plan_per_sensor_cadence};
 use perpetuum_core::network::Instance;
+use perpetuum_core::refine::{refine, Budget, CONVERGENCE_STEPS};
 use perpetuum_core::var::RepairStrategy;
 use perpetuum_exp::scenario::Scenario;
 use perpetuum_sim::{run, SimConfig, VarPolicy};
@@ -47,10 +49,8 @@ fn bench_polish(c: &mut Criterion) {
     });
     group.bench_function("algorithm_2_polished", |b| {
         b.iter(|| {
-            black_box(plan_min_total_distance(
-                &inst,
-                &MtdConfig { polish_rounds: 10, ..MtdConfig::default() },
-            ))
+            let plan = plan_min_total_distance(&inst, &MtdConfig::default());
+            black_box(refine(inst.network(), &plan, &Budget::steps(CONVERGENCE_STEPS), 0))
         })
     });
     group.finish();

@@ -44,10 +44,7 @@ fn bench_qmsf_qtsp(c: &mut Criterion) {
             b.iter(|| black_box(q_rooted_msf_src(&network.dist_source(), &terminals, &roots)))
         });
         group.bench_with_input(BenchmarkId::new("q_rooted_tsp", n), &n, |b, _| {
-            b.iter(|| black_box(q_rooted_tsp_src(&network.dist_source(), &terminals, &roots, 0)))
-        });
-        group.bench_with_input(BenchmarkId::new("q_rooted_tsp_polished", n), &n, |b, _| {
-            b.iter(|| black_box(q_rooted_tsp_src(&network.dist_source(), &terminals, &roots, 5)))
+            b.iter(|| black_box(q_rooted_tsp_src(&network.dist_source(), &terminals, &roots)))
         });
     }
     // q scaling at fixed n.
@@ -56,7 +53,7 @@ fn bench_qmsf_qtsp(c: &mut Criterion) {
         let terminals: Vec<usize> = (0..200).collect();
         let roots = network.depot_nodes();
         group.bench_with_input(BenchmarkId::new("q_rooted_tsp_q", q), &q, |b, _| {
-            b.iter(|| black_box(q_rooted_tsp_src(&network.dist_source(), &terminals, &roots, 0)))
+            b.iter(|| black_box(q_rooted_tsp_src(&network.dist_source(), &terminals, &roots)))
         });
     }
     group.finish();
@@ -92,7 +89,6 @@ fn bench_replan(c: &mut Criterion) {
                     residuals: &residuals,
                     now: 500.0,
                     horizon: 1000.0,
-                    polish_rounds: 0,
                 };
                 black_box(replan_variable(&input))
             })

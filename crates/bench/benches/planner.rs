@@ -38,7 +38,7 @@ fn deployment(n: usize, seed: u64, clustered: bool) -> (Vec<Point2>, Vec<Point2>
 fn plan(network: &Network) -> f64 {
     let terminals: Vec<usize> = (0..network.n()).collect();
     let roots = network.depot_nodes();
-    q_rooted_tsp_src(&network.dist_source(), &terminals, &roots, 0).cost
+    q_rooted_tsp_src(&network.dist_source(), &terminals, &roots).cost
 }
 
 fn bench_planner(c: &mut Criterion) {

@@ -39,7 +39,6 @@ fn main() {
             residuals: &residuals,
             now: 42.0,
             horizon: 200.0,
-            polish_rounds: 0,
         };
         let t0 = Instant::now();
         let plan = replan_variable_with(&input, RepairStrategy::NearestScheduling);
@@ -63,7 +62,7 @@ fn main() {
         let cum = partition.cumulative(k);
         let nodes: Vec<usize> = cum.clone();
         let t0 = Instant::now();
-        let qt = q_rooted_tsp_src(&src, &nodes, &depot_nodes, 0);
+        let qt = q_rooted_tsp_src(&src, &nodes, &depot_nodes);
         eprintln!("route D_{k} (|{}|): {:?} (cost {:.1})", cum.len(), t0.elapsed(), qt.cost);
     }
     let urgent = residuals.iter().filter(|&&r| r < partition.tau1).count();

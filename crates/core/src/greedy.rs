@@ -29,24 +29,22 @@ pub struct GreedyConfig {
     /// paper's `Δl = τ_min` granularity keeps every sensor alive: a sensor
     /// whose residual dips under `Δl` is always charged within one tick.
     pub tick: f64,
-    /// Local-search rounds per tour (ablation only, default 0).
-    pub polish_rounds: usize,
 }
 
 impl GreedyConfig {
     /// The paper's configuration for a given `τ_min`.
     pub fn paper_default(tau_min: f64) -> Self {
-        Self { threshold: tau_min, tick: tau_min, polish_rounds: 0 }
+        Self { threshold: tau_min, tick: tau_min }
     }
 }
 
 /// Routes one batch of pending sensors (`sensor` node ids) through all `q`
 /// chargers, returning the tour set. The primitive shared by the offline
 /// unrolling and the simulator's online policy.
-pub fn greedy_batch(network: &Network, pending: &[usize], polish_rounds: usize) -> TourSet {
+pub fn greedy_batch(network: &Network, pending: &[usize]) -> TourSet {
     let n = network.n();
     let depots = network.depot_nodes();
-    let qt = q_rooted_tsp_src(&network.dist_source(), pending, &depots, polish_rounds);
+    let qt = q_rooted_tsp_src(&network.dist_source(), pending, &depots);
     TourSet::from_qtours(qt, |v| v >= n)
 }
 
@@ -99,7 +97,7 @@ pub fn plan_greedy_fixed(instance: &Instance, cfg: &GreedyConfig) -> ScheduleSer
             }
         }
         if !pending.is_empty() {
-            let set = greedy_batch(network, &pending, cfg.polish_rounds);
+            let set = greedy_batch(network, &pending);
             let id = series.add_set(set);
             series.push_dispatch(t, id);
             for &i in &pending {
@@ -190,7 +188,7 @@ mod tests {
         let sensors = vec![Point2::new(1.0, 0.0), Point2::new(99.0, 0.0)];
         let depots = vec![Point2::new(0.0, 0.0), Point2::new(100.0, 0.0)];
         let network = Network::new(sensors, depots);
-        let set = greedy_batch(&network, &[0, 1], 0);
+        let set = greedy_batch(&network, &[0, 1]);
         assert_eq!(set.sensors(), &[0, 1]);
         assert!((set.cost() - 4.0).abs() < 1e-9);
     }

@@ -54,9 +54,6 @@ pub struct IncrementalConfig {
     /// replan, surgery would touch most of the forest anyway — fall back
     /// to a full replan instead.
     pub migration_fallback_fraction: f64,
-    /// Half-width (in tour positions) of the localized 2-opt window around
-    /// each repaired seam.
-    pub repair_window: usize,
     /// Worker override for the parallel per-root tour repair; `None` uses
     /// the same heuristic as the from-scratch tour build. The parity tests
     /// pin explicit counts against each other.
@@ -65,7 +62,7 @@ pub struct IncrementalConfig {
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
-        Self { migration_fallback_fraction: 0.25, repair_window: 8, tour_workers: None }
+        Self { migration_fallback_fraction: 0.25, tour_workers: None }
     }
 }
 
@@ -198,14 +195,7 @@ impl DynamicSet {
             let warm = if remove_nodes[r].is_empty() && insert_nodes[r].is_empty() {
                 old_tours[r].clone()
             } else {
-                repair_tour(
-                    old_tours[r].nodes(),
-                    depot,
-                    &remove_nodes[r],
-                    &insert_nodes[r],
-                    &src,
-                    cfg.repair_window,
-                )
+                repair_tour(old_tours[r].nodes(), depot, &remove_nodes[r], &insert_nodes[r], &src)
             };
             // The doubling rebuild of the spliced tree guards the warm
             // repair, so the kept tour is never worse than the paper's
@@ -262,16 +252,19 @@ fn host_tree_edges(
         .collect()
 }
 
+/// Half-width (in tour positions) of [`local_two_opt`]'s window around
+/// each repaired seam.
+const REPAIR_WINDOW: usize = 8;
+
 /// Drops `remove`d nodes from a previous tour, cheapest-inserts the
-/// arrivals, and runs a localized 2-opt of half-width `window` around the
-/// touched positions. The depot stays at position 0.
+/// arrivals, and runs a localized 2-opt of half-width [`REPAIR_WINDOW`]
+/// around the touched positions. The depot stays at position 0.
 fn repair_tour<M: Metric>(
     old_nodes: &[usize],
     depot: usize,
     remove: &[usize],
     insert: &[usize],
     dist: &M,
-    window: usize,
 ) -> Tour {
     let mut rm = remove.to_vec();
     rm.sort_unstable();
@@ -307,29 +300,36 @@ fn repair_tour<M: Metric>(
         nodes.insert(best_pos, v);
         touched.push(best_pos);
     }
-    local_two_opt(&mut nodes, dist, &touched, window);
+    local_two_opt(&mut nodes, dist, &touched);
     Tour::new(nodes)
 }
 
 /// One localized 2-opt pass: only edges whose first endpoint lies within
-/// `window` positions of a touched index are considered, paired with the
-/// following `2·window` edges. First-improvement, single pass — the caller
-/// guards quality with a fresh rebuild, this only smooths seams.
-fn local_two_opt<M: Metric>(nodes: &mut [usize], dist: &M, touched: &[usize], window: usize) {
+/// [`REPAIR_WINDOW`] positions of a touched index are considered, paired
+/// with the following `2·REPAIR_WINDOW` edges. First-improvement, single
+/// pass — the caller guards quality with a fresh rebuild, this only
+/// smooths seams.
+///
+/// This seam smoother stays separate from the `perpetuum-opt` refiner on
+/// measurement (DESIGN.md §12): on the `simulate` benchmark workload the
+/// refiner in its place cuts service cost 3–4% but raises p50 latency
+/// past the benchmark's 0.25 bound, and dropping the pass raises service
+/// cost 3% at unchanged latency.
+fn local_two_opt<M: Metric>(nodes: &mut [usize], dist: &M, touched: &[usize]) {
     let len = nodes.len();
-    if len < 4 || window == 0 {
+    if len < 4 {
         return;
     }
     let mut cand: Vec<usize> = Vec::new();
     for &t in touched {
-        let lo = t.saturating_sub(window);
-        let hi = (t + window).min(len - 2);
+        let lo = t.saturating_sub(REPAIR_WINDOW);
+        let hi = (t + REPAIR_WINDOW).min(len - 2);
         cand.extend(lo..=hi);
     }
     cand.sort_unstable();
     cand.dedup();
     for &i in &cand {
-        let hi = (i + 2 * window).min(len - 1);
+        let hi = (i + 2 * REPAIR_WINDOW).min(len - 1);
         for j in (i + 2)..=hi {
             let a = nodes[i];
             let b = nodes[i + 1];
@@ -529,12 +529,7 @@ impl IncrementalPlanner {
             .collect();
         if !urgent.is_empty() {
             let nodes: Vec<usize> = urgent.iter().map(|&i| network.sensor_node(i)).collect();
-            let qt = q_rooted_tsp_src(
-                &network.dist_source(),
-                &nodes,
-                &network.depot_nodes(),
-                input.polish_rounds,
-            );
+            let qt = q_rooted_tsp_src(&network.dist_source(), &nodes, &network.depot_nodes());
             let id = series.add_set(TourSet::from_qtours(qt, |v| v >= n));
             series.push_dispatch(input.now, id);
         }
@@ -673,7 +668,6 @@ mod tests {
             residuals: &residuals,
             now: 0.0,
             horizon: 200.0,
-            polish_rounds: 0,
         };
         IncrementalPlanner::seed_with(&input, RepairStrategy::NearestScheduling, cfg)
     }
@@ -721,7 +715,6 @@ mod tests {
                 residuals: &residuals,
                 now: 5.0,
                 horizon: 150.0,
-                polish_rounds: 0,
             };
             let scratch = crate::var::replan_variable(&input);
             let (seeded, _) = IncrementalPlanner::seed(&input, RepairStrategy::NearestScheduling);
@@ -877,7 +870,6 @@ mod tests {
                     residuals: &residuals,
                     now,
                     horizon: 200.0,
-                    polish_rounds: 0,
                 };
                 match planner.replan(&input) {
                     ReplanOutcome::Incremental(plan) => {
@@ -913,7 +905,6 @@ mod tests {
             residuals: &residuals,
             now: 6.0,
             horizon: 120.0,
-            polish_rounds: 0,
         };
         match planner.replan(&input) {
             ReplanOutcome::Incremental(plan) => {
@@ -933,14 +924,7 @@ mod tests {
         let cycles = spread_cycles(n, &mut rng);
         let residuals = cycles.clone();
         fn at<'a>(network: &'a Network, cycles: &'a [f64], residuals: &'a [f64]) -> VarInput<'a> {
-            VarInput {
-                network,
-                max_cycles: cycles,
-                residuals,
-                now: 2.0,
-                horizon: 150.0,
-                polish_rounds: 0,
-            }
+            VarInput { network, max_cycles: cycles, residuals, now: 2.0, horizon: 150.0 }
         }
 
         // τ̂₁ undercut.

@@ -71,10 +71,10 @@ pub use network::{Instance, Network};
 pub use qmsf::{q_rooted_msf_src, rooted_msf_general, rooted_msf_points, RootedForest};
 pub use qtsp::{
     q_rooted_tsp_routed_src, q_rooted_tsp_src, q_rooted_tsp_with_forest_src,
-    tour_from_tree_doubling, tours_for_forest_src, QTours, Routing,
+    tour_from_tree_doubling, tours_for_forest, QTours, Routing,
 };
 pub use recovery::{degraded_tour_set, surviving_depots};
-pub use refine::{refine, refine_tour_set, Budget, RefineReport};
+pub use refine::{refine, refine_tour_set, Budget, RefineReport, CONVERGENCE_STEPS};
 pub use rounding::{partition_cycles, power_class, CyclePartition};
 pub use schedule::{Dispatch, ScheduleSeries, TourSet};
 pub use split::{split_tour, split_tour_set, SplitError, SplitTourSet};

@@ -8,7 +8,8 @@
 //! and is used by the objective-comparison experiment:
 //!
 //! 1. start from the optimal `q`-rooted MSF assignment (Algorithm 1),
-//! 2. route each group ([`crate::qtsp::Routing`]),
+//! 2. route each group ([`crate::qtsp::Routing`]) and refine its tour to a
+//!    local optimum with the `perpetuum-opt` refiner ([`mod@crate::refine`]),
 //! 3. local search: repeatedly move a sensor from the longest tour to the
 //!    charger whose tour grows the least, while the makespan improves.
 //!
@@ -17,6 +18,7 @@
 
 use crate::network::Network;
 use crate::qtsp::{q_rooted_tsp_routed_src, Routing};
+use crate::refine::{refine_tour_set, Budget, CONVERGENCE_STEPS};
 use crate::schedule::TourSet;
 use perpetuum_graph::Tour;
 
@@ -59,14 +61,18 @@ pub fn min_max_cover(
         groups[r].push(t);
     }
 
-    // Route one group through its own depot.
+    // Route one group through its own depot, then refine that single tour.
     let route = |group: &[usize], depot: usize| -> Tour {
         let group_nodes: Vec<usize> = group.iter().map(|&t| nodes[t]).collect();
         if group_nodes.is_empty() {
             return Tour::singleton(depot);
         }
-        let qt = q_rooted_tsp_routed_src(&dist, &group_nodes, &[depot], routing, 2);
-        qt.tours.into_iter().next().expect("one root, one tour")
+        let qt = q_rooted_tsp_routed_src(&dist, &group_nodes, &[depot], routing);
+        let set = TourSet::from_qtours(qt, |v| network.is_depot(v));
+        let (refined, outcome) =
+            refine_tour_set(network, &set, &Budget::steps(CONVERGENCE_STEPS), 0);
+        debug_assert!(outcome.converged, "min-max route stopped short of a local optimum");
+        refined.tours()[0].clone()
     };
 
     let mut tours: Vec<Tour> = (0..q).map(|l| route(&groups[l], depots[l])).collect();
@@ -190,7 +196,7 @@ mod tests {
             let sensors: Vec<usize> = (0..25).collect();
             // Seed solution: Algorithm 2's tours.
             let src = net.dist_source();
-            let qt = q_rooted_tsp_src(&src, &sensors, &net.depot_nodes(), 0);
+            let qt = q_rooted_tsp_src(&src, &sensors, &net.depot_nodes());
             let seed_span = qt.tours.iter().map(|t| t.length(&src)).fold(0.0f64, f64::max);
             let c = min_max_cover(&net, &sensors, Routing::Doubling, 100);
             assert!(c.makespan <= seed_span + 1e-6, "seed {seed}: {} vs {}", c.makespan, seed_span);

@@ -24,9 +24,6 @@ use crate::schedule::{ScheduleSeries, TourSet};
 /// Tunables for [`plan_min_total_distance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MtdConfig {
-    /// Local-search rounds applied to each tour (ablation only; `0` — the
-    /// default — is the paper's plain Algorithm 2 routing).
-    pub polish_rounds: usize,
     /// Tree-to-tour routing (ablation only; the default
     /// [`Routing::Doubling`] is the paper's Algorithm 2).
     pub routing: Routing,
@@ -75,13 +72,8 @@ pub(crate) fn build_cumulative_tour_sets(
     (0..=partition.k_max())
         .map(|k| {
             let terminals = partition.cumulative(k);
-            let qt = q_rooted_tsp_routed_src(
-                &network.dist_source(),
-                &terminals,
-                &depots,
-                cfg.routing,
-                cfg.polish_rounds,
-            );
+            let qt =
+                q_rooted_tsp_routed_src(&network.dist_source(), &terminals, &depots, cfg.routing);
             TourSet::from_qtours(qt, |v| v >= n)
         })
         .collect()
@@ -215,10 +207,10 @@ mod tests {
         let depots = vec![Point2::new(500.0, 500.0), Point2::new(100.0, 900.0)];
         let inst = Instance::new(Network::new(sensors, depots), cycles, 64.0);
         let plain = plan_min_total_distance(&inst, &MtdConfig::default());
-        let polished = plan_min_total_distance(
-            &inst,
-            &MtdConfig { polish_rounds: 10, ..MtdConfig::default() },
-        );
+        // The polish is the refiner, run to a local optimum over every set.
+        let budget = crate::refine::Budget::steps(crate::refine::CONVERGENCE_STEPS);
+        let (polished, report) = crate::refine::refine(inst.network(), &plain, &budget, 11);
+        assert!(report.converged);
         assert!(polished.service_cost() <= plain.service_cost() + 1e-9);
         crate::feasibility::check_series(&inst, &polished).unwrap();
     }
@@ -238,10 +230,7 @@ mod tests {
             let depots = vec![Point2::new(500.0, 500.0)];
             let inst = Instance::new(Network::new(sensors, depots), cycles, 64.0);
             let doubled = plan_min_total_distance(&inst, &MtdConfig::default());
-            let matched = plan_min_total_distance(
-                &inst,
-                &MtdConfig { routing: Routing::Matching, ..MtdConfig::default() },
-            );
+            let matched = plan_min_total_distance(&inst, &MtdConfig { routing: Routing::Matching });
             crate::feasibility::check_series(&inst, &matched).unwrap();
             doubled_total += doubled.service_cost();
             matched_total += matched.service_cost();

@@ -28,7 +28,7 @@ pub fn plan_per_sensor_cadence(instance: &Instance) -> ScheduleSeries {
     let mut dispatches: Vec<(f64, usize)> = Vec::new();
     for i in 0..n {
         let set_id = series.add_set(TourSet::from_qtours(
-            q_rooted_tsp_src(&network.dist_source(), &[network.sensor_node(i)], &depots, 0),
+            q_rooted_tsp_src(&network.dist_source(), &[network.sensor_node(i)], &depots),
             |v| v >= n,
         ));
         let tau = instance.cycles()[i];
@@ -56,7 +56,7 @@ pub fn plan_charge_all(instance: &Instance) -> ScheduleSeries {
     }
     let all: Vec<usize> = (0..n).collect();
     let set = series.add_set(TourSet::from_qtours(
-        q_rooted_tsp_src(&network.dist_source(), &all, &network.depot_nodes(), 0),
+        q_rooted_tsp_src(&network.dist_source(), &all, &network.depot_nodes()),
         |v| v >= n,
     ));
     let tau_min = instance.cycles().iter().cloned().fold(f64::INFINITY, f64::min);

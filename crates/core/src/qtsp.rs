@@ -11,15 +11,14 @@
 //! optimal tour and you get a feasible forest), and doubling at most
 //! doubles it — Theorem 1.
 //!
-//! The optional *polish* pass (2-opt + Or-opt on each tour) is **not** part
-//! of the paper's algorithm; it exists for the tour-polish ablation bench
-//! and never breaks the approximation guarantee because local search only
-//! shortens tours.
+//! This module is the construction only. Tour improvement is a separate
+//! layer over any construction: the `perpetuum-opt` refiner, reached
+//! through [`mod@crate::refine`]. Its moves are strict improvements, so a
+//! refined plan keeps Theorem 1's bound.
 
 use crate::qmsf::{q_rooted_msf_src, ForestEdge};
 use perpetuum_graph::euler::{double_edges, euler_circuit};
 use perpetuum_graph::tsp_christofides::tour_from_tree_matched;
-use perpetuum_graph::tsp_heur::polish;
 use perpetuum_graph::tsp_savings::savings_tour;
 use perpetuum_graph::{DistSource, Metric, Tour};
 
@@ -75,8 +74,7 @@ impl QTours {
 }
 
 /// **Algorithm 2** on a host graph: closed tours over `terminals`, one per
-/// root in `roots` (node ids of `src`). Set `polish_rounds > 0` to run the
-/// ablation-only local-search pass on each tour.
+/// root in `roots` (node ids of `src`).
 ///
 /// ```
 /// use perpetuum_core::qtsp::q_rooted_tsp_src;
@@ -91,28 +89,23 @@ impl QTours {
 ///     Point2::new(0.0, 0.0),   // depot A
 ///     Point2::new(100.0, 0.0), // depot B
 /// ];
-/// let tours = q_rooted_tsp_src(&DistSource::points(&points), &[0, 1, 2], &[3, 4], 0);
+/// let tours = q_rooted_tsp_src(&DistSource::points(&points), &[0, 1, 2], &[3, 4]);
 /// assert_eq!(tours.tours.len(), 2);
 /// // Near sensors go to depot A, the far one to depot B.
 /// assert_eq!(tours.tours[0].nodes(), &[3, 0, 1]);
 /// assert_eq!(tours.tours[1].nodes(), &[4, 2]);
 /// assert!((tours.cost - (40.0 + 20.0)).abs() < 1e-9);
 /// ```
-pub fn q_rooted_tsp_src(
-    src: &DistSource<'_>,
-    terminals: &[usize],
-    roots: &[usize],
-    polish_rounds: usize,
-) -> QTours {
-    q_rooted_tsp_routed_src(src, terminals, roots, Routing::Doubling, polish_rounds)
+pub fn q_rooted_tsp_src(src: &DistSource<'_>, terminals: &[usize], roots: &[usize]) -> QTours {
+    q_rooted_tsp_routed_src(src, terminals, roots, Routing::Doubling)
 }
 
 /// [`q_rooted_tsp_src`] with an explicit tree-to-tour [`Routing`], with
 /// per-root tours
 /// built in parallel.
 ///
-/// Each root's tour (edge mapping, Euler circuit / matching / savings,
-/// polish) depends only on its own tree, so the per-root computations are
+/// Each root's tour (edge mapping, Euler circuit / matching / savings)
+/// depends only on its own tree, so the per-root computations are
 /// embarrassingly parallel; results are collected in root order and the
 /// cost is summed in that same order, making the output **bit-identical**
 /// to the sequential loop for any worker count.
@@ -121,10 +114,9 @@ pub fn q_rooted_tsp_routed_src(
     terminals: &[usize],
     roots: &[usize],
     routing: Routing,
-    polish_rounds: usize,
 ) -> QTours {
     let workers = default_tour_workers(terminals.len(), roots.len());
-    q_rooted_tsp_routed_src_workers(src, terminals, roots, routing, polish_rounds, workers)
+    q_rooted_tsp_routed_src_workers(src, terminals, roots, routing, workers)
 }
 
 /// The worker count the parallel per-root tour build defaults to.
@@ -152,19 +144,10 @@ pub fn q_rooted_tsp_with_forest_src(
     src: &DistSource<'_>,
     terminals: &[usize],
     roots: &[usize],
-    polish_rounds: usize,
 ) -> (QTours, crate::qmsf::RootedForest) {
     let forest = q_rooted_msf_src(src, terminals, roots);
     let workers = default_tour_workers(terminals.len(), roots.len());
-    let qt = tours_for_forest_src(
-        src,
-        &forest,
-        terminals,
-        roots,
-        Routing::Doubling,
-        polish_rounds,
-        workers,
-    );
+    let qt = tours_for_forest(src, &forest, terminals, roots, Routing::Doubling, workers);
     (qt, forest)
 }
 
@@ -176,7 +159,6 @@ pub fn q_rooted_tsp_routed_src_workers(
     terminals: &[usize],
     roots: &[usize],
     routing: Routing,
-    polish_rounds: usize,
     workers: usize,
 ) -> QTours {
     debug_assert!(
@@ -184,13 +166,18 @@ pub fn q_rooted_tsp_routed_src_workers(
         "terminals and roots must be disjoint"
     );
     let forest = q_rooted_msf_src(src, terminals, roots);
-    tours_for_forest_src(src, &forest, terminals, roots, routing, polish_rounds, workers)
+    tours_for_forest(src, &forest, terminals, roots, routing, workers)
 }
 
-/// The tour-construction half of Algorithm 2: turns an already-computed
-/// `q`-rooted forest into per-root closed tours. Split out of
-/// [`q_rooted_tsp_routed_src_workers`] so the incremental replanner can
-/// re-route a spliced forest without recomputing it.
+/// [`tours_for_forest`] under its earlier signature, which carried a
+/// tour-polish round count. Algorithm 2 no longer improves tours (refine
+/// the result with [`mod@crate::refine`] instead), so `polish_rounds` must be
+/// `0`; the slot stays so callers written against that signature still
+/// build.
+///
+/// # Panics
+/// When `polish_rounds != 0`.
+#[doc(hidden)]
 pub fn tours_for_forest_src(
     src: &DistSource<'_>,
     forest: &crate::qmsf::RootedForest,
@@ -198,6 +185,22 @@ pub fn tours_for_forest_src(
     roots: &[usize],
     routing: Routing,
     polish_rounds: usize,
+    workers: usize,
+) -> QTours {
+    assert_eq!(polish_rounds, 0, "Algorithm 2 no longer polishes; refine the tours instead");
+    tours_for_forest(src, forest, terminals, roots, routing, workers)
+}
+
+/// The tour-construction half of Algorithm 2: turns an already-computed
+/// `q`-rooted forest into per-root closed tours. Split out of
+/// [`q_rooted_tsp_routed_src_workers`] so the incremental replanner can
+/// re-route a spliced forest without recomputing it.
+pub fn tours_for_forest(
+    src: &DistSource<'_>,
+    forest: &crate::qmsf::RootedForest,
+    terminals: &[usize],
+    roots: &[usize],
+    routing: Routing,
     workers: usize,
 ) -> QTours {
     let groups = forest.terminals_by_root();
@@ -215,7 +218,7 @@ pub fn tours_for_forest_src(
         if edges.is_empty() {
             return Tour::singleton(root_node);
         }
-        let mut tour = match routing {
+        let tour = match routing {
             Routing::Doubling => tour_from_tree_doubling(&edges, root_node),
             Routing::Matching => tour_from_tree_matched(src, node_count, &edges, root_node),
             Routing::Savings => {
@@ -224,9 +227,6 @@ pub fn tours_for_forest_src(
             }
         };
         debug_assert_eq!(tour.start(), Some(root_node));
-        if polish_rounds > 0 {
-            polish(&mut tour, src, polish_rounds);
-        }
         tour
     };
 
@@ -301,7 +301,7 @@ mod tests {
     fn empty_terminals_gives_singleton_tours() {
         let pts = host(&[], &[Point2::ORIGIN, Point2::new(1.0, 1.0)]);
         let dist = DistSource::points(&pts);
-        let qt = q_rooted_tsp_src(&dist, &[], &[0, 1], 0);
+        let qt = q_rooted_tsp_src(&dist, &[], &[0, 1]);
         assert_eq!(qt.cost, 0.0);
         assert_eq!(qt.tours.len(), 2);
         assert!(qt.tours.iter().all(|t| t.len() == 1));
@@ -311,7 +311,7 @@ mod tests {
     fn single_sensor_out_and_back() {
         let pts = host(&[Point2::new(3.0, 4.0)], &[Point2::ORIGIN]);
         let dist = DistSource::points(&pts);
-        let qt = q_rooted_tsp_src(&dist, &[0], &[1], 0);
+        let qt = q_rooted_tsp_src(&dist, &[0], &[1]);
         assert!((qt.cost - 10.0).abs() < 1e-9);
         assert_eq!(qt.tours[0].nodes(), &[1, 0]);
     }
@@ -326,7 +326,7 @@ mod tests {
         let dist = DistSource::points(&pts);
         let terminals: Vec<usize> = (0..10).collect();
         let roots = vec![10, 11];
-        let qt = q_rooted_tsp_src(&dist, &terminals, &roots, 0);
+        let qt = q_rooted_tsp_src(&dist, &terminals, &roots);
         for (l, t) in qt.tours.iter().enumerate() {
             assert_eq!(t.start(), Some(roots[l]));
         }
@@ -346,7 +346,7 @@ mod tests {
         let terminals: Vec<usize> = (0..15).collect();
         let roots = vec![15, 16, 17];
         let forest = q_rooted_msf_src(&dist, &terminals, &roots);
-        let qt = q_rooted_tsp_src(&dist, &terminals, &roots, 0);
+        let qt = q_rooted_tsp_src(&dist, &terminals, &roots);
         assert!(qt.cost <= 2.0 * forest.weight + 1e-9);
         // MSF also lower-bounds the tour cost itself.
         assert!(qt.cost >= forest.weight - 1e-9);
@@ -365,7 +365,7 @@ mod tests {
             let pts = host(&sensors, &depot);
             let dist = DistSource::points(&pts);
             let terminals: Vec<usize> = (0..9).collect();
-            let qt = q_rooted_tsp_src(&dist, &terminals, &[9], 0);
+            let qt = q_rooted_tsp_src(&dist, &terminals, &[9]);
             // Full-graph TSP (all 10 nodes) is the q=1 optimum.
             let (_, opt) = held_karp(&DistMatrix::from_points(&pts));
             assert!(qt.cost <= 2.0 * opt + 1e-9, "seed {seed}: approx {} vs opt {opt}", qt.cost);
@@ -384,13 +384,21 @@ mod tests {
         let pts = host(&sensors, &depots);
         let dist = DistSource::points(&pts);
         let terminals: Vec<usize> = (0..25).collect();
-        let plain = q_rooted_tsp_src(&dist, &terminals, &[25, 26], 0);
-        let polished = q_rooted_tsp_src(&dist, &terminals, &[25, 26], 20);
-        assert!(polished.cost <= plain.cost + 1e-9);
+        let plain = q_rooted_tsp_src(&dist, &terminals, &[25, 26]);
+        // The polish is the refiner run to a local optimum over the family.
+        let family: Vec<Vec<usize>> = plain.tours.iter().map(|t| t.nodes().to_vec()).collect();
+        let mut refiner = perpetuum_opt::Refiner::new(family, &dist, 0);
+        assert!(refiner.run(&perpetuum_opt::Budget::steps(1_000_000)).converged);
+        let polished = refiner.into_tours();
+        let cost: f64 = polished.iter().map(|t| t.length(&dist)).sum();
+        assert!(cost <= plain.cost + 1e-9);
         // Polishing preserves coverage and roots.
-        assert_eq!(polished.covered_nodes(|n| n >= 25), terminals);
-        assert_eq!(polished.tours[0].start(), Some(25));
-        assert_eq!(polished.tours[1].start(), Some(26));
+        let mut covered: Vec<usize> =
+            polished.iter().flat_map(|t| t.nodes()[1..].iter().copied()).collect();
+        covered.sort_unstable();
+        assert_eq!(covered, terminals);
+        assert_eq!(polished[0].start(), Some(25));
+        assert_eq!(polished[1].start(), Some(26));
     }
 
     #[test]
@@ -406,7 +414,7 @@ mod tests {
         let terminals: Vec<usize> = (0..20).collect();
         let roots = vec![20, 21];
         let forest = q_rooted_msf_src(&dist, &terminals, &roots);
-        let matched = q_rooted_tsp_routed_src(&dist, &terminals, &roots, Routing::Matching, 0);
+        let matched = q_rooted_tsp_routed_src(&dist, &terminals, &roots, Routing::Matching);
         assert_eq!(matched.covered_nodes(|n| n >= 20), terminals);
         assert!(matched.cost <= 2.0 * forest.weight + 1e-9);
         for (l, t) in matched.tours.iter().enumerate() {
@@ -426,7 +434,7 @@ mod tests {
         let dist = DistSource::points(&pts);
         let terminals: Vec<usize> = (0..25).collect();
         let roots = vec![25, 26];
-        let saved = q_rooted_tsp_routed_src(&dist, &terminals, &roots, Routing::Savings, 0);
+        let saved = q_rooted_tsp_routed_src(&dist, &terminals, &roots, Routing::Savings);
         assert_eq!(saved.covered_nodes(|n| n >= 25), terminals);
         for (l, t) in saved.tours.iter().enumerate() {
             assert_eq!(t.start(), Some(roots[l]));
@@ -454,8 +462,8 @@ mod tests {
             let dist = DistSource::points(&pts);
             let terminals: Vec<usize> = (0..30).collect();
             matched_total +=
-                q_rooted_tsp_routed_src(&dist, &terminals, &[30], Routing::Matching, 0).cost;
-            doubled_total += q_rooted_tsp_src(&dist, &terminals, &[30], 0).cost;
+                q_rooted_tsp_routed_src(&dist, &terminals, &[30], Routing::Matching).cost;
+            doubled_total += q_rooted_tsp_src(&dist, &terminals, &[30]).cost;
         }
         assert!(
             matched_total < doubled_total,
@@ -485,10 +493,10 @@ mod tests {
         let terminals: Vec<usize> = (0..n).collect();
         let roots: Vec<usize> = (n..n + 4).collect();
         for routing in [Routing::Doubling, Routing::Matching, Routing::Savings] {
-            let seq = q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, 3, 1);
+            let seq = q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, 1);
             for workers in [2, 4, 7] {
                 let par =
-                    q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, 3, workers);
+                    q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, workers);
                 assert_eq!(seq.cost.to_bits(), par.cost.to_bits(), "{routing:?}/{workers}");
                 for (a, b) in seq.tours.iter().zip(&par.tours) {
                     assert_eq!(a.nodes(), b.nodes(), "{routing:?}/{workers}");
@@ -520,8 +528,8 @@ mod tests {
                 roots.iter().map(|&r| sensors.iter().map(|p| all[r].dist(*p)).collect()).collect();
             let oracle = rooted_msf_general(&DistMatrix::from_points(&sensors), &root_dist);
             let reference =
-                tours_for_forest_src(&src, &oracle, &terminals, &roots, Routing::Doubling, 2, 1);
-            let pipeline = q_rooted_tsp_src(&src, &terminals, &roots, 2);
+                tours_for_forest(&src, &oracle, &terminals, &roots, Routing::Doubling, 1);
+            let pipeline = q_rooted_tsp_src(&src, &terminals, &roots);
             for (a, b) in reference.tours.iter().zip(&pipeline.tours) {
                 let (mut a, mut b) = (a.nodes().to_vec(), b.nodes().to_vec());
                 a.sort_unstable();
@@ -540,7 +548,7 @@ mod tests {
         // One sensor next to depot 1 must not be toured by depot 0.
         let pts =
             host(&[Point2::new(99.0, 0.0)], &[Point2::new(0.0, 0.0), Point2::new(100.0, 0.0)]);
-        let qt = q_rooted_tsp_src(&DistSource::points(&pts), &[0], &[1, 2], 0);
+        let qt = q_rooted_tsp_src(&DistSource::points(&pts), &[0], &[1, 2]);
         assert_eq!(qt.tours[0].len(), 1);
         assert_eq!(qt.tours[1].nodes(), &[2, 0]);
         assert!((qt.cost - 2.0).abs() < 1e-9);

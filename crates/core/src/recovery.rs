@@ -40,7 +40,6 @@ pub fn degraded_tour_set(
     network: &Network,
     sensors: &[SensorId],
     alive: &[bool],
-    polish_rounds: usize,
 ) -> Option<TourSet> {
     let q = network.q();
     assert_eq!(alive.len(), q, "one liveness flag per depot");
@@ -51,7 +50,7 @@ pub fn degraded_tour_set(
     }
     let roots: Vec<usize> = up.iter().map(|&l| network.depot_node(l)).collect();
     let terminals: Vec<usize> = sensors.iter().map(|&s| network.sensor_node(s)).collect();
-    let sub = q_rooted_tsp_src(&network.dist_source(), &terminals, &roots, polish_rounds);
+    let sub = q_rooted_tsp_src(&network.dist_source(), &terminals, &roots);
 
     // Expand the |up|-tour solution back to q positional tours.
     let mut tours = Vec::with_capacity(q);
@@ -91,7 +90,7 @@ mod tests {
     #[test]
     fn all_up_covers_with_both_chargers() {
         let n = net();
-        let set = degraded_tour_set(&n, &[0, 1, 2, 3], &[true, true], 0).unwrap();
+        let set = degraded_tour_set(&n, &[0, 1, 2, 3], &[true, true]).unwrap();
         assert_eq!(set.tours().len(), 2);
         assert_eq!(set.sensors(), &[0, 1, 2, 3]);
         assert_eq!(set.tours()[0].start(), Some(n.depot_node(0)));
@@ -101,7 +100,7 @@ mod tests {
     #[test]
     fn down_charger_gets_idle_singleton_and_survivor_covers_all() {
         let n = net();
-        let set = degraded_tour_set(&n, &[0, 1, 2, 3], &[false, true], 0).unwrap();
+        let set = degraded_tour_set(&n, &[0, 1, 2, 3], &[false, true]).unwrap();
         assert_eq!(set.tours().len(), 2, "positional q-tour shape is preserved");
         assert_eq!(set.tours()[0].nodes(), &[n.depot_node(0)]);
         assert_eq!(set.tour_lengths()[0], 0.0);
@@ -117,13 +116,13 @@ mod tests {
     #[test]
     fn no_survivors_returns_none() {
         let n = net();
-        assert!(degraded_tour_set(&n, &[0, 1], &[false, false], 0).is_none());
+        assert!(degraded_tour_set(&n, &[0, 1], &[false, false]).is_none());
     }
 
     #[test]
     fn empty_orphan_set_is_all_idle() {
         let n = net();
-        let set = degraded_tour_set(&n, &[], &[true, false], 0).unwrap();
+        let set = degraded_tour_set(&n, &[], &[true, false]).unwrap();
         assert!(set.is_idle());
         assert_eq!(set.cost(), 0.0);
         assert_eq!(set.tours().len(), 2);
@@ -134,7 +133,7 @@ mod tests {
         let sensors: Vec<Point2> =
             (1..=6).map(|i| Point2::new(i as f64 * 15.0, (i % 2) as f64 * 10.0)).collect();
         let net = Network::new(sensors, vec![Point2::ORIGIN, Point2::new(120.0, 0.0)]);
-        let set = degraded_tour_set(&net, &[1, 3, 5], &[true, false], 1).unwrap();
+        let set = degraded_tour_set(&net, &[1, 3, 5], &[true, false]).unwrap();
         assert_eq!(set.sensors(), &[1, 3, 5]);
         assert_eq!(set.tours()[1].nodes(), &[net.depot_node(1)], "the down charger idles");
     }
@@ -142,9 +141,8 @@ mod tests {
     #[test]
     fn subset_matches_direct_qtsp_on_surviving_roots() {
         let n = net();
-        let set = degraded_tour_set(&n, &[1, 2], &[true, false], 0).unwrap();
-        let direct =
-            crate::qtsp::q_rooted_tsp_src(&n.dist_source(), &[1, 2], &[n.depot_node(0)], 0);
+        let set = degraded_tour_set(&n, &[1, 2], &[true, false]).unwrap();
+        let direct = crate::qtsp::q_rooted_tsp_src(&n.dist_source(), &[1, 2], &[n.depot_node(0)]);
         assert!((set.cost() - direct.cost).abs() < 1e-12);
     }
 }

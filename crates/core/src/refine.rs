@@ -26,7 +26,7 @@
 use crate::network::Network;
 use crate::schedule::{ScheduleSeries, TourSet};
 pub use perpetuum_opt::{Budget, RefineOutcome};
-use perpetuum_opt::{RefineParams, Refiner, DEFAULT_CANDIDATES};
+use perpetuum_opt::{Refiner, DEFAULT_CANDIDATES};
 
 /// Family size below which exhaustive move scans beat k-NN candidate
 /// lists (building a kd-tree for a handful of nodes is pure overhead).
@@ -34,6 +34,12 @@ const CANDIDATE_THRESHOLD: usize = 48;
 
 /// Golden-ratio increment decorrelating per-set RNG streams.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A step budget large enough for every tour family this repository
+/// refines to reach a local optimum: callers that want to measure the
+/// local optimum rather than an anytime snapshot pass
+/// `Budget::steps(CONVERGENCE_STEPS)` and check `converged`.
+pub const CONVERGENCE_STEPS: u64 = 1_000_000_000;
 
 /// What a [`refine`] call achieved, in service-cost terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,7 +82,7 @@ pub fn refine_tour_set(
     let src = network.dist_source();
     let tours: Vec<Vec<usize>> = set.tours().iter().map(|t| t.nodes().to_vec()).collect();
     let family: usize = tours.iter().map(Vec::len).sum();
-    let mut refiner = Refiner::new(tours, &src, RefineParams::seeded(seed));
+    let mut refiner = Refiner::new(tours, &src, seed);
     if family >= CANDIDATE_THRESHOLD {
         refiner.set_candidates(network.points(), DEFAULT_CANDIDATES);
     }

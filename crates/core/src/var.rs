@@ -45,8 +45,6 @@ pub struct VarInput<'a> {
     pub now: f64,
     /// Monitoring period end `T`.
     pub horizon: f64,
-    /// Local-search rounds per tour (ablation only, 0 = paper).
-    pub polish_rounds: usize,
 }
 
 /// Output of a replanning round.
@@ -200,8 +198,7 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
     let depot_nodes = network.depot_nodes();
     let route = |sensors: &[usize]| -> TourSet {
         let nodes: Vec<usize> = sensors.iter().map(|&i| network.sensor_node(i)).collect();
-        let qt =
-            q_rooted_tsp_src(&network.dist_source(), &nodes, &depot_nodes, input.polish_rounds);
+        let qt = q_rooted_tsp_src(&network.dist_source(), &nodes, &depot_nodes);
         TourSet::from_qtours(qt, |v| v >= n)
     };
 
@@ -213,12 +210,8 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
         .iter()
         .map(|d| {
             let nodes: Vec<usize> = d.iter().map(|&i| network.sensor_node(i)).collect();
-            let (qt, forest) = q_rooted_tsp_with_forest_src(
-                &network.dist_source(),
-                &nodes,
-                &depot_nodes,
-                input.polish_rounds,
-            );
+            let (qt, forest) =
+                q_rooted_tsp_with_forest_src(&network.dist_source(), &nodes, &depot_nodes);
             let id = series.add_set(TourSet::from_qtours(qt.clone(), |v| v >= n));
             base_builds.push((forest, qt));
             id
@@ -370,7 +363,6 @@ mod tests {
             residuals: &cycles.clone(),
             now: 0.0,
             horizon: 50.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         check_var_plan(&input, &plan).unwrap();
@@ -393,7 +385,6 @@ mod tests {
             residuals: &residuals,
             now: 10.0,
             horizon: 40.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         let times = plan.series.charge_times(3);
@@ -418,7 +409,6 @@ mod tests {
             residuals: &residuals,
             now: 0.0,
             horizon: 64.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         check_var_plan(&input, &plan).unwrap();
@@ -443,7 +433,6 @@ mod tests {
                 residuals: &residuals,
                 now,
                 horizon: now + rng.gen_range(10.0..500.0),
-                polish_rounds: 0,
             };
             let plan = replan_variable(&input);
             check_var_plan(&input, &plan).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
@@ -472,7 +461,6 @@ mod tests {
                 residuals: &residuals,
                 now: 0.0,
                 horizon: 100.0,
-                polish_rounds: 0,
             };
             nearest_total += replan_variable(&input).series.service_cost();
             naive_total +=
@@ -494,7 +482,6 @@ mod tests {
             residuals: &cycles.clone(),
             now: 0.0,
             horizon: 64.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         assert_eq!(plan.assigned_cycles, vec![1.0, 1.0, 2.0, 2.0, 4.0, 32.0]);
@@ -524,7 +511,6 @@ mod tests {
                 residuals: &residuals,
                 now: 3.0,
                 horizon: 120.0,
-                polish_rounds: 0,
             };
             let plan = replan_variable(&input);
             check_var_plan(&input, &plan).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
@@ -541,7 +527,6 @@ mod tests {
             residuals: &cycles.clone(),
             now: 0.0,
             horizon: 64.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         let partition = partition_cycles(&cycles);
@@ -561,7 +546,6 @@ mod tests {
             residuals: &[],
             now: 0.0,
             horizon: 10.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         assert_eq!(plan.series.dispatch_count(), 0);

@@ -61,7 +61,7 @@ proptest! {
         let n = sensors.len();
         let network = Network::new(sensors, depots);
         let all: Vec<usize> = (0..n).collect();
-        let qt = q_rooted_tsp_src(&network.dist_source(), &all, &network.depot_nodes(), 0);
+        let qt = q_rooted_tsp_src(&network.dist_source(), &all, &network.depot_nodes());
         let alg2_span = qt
             .tours
             .iter()
@@ -92,7 +92,7 @@ proptest! {
         let all: Vec<usize> = (0..n).collect();
         let roots = network.depot_nodes();
         for routing in [Routing::Doubling, Routing::Matching, Routing::Savings] {
-            let qt = q_rooted_tsp_routed_src(&network.dist_source(), &all, &roots, routing, 0);
+            let qt = q_rooted_tsp_routed_src(&network.dist_source(), &all, &roots, routing);
             prop_assert_eq!(
                 qt.covered_nodes(|v| v >= n),
                 all.clone(),
@@ -115,7 +115,7 @@ proptest! {
         let all: Vec<usize> = (0..n).collect();
         let roots = network.depot_nodes();
         let forest = perpetuum_core::qmsf::q_rooted_msf_src(&network.dist_source(), &all, &roots);
-        let matched = q_rooted_tsp_routed_src(&network.dist_source(), &all, &roots, Routing::Matching, 0);
+        let matched = q_rooted_tsp_routed_src(&network.dist_source(), &all, &roots, Routing::Matching);
         prop_assert!(matched.cost <= 2.0 * forest.weight + 1e-6);
         prop_assert!(matched.cost + 1e-6 >= forest.weight);
     }

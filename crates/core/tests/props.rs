@@ -12,6 +12,7 @@ use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::{Instance, Network};
 use perpetuum_core::qmsf::q_rooted_msf_src;
 use perpetuum_core::qtsp::q_rooted_tsp_src;
+use perpetuum_core::refine::{refine, Budget, CONVERGENCE_STEPS};
 use perpetuum_core::rounding::partition_cycles;
 use perpetuum_core::var::{check_var_plan, replan_variable, VarInput};
 use perpetuum_geom::Point2;
@@ -43,7 +44,7 @@ proptest! {
         let terminals: Vec<usize> = (0..network.n()).collect();
         let roots = network.depot_nodes();
         let forest = q_rooted_msf_src(&network.dist_source(), &terminals, &roots);
-        let tours = q_rooted_tsp_src(&network.dist_source(), &terminals, &roots, 0);
+        let tours = q_rooted_tsp_src(&network.dist_source(), &terminals, &roots);
         // Theorem 1 sandwich: w(MSF) ≤ w(tours) ≤ 2 w(MSF).
         prop_assert!(tours.cost + 1e-6 >= forest.weight);
         prop_assert!(tours.cost <= 2.0 * forest.weight + 1e-6);
@@ -126,7 +127,6 @@ proptest! {
             residuals: &residuals,
             now,
             horizon: now + span,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         prop_assert!(check_var_plan(&input, &plan).is_ok());
@@ -144,7 +144,10 @@ proptest! {
     ) {
         let inst = Instance::new(network, cyc, horizon);
         let plain = plan_min_total_distance(&inst, &MtdConfig::default());
-        let polished = plan_min_total_distance(&inst, &MtdConfig { polish_rounds: 5, ..MtdConfig::default() });
+        // The polish is the refiner run to a local optimum over every set.
+        let (polished, report) =
+            refine(inst.network(), &plain, &Budget::steps(CONVERGENCE_STEPS), 5);
+        prop_assert!(report.converged);
         prop_assert!(check_series(&inst, &polished).is_ok());
         prop_assert!(polished.service_cost() <= plain.service_cost() + 1e-6);
     }

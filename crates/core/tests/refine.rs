@@ -134,7 +134,6 @@ proptest! {
             residuals: &taus,
             now: 0.0,
             horizon: 64.0,
-            polish_rounds: 0,
         };
         let (_, mut planner) =
             IncrementalPlanner::seed(&input, RepairStrategy::NearestScheduling);

@@ -6,14 +6,17 @@
 //! * **rounding** — power-of-two cycle rounding + dispatch alignment
 //!   (Algorithm 3) versus charging each sensor at its exact cadence with
 //!   no tour sharing, and versus charging everyone every `τ_min`;
-//! * **tour-polish** — how much of Algorithm 2's tree-doubling slack a
-//!   cheap 2-opt/Or-opt pass recovers (the guarantee says ≤ 2×, practice
-//!   is usually much tighter);
+//! * **tour-polish** — how much of Algorithm 2's tree-doubling slack the
+//!   `perpetuum-opt` refiner recovers when run to a local optimum (the
+//!   guarantee says ≤ 2×, practice is usually much tighter);
 //! * **repair** — `MinTotalDistance-var`'s nearest-scheduling `V^a`
 //!   insertion versus naively charging all of `V^a` immediately;
 //! * **routing** — Algorithm 2's tree doubling versus the
-//!   Christofides-style odd-vertex matching, with and without the
-//!   2-opt/Or-opt polish.
+//!   Christofides-style odd-vertex matching, with and without the refiner.
+//!
+//! The refined arms build the plan with Algorithm 3, then call
+//! [`refine`] with [`CONVERGENCE_STEPS`] and assert that every tour set
+//! converged, so the numbers measure the local optimum, not a budget.
 
 use crate::figures::{FigureData, Series};
 use crate::scenario::Scenario;
@@ -21,6 +24,8 @@ use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::naive::{plan_charge_all, plan_per_sensor_cadence};
 use perpetuum_core::network::Instance;
 use perpetuum_core::qtsp::Routing;
+use perpetuum_core::refine::{refine, Budget, CONVERGENCE_STEPS};
+use perpetuum_core::schedule::ScheduleSeries;
 use perpetuum_core::var::RepairStrategy;
 use perpetuum_par::{mean, par_map, std_dev};
 use perpetuum_sim::{run, SimConfig, VarPolicy};
@@ -30,11 +35,11 @@ use perpetuum_sim::{run, SimConfig, VarPolicy};
 pub enum AblationId {
     /// Power-of-two rounding + alignment vs exact cadence vs charge-all.
     Rounding,
-    /// Algorithm 2 plain vs + local-search polish.
+    /// Algorithm 2 plain vs refined to a local optimum.
     TourPolish,
     /// Nearest-scheduling `V^a` repair vs charge-all-now.
     Repair,
-    /// Tree doubling vs odd-vertex matching, plain and polished.
+    /// Tree doubling vs odd-vertex matching, plain and refined.
     Routing,
 }
 
@@ -70,12 +75,12 @@ impl AblationId {
             AblationId::Rounding => {
                 "Ablation: power-of-2 rounding + alignment vs exact cadence vs charge-all"
             }
-            AblationId::TourPolish => "Ablation: Algorithm 2 plain vs 2-opt/Or-opt polish",
+            AblationId::TourPolish => "Ablation: Algorithm 2 plain vs + refiner",
             AblationId::Repair => {
                 "Ablation: V^a nearest-scheduling repair vs charge-all-now repair"
             }
             AblationId::Routing => {
-                "Ablation: tree doubling vs odd-vertex matching routing (plain / polished)"
+                "Ablation: tree doubling vs odd-vertex matching routing (plain / + refiner)"
             }
         }
     }
@@ -155,14 +160,9 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                     let topo = s.build_topology(seed, i as u64);
                     let inst =
                         Instance::new(topo.network.clone(), topo.init_cycles.clone(), s.horizon);
-                    let plain =
-                        plan_min_total_distance(&inst, &MtdConfig::default()).service_cost();
-                    let polished = plan_min_total_distance(
-                        &inst,
-                        &MtdConfig { polish_rounds: 10, ..MtdConfig::default() },
-                    )
-                    .service_cost();
-                    [plain / 1000.0, polished / 1000.0]
+                    let plain = plan_min_total_distance(&inst, &MtdConfig::default());
+                    let refined = refined_to_convergence(&inst, &plain, seed);
+                    [plain.service_cost() / 1000.0, refined.service_cost() / 1000.0]
                 });
                 cells.push(transpose(rows));
             }
@@ -170,7 +170,7 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                 id,
                 "network size n",
                 ns.iter().map(|&n| n as f64).collect(),
-                &["Algorithm 2 (doubling)", "Algorithm 2 + 2-opt/Or-opt"],
+                &["Algorithm 2 (doubling)", "Algorithm 2 + refiner"],
                 cells,
                 topologies,
                 seed,
@@ -185,17 +185,16 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                     let topo = s.build_topology(seed, i as u64);
                     let inst =
                         Instance::new(topo.network.clone(), topo.init_cycles.clone(), s.horizon);
-                    let plan = |routing: Routing, polish_rounds: usize| {
-                        plan_min_total_distance(&inst, &MtdConfig { routing, polish_rounds })
-                            .service_cost()
-                            / 1000.0
-                    };
+                    let plan =
+                        |routing: Routing| plan_min_total_distance(&inst, &MtdConfig { routing });
+                    let km = |plan: &ScheduleSeries| plan.service_cost() / 1000.0;
+                    let (doubling, matching) = (plan(Routing::Doubling), plan(Routing::Matching));
                     [
-                        plan(Routing::Doubling, 0),
-                        plan(Routing::Matching, 0),
-                        plan(Routing::Savings, 0),
-                        plan(Routing::Doubling, 10),
-                        plan(Routing::Matching, 10),
+                        km(&doubling),
+                        km(&matching),
+                        km(&plan(Routing::Savings)),
+                        km(&refined_to_convergence(&inst, &doubling, seed)),
+                        km(&refined_to_convergence(&inst, &matching, seed)),
                     ]
                 });
                 cells.push(transpose(rows));
@@ -208,8 +207,8 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                     "doubling (Algorithm 2)",
                     "matching",
                     "savings (Clarke-Wright)",
-                    "doubling + polish",
-                    "matching + polish",
+                    "doubling + refiner",
+                    "matching + refiner",
                 ],
                 cells,
                 topologies,
@@ -256,6 +255,14 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
     }
 }
 
+/// `plan` refined by the `perpetuum-opt` refiner until every tour set is
+/// at a local optimum.
+fn refined_to_convergence(inst: &Instance, plan: &ScheduleSeries, seed: u64) -> ScheduleSeries {
+    let (refined, report) = refine(inst.network(), plan, &Budget::steps(CONVERGENCE_STEPS), seed);
+    assert!(report.converged, "refinement stopped short of a local optimum");
+    refined
+}
+
 /// `rows[sample][variant]` → `out[variant][sample]`.
 #[allow(clippy::needless_range_loop)]
 fn transpose<const V: usize>(rows: Vec<[f64; V]>) -> Vec<Vec<f64>> {
@@ -297,7 +304,7 @@ mod tests {
     fn routing_ablation_matching_helps() {
         let fd = run_ablation(AblationId::Routing, 2, 8);
         for i in 0..fd.xs.len() {
-            // Matching beats plain doubling; polished doubling beats plain.
+            // Matching beats plain doubling; refined doubling beats plain.
             assert!(fd.series[1].values[i] <= fd.series[0].values[i] + 1e-9);
             assert!(fd.series[3].values[i] <= fd.series[0].values[i] + 1e-9);
             // Savings has no guarantee but should stay in the same league.

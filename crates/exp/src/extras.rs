@@ -248,7 +248,7 @@ fn run_minmax(topologies: usize, seed: u64) -> FigureData {
             let topo = s.build_topology(seed, i as u64);
             let sensors: Vec<usize> = (0..n).collect();
             let src = topo.network.dist_source();
-            let qt = q_rooted_tsp_src(&src, &sensors, &topo.network.depot_nodes(), 0);
+            let qt = q_rooted_tsp_src(&src, &sensors, &topo.network.depot_nodes());
             let alg2_span = qt.tours.iter().map(|t| t.length(&src)).fold(0.0f64, f64::max);
             let mm = min_max_cover(&topo.network, &sensors, Routing::Doubling, 200);
             [qt.cost / 1000.0, alg2_span / 1000.0, mm.total / 1000.0, mm.makespan / 1000.0]

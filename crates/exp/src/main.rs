@@ -195,8 +195,7 @@ fn main() -> ExitCode {
         let scenario = perpetuum_exp::Scenario::paper_fixed();
         let topo = scenario.build_topology(args.seed, 0);
         let all: Vec<usize> = (0..topo.network.n()).collect();
-        let qt =
-            q_rooted_tsp_src(&topo.network.dist_source(), &all, &topo.network.depot_nodes(), 0);
+        let qt = q_rooted_tsp_src(&topo.network.dist_source(), &all, &topo.network.depot_nodes());
         let n = topo.network.n();
         let set = TourSet::from_qtours(qt, |v| v >= n);
         let svg = perpetuum_exp::viz::render_tour_set_svg(

@@ -135,7 +135,7 @@ mod tests {
             vec![Point2::new(100.0, 100.0), Point2::new(900.0, 100.0), Point2::new(500.0, 900.0)];
         let depots = vec![Point2::new(500.0, 500.0), Point2::new(0.0, 0.0)];
         let network = Network::new(sensors, depots);
-        let qt = q_rooted_tsp_src(&network.dist_source(), &[0, 1, 2], &network.depot_nodes(), 0);
+        let qt = q_rooted_tsp_src(&network.dist_source(), &[0, 1, 2], &network.depot_nodes());
         let set = TourSet::from_qtours(qt, |v| v >= 3);
         (network, vec![1.0, 10.0, 50.0], set)
     }
@@ -167,7 +167,7 @@ mod tests {
     fn idle_charger_tours_are_skipped() {
         let (network, cycles, _) = setup();
         // Tour set covering nothing: only singleton tours.
-        let qt = q_rooted_tsp_src(&network.dist_source(), &[], &network.depot_nodes(), 0);
+        let qt = q_rooted_tsp_src(&network.dist_source(), &[], &network.depot_nodes());
         let set = TourSet::from_qtours(qt, |v| v >= 3);
         let svg = render_tour_set_svg(&network, &cycles, &set, "idle");
         assert_eq!(svg.matches("<path").count(), 0);

@@ -597,7 +597,7 @@ impl SpatialIndex for KdTree {
 /// Exact k-NN lists for every indexed point, excluding the point itself:
 /// `result[i]` holds up to `k` neighbour indices of point `i`, nearest
 /// first. This is the candidate-list builder the sparse planning pipeline
-/// feeds to graph construction and 2-opt, in O(n·k·log n) total.
+/// feeds to graph construction and the tour refiner, in O(n·k·log n) total.
 pub fn knn_lists<I: SpatialIndex>(index: &I, k: usize) -> Vec<Vec<usize>> {
     (0..index.len())
         .map(|i| {

@@ -22,8 +22,9 @@
 //! * [`tour`] — closed tours, walk short-cutting and validation,
 //! * [`tsp_exact`] — Held–Karp dynamic programming for reference optima on
 //!   small instances,
-//! * [`tsp_heur`] — nearest-neighbour construction and 2-opt / Or-opt local
-//!   search used for tour polishing ablations,
+//! * [`tsp_heur`] — nearest-neighbour construction and the kd-tree k-NN
+//!   candidate lists the `perpetuum-opt` refiner scans (tour improvement
+//!   itself lives only in that refiner),
 //! * [`matching`] — greedy + 2-swap minimum-weight perfect matching,
 //! * [`tsp_christofides`] — MST + odd-vertex-matching tour construction
 //!   (the routing ablation's alternative to tree doubling),

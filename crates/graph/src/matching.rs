@@ -7,7 +7,7 @@
 //! and within a few percent of optimal on Euclidean instances. The
 //! consequence (documented in DESIGN.md) is that the 3/2 Christofides
 //! guarantee does not formally hold here; the routing still never loses
-//! to tree doubling in our ablation because both are polished by the same
+//! to tree doubling in our ablation because both are finished by the same
 //! short-cutting.
 
 use crate::dist::Metric;

@@ -112,11 +112,6 @@ impl Tour {
         }
     }
 
-    /// Mutable access for local-search operators.
-    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<usize> {
-        &mut self.nodes
-    }
-
     /// Consumes the tour, returning the node order.
     pub fn into_nodes(self) -> Vec<usize> {
         self.nodes

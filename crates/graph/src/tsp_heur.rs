@@ -1,17 +1,10 @@
-//! TSP construction and improvement heuristics.
+//! TSP construction helpers outside Algorithm 2.
 //!
-//! Algorithm 2 of the paper already carries a 2-approximation guarantee; the
-//! local-search operators here (`two_opt`, `or_opt`) are used for the
-//! *tour-polish ablation*: how much of the doubling slack a cheap polish
-//! recovers in practice. `nearest_neighbor` provides an independent
-//! construction baseline for tests.
-//!
-//! All operators are generic over [`Metric`], so they run identically on a
-//! dense [`DistMatrix`](crate::matrix::DistMatrix) or an on-demand
-//! [`DistSource`](crate::dist::DistSource). For large instances,
-//! [`knn_candidates`] builds spatial-index-backed neighbour lists in
-//! `O(n · k · log n)` and [`two_opt_with_candidates`] consumes them —
-//! replacing the `O(n² log n)` sort-the-whole-row list construction.
+//! [`nearest_neighbor`] is an independent construction baseline for tests
+//! and bounds. [`knn_candidates`] builds the spatial-index-backed
+//! neighbour lists the `perpetuum-opt` refiner restricts its move scans to,
+//! in `O(n · k · log n)` instead of sorting whole distance rows. Tour
+//! improvement itself lives in one place, the `perpetuum-opt` refiner.
 
 use crate::dist::Metric;
 use crate::tour::Tour;
@@ -45,191 +38,11 @@ pub fn nearest_neighbor<M: Metric>(dist: &M, start: usize) -> Tour {
     Tour::new(order)
 }
 
-/// 2-opt local search: repeatedly reverses tour segments while that
-/// shortens the closed tour, up to `max_rounds` full passes (or until a
-/// local optimum). Keeps the first node fixed, so depot-rooted tours stay
-/// depot-rooted. Returns the total improvement (≥ 0).
-pub fn two_opt<M: Metric>(tour: &mut Tour, dist: &M, max_rounds: usize) -> f64 {
-    let n = tour.len();
-    if n < 4 {
-        return 0.0;
-    }
-    let mut improvement = 0.0;
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        let nodes = tour.nodes_mut();
-        // Consider removing edges (i, i+1) and (j, j+1) and reconnecting as
-        // (i, j) + (i+1, j+1), i.e. reversing nodes[i+1..=j].
-        for i in 0..n - 2 {
-            let a = nodes[i];
-            let b = nodes[i + 1];
-            let d_ab = dist.get(a, b);
-            for j in i + 2..n {
-                // Closing edge when j == n-1 wraps to node 0; skip the pair
-                // that would disconnect at the fixed start.
-                let c = nodes[j];
-                let d_node = nodes[(j + 1) % n];
-                if i == 0 && j == n - 1 {
-                    continue;
-                }
-                let before = d_ab + dist.get(c, d_node);
-                let after = dist.get(a, c) + dist.get(b, d_node);
-                if after + 1e-12 < before {
-                    nodes[i + 1..=j].reverse();
-                    improvement += before - after;
-                    improved = true;
-                    break; // restart scan from the modified prefix
-                }
-            }
-            if improved {
-                break;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    improvement
-}
-
-/// Or-opt local search: relocates chains of 1–3 consecutive nodes to a
-/// better position, up to `max_rounds` passes. The first node stays fixed.
-/// Returns the total improvement (≥ 0).
-pub fn or_opt<M: Metric>(tour: &mut Tour, dist: &M, max_rounds: usize) -> f64 {
-    let n = tour.len();
-    if n < 4 {
-        return 0.0;
-    }
-    let mut improvement = 0.0;
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        'outer: for seg_len in 1..=3usize.min(n - 3) {
-            let nodes = tour.nodes_mut();
-            // Segment nodes[s..s+seg_len], never containing index 0.
-            for s in 1..=(n - seg_len) {
-                let e = s + seg_len; // exclusive end
-                if e > n {
-                    break;
-                }
-                let prev = nodes[s - 1];
-                let first = nodes[s];
-                let last = nodes[e - 1];
-                let next = nodes[e % n];
-                let removal_gain =
-                    dist.get(prev, first) + dist.get(last, next) - dist.get(prev, next);
-                if removal_gain <= 1e-12 {
-                    continue;
-                }
-                // Try inserting between every remaining consecutive pair.
-                for t in 0..n {
-                    let u = t;
-                    let v = (t + 1) % n;
-                    // Skip positions inside or adjacent to the segment.
-                    if (u >= s - 1 && u < e) || (v >= s && v < e) {
-                        continue;
-                    }
-                    let insert_cost = dist.get(nodes[u], first) + dist.get(last, nodes[v])
-                        - dist.get(nodes[u], nodes[v]);
-                    if insert_cost + 1e-12 < removal_gain {
-                        // Perform the move on a scratch copy (simplest
-                        // correct implementation; segments are ≤ 3 nodes).
-                        let seg: Vec<usize> = nodes[s..e].to_vec();
-                        let mut rest: Vec<usize> = Vec::with_capacity(n);
-                        rest.extend_from_slice(&nodes[..s]);
-                        rest.extend_from_slice(&nodes[e..]);
-                        // Position of u in `rest`.
-                        let upos = rest.iter().position(|&x| x == nodes[u]).unwrap();
-                        let mut out = Vec::with_capacity(n);
-                        out.extend_from_slice(&rest[..=upos]);
-                        out.extend_from_slice(&seg);
-                        out.extend_from_slice(&rest[upos + 1..]);
-                        *nodes = out;
-                        improvement += removal_gain - insert_cost;
-                        improved = true;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    improvement
-}
-
-/// 2-opt restricted to precomputed candidate lists: only reconnections
-/// `(a, c)` with `c ∈ candidates[a]` are considered. `candidates` is
-/// indexed by *global node id*; ids outside the tour (or outside the slice)
-/// are skipped, so one list built for the whole instance serves every
-/// per-root tour.
-///
-/// The first node stays fixed; returns the total improvement (≥ 0).
-pub fn two_opt_with_candidates<M: Metric>(
-    tour: &mut Tour,
-    dist: &M,
-    candidates: &[Vec<usize>],
-    max_rounds: usize,
-) -> f64 {
-    let n = tour.len();
-    if n < 4 {
-        return 0.0;
-    }
-    let mut improvement = 0.0;
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        // position of each node in the current order.
-        let nodes = tour.nodes_mut();
-        let max_id = *nodes.iter().max().unwrap() + 1;
-        let mut pos = vec![usize::MAX; max_id];
-        for (i, &v) in nodes.iter().enumerate() {
-            pos[v] = i;
-        }
-        'scan: for i in 0..n - 2 {
-            let a = nodes[i];
-            let b = nodes[i + 1];
-            let d_ab = dist.get(a, b);
-            let list = match candidates.get(a) {
-                Some(list) => list,
-                None => continue,
-            };
-            for &c in list {
-                // Candidates not on this tour have no position: skip.
-                let j = match pos.get(c) {
-                    Some(&j) => j,
-                    None => continue,
-                };
-                // Candidate move: reverse nodes[i+1..=j], replacing edges
-                // (a,b) and (c,d) with (a,c) and (b,d).
-                if j <= i + 1 || j >= n {
-                    continue;
-                }
-                if i == 0 && j == n - 1 {
-                    continue; // would disconnect at the fixed start
-                }
-                let d_node = nodes[(j + 1) % n];
-                let before = d_ab + dist.get(c, d_node);
-                let after = dist.get(a, c) + dist.get(b, d_node);
-                if after + 1e-12 < before {
-                    nodes[i + 1..=j].reverse();
-                    improvement += before - after;
-                    improved = true;
-                    break 'scan; // positions are stale; rescan
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    improvement
-}
-
-/// Candidate lists for [`two_opt_with_candidates`] from the kd-tree index:
-/// each node in `nodes` gets its `k` nearest other members of `nodes`
-/// (by position in `points`, which is indexed by global node id). Runs in
-/// `O(n · k · log n)` — the scalable replacement for sorting full distance
-/// rows. The returned vector is indexed by global node id.
+/// k-nearest-neighbour candidate lists from the kd-tree index: each node
+/// in `nodes` gets its `k` nearest other members of `nodes` (by position in
+/// `points`, which is indexed by global node id). Runs in
+/// `O(n · k · log n)`. The returned vector is indexed by global node id;
+/// ids outside `nodes` get empty lists.
 pub fn knn_candidates(points: &[Point2], nodes: &[usize], k: usize) -> Vec<Vec<usize>> {
     let max_id = match nodes.iter().copied().max() {
         Some(m) => m + 1,
@@ -245,60 +58,10 @@ pub fn knn_candidates(points: &[Point2], nodes: &[usize], k: usize) -> Vec<Vec<u
     out
 }
 
-/// Neighbour-list 2-opt for large instances: instead of scanning all
-/// `O(n²)` edge pairs per pass, only consider reconnections `(a, c)` where
-/// `c` is one of `a`'s `k` nearest neighbours — the standard scaling
-/// technique for Euclidean local search. With `k ≈ 8–16` it finds nearly
-/// all of full 2-opt's improvement at a fraction of the cost.
-///
-/// Builds the lists by sorting distance rows (`O(n² log n)`, works for any
-/// [`Metric`]); when point positions are at hand, build the lists with
-/// [`knn_candidates`] instead and call [`two_opt_with_candidates`]
-/// directly.
-///
-/// The first node stays fixed; returns the total improvement (≥ 0).
-pub fn two_opt_neighbors<M: Metric>(tour: &mut Tour, dist: &M, k: usize, max_rounds: usize) -> f64 {
-    let n = tour.len();
-    if n < 4 || k == 0 {
-        return 0.0;
-    }
-
-    // k-nearest neighbour lists over the tour's nodes, indexed by node id.
-    let nodes_now: Vec<usize> = tour.nodes().to_vec();
-    let k = k.min(n - 1);
-    let max_id = *nodes_now.iter().max().unwrap() + 1;
-    let mut neighbors = vec![Vec::new(); max_id];
-    for &a in &nodes_now {
-        let mut others: Vec<usize> = nodes_now.iter().copied().filter(|&b| b != a).collect();
-        others.sort_by(|&x, &y| {
-            dist.get(a, x).partial_cmp(&dist.get(a, y)).expect("distances are not NaN")
-        });
-        others.truncate(k);
-        neighbors[a] = others;
-    }
-
-    two_opt_with_candidates(tour, dist, &neighbors, max_rounds)
-}
-
-/// Convenience: 2-opt followed by Or-opt, alternating until neither helps
-/// (bounded by `max_rounds` alternations).
-pub fn polish<M: Metric>(tour: &mut Tour, dist: &M, max_rounds: usize) -> f64 {
-    let mut total = 0.0;
-    for _ in 0..max_rounds {
-        let gain = two_opt(tour, dist, max_rounds) + or_opt(tour, dist, max_rounds);
-        total += gain;
-        if gain <= 1e-12 {
-            break;
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::DistMatrix;
-    use crate::tsp_exact::held_karp;
     use rand::{Rng, SeedableRng};
 
     fn random_points(n: usize, seed: u64) -> Vec<Point2> {
@@ -319,164 +82,31 @@ mod tests {
     }
 
     #[test]
-    fn two_opt_never_worsens_and_keeps_start() {
-        for seed in 0..4 {
-            let d = DistMatrix::from_points(&random_points(25, seed));
-            let mut t = nearest_neighbor(&d, 0);
-            let before = t.length(&d);
-            let gain = two_opt(&mut t, &d, 100);
-            let after = t.length(&d);
-            assert!(gain >= 0.0);
-            assert!((before - after - gain).abs() < 1e-6);
-            assert!(after <= before + 1e-9);
-            assert_eq!(t.start(), Some(0));
-            let mut nodes: Vec<usize> = t.nodes().to_vec();
-            nodes.sort_unstable();
-            assert_eq!(nodes, (0..25).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn or_opt_never_worsens_and_keeps_start() {
-        for seed in 4..8 {
-            let d = DistMatrix::from_points(&random_points(20, seed));
-            let mut t = nearest_neighbor(&d, 0);
-            let before = t.length(&d);
-            let gain = or_opt(&mut t, &d, 100);
-            let after = t.length(&d);
-            assert!(gain >= -1e-9);
-            assert!((before - after - gain).abs() < 1e-6);
-            assert_eq!(t.start(), Some(0));
-            let mut nodes: Vec<usize> = t.nodes().to_vec();
-            nodes.sort_unstable();
-            assert_eq!(nodes, (0..20).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn polish_reaches_near_optimal_on_small_instances() {
-        for seed in 0..5 {
-            let pts = random_points(10, seed + 100);
-            let d = DistMatrix::from_points(&pts);
-            let (_, opt) = held_karp(&d);
-            let mut t = nearest_neighbor(&d, 0);
-            polish(&mut t, &d, 1000);
-            let len = t.length(&d);
-            assert!(len <= opt * 1.15 + 1e-9, "seed {seed}: polish len {len} vs opt {opt}");
-        }
-    }
-
-    #[test]
-    fn neighbor_two_opt_never_worsens_and_preserves_permutation() {
-        for seed in 0..4 {
-            let d = DistMatrix::from_points(&random_points(60, seed + 30));
-            let mut t = nearest_neighbor(&d, 0);
-            let before = t.length(&d);
-            let gain = two_opt_neighbors(&mut t, &d, 10, 500);
-            let after = t.length(&d);
-            assert!(gain >= 0.0);
-            assert!((before - after - gain).abs() < 1e-6);
-            assert_eq!(t.start(), Some(0));
-            let mut nodes: Vec<usize> = t.nodes().to_vec();
-            nodes.sort_unstable();
-            assert_eq!(nodes, (0..60).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn neighbor_two_opt_captures_most_of_full_two_opt() {
-        let mut full_total = 0.0;
-        let mut nl_total = 0.0;
-        for seed in 40..46 {
-            let d = DistMatrix::from_points(&random_points(80, seed));
-            let mut t_full = nearest_neighbor(&d, 0);
-            two_opt(&mut t_full, &d, 10_000);
-            full_total += t_full.length(&d);
-            let mut t_nl = nearest_neighbor(&d, 0);
-            two_opt_neighbors(&mut t_nl, &d, 12, 10_000);
-            nl_total += t_nl.length(&d);
-        }
-        // Within 10% of full 2-opt on aggregate.
-        assert!(nl_total <= full_total * 1.10, "neighbour-list {nl_total} vs full {full_total}");
-    }
-
-    #[test]
-    fn neighbor_two_opt_trivial_inputs() {
-        let d = DistMatrix::from_points(&random_points(3, 0));
-        let mut t = Tour::new(vec![0, 1, 2]);
-        assert_eq!(two_opt_neighbors(&mut t, &d, 5, 10), 0.0);
-        let d2 = DistMatrix::from_points(&random_points(10, 1));
-        let mut t2 = nearest_neighbor(&d2, 0);
-        assert_eq!(two_opt_neighbors(&mut t2, &d2, 0, 10), 0.0, "k = 0 is a no-op");
-    }
-
-    #[test]
-    fn index_backed_candidates_match_row_sorted_quality() {
-        // knn_candidates (kd-tree) and the row-sorting construction produce
-        // the same neighbour sets up to tie order, so candidate-list 2-opt
-        // must land within the same tolerance band from either source.
-        let mut row_total = 0.0;
-        let mut idx_total = 0.0;
-        for seed in 40..46 {
-            let pts = random_points(80, seed);
-            let d = DistMatrix::from_points(&pts);
-            let mut t_row = nearest_neighbor(&d, 0);
-            two_opt_neighbors(&mut t_row, &d, 12, 10_000);
-            row_total += t_row.length(&d);
-            let nodes: Vec<usize> = (0..pts.len()).collect();
-            let cands = knn_candidates(&pts, &nodes, 12);
-            let mut t_idx = nearest_neighbor(&d, 0);
-            two_opt_with_candidates(&mut t_idx, &d, &cands, 10_000);
-            idx_total += t_idx.length(&d);
-        }
-        assert!(
-            idx_total <= row_total * 1.05 && row_total <= idx_total * 1.05,
-            "index-backed {idx_total} vs row-sorted {row_total}"
-        );
-    }
-
-    #[test]
-    fn candidates_outside_tour_are_skipped() {
-        // Candidate lists built over ALL global nodes, tour over a subset:
-        // off-tour candidate ids must be ignored, not crash or corrupt.
+    fn knn_candidates_are_family_members_by_global_id() {
+        // A family of every third node out of 40: lists are indexed by
+        // global id, hold only other family members, nearest first.
         let pts = random_points(40, 9);
-        let d = DistMatrix::from_points(&pts);
-        let all: Vec<usize> = (0..pts.len()).collect();
-        let cands = knn_candidates(&pts, &all, 10);
-        let subset: Vec<usize> = (0..pts.len()).step_by(3).collect();
-        let mut t = Tour::new(subset.clone());
-        let before = t.length(&d);
-        let gain = two_opt_with_candidates(&mut t, &d, &cands, 1_000);
-        let after = t.length(&d);
-        assert!(gain >= 0.0);
-        assert!((before - after - gain).abs() < 1e-6);
-        let mut nodes: Vec<usize> = t.nodes().to_vec();
-        nodes.sort_unstable();
-        let mut want = subset;
-        want.sort_unstable();
-        assert_eq!(nodes, want);
-    }
-
-    #[test]
-    fn two_opt_fixes_crossing() {
-        // A deliberately crossed square tour 0-2-1-3 has length 2+2√2;
-        // 2-opt must recover the perimeter (4).
-        let d = DistMatrix::from_points(&[
-            Point2::new(0.0, 0.0),
-            Point2::new(1.0, 0.0),
-            Point2::new(1.0, 1.0),
-            Point2::new(0.0, 1.0),
-        ]);
-        let mut t = Tour::new(vec![0, 2, 1, 3]);
-        two_opt(&mut t, &d, 10);
-        assert!((t.length(&d) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tiny_tours_untouched() {
-        let d = DistMatrix::from_points(&random_points(3, 0));
-        let mut t = Tour::new(vec![0, 1, 2]);
-        assert_eq!(two_opt(&mut t, &d, 10), 0.0);
-        assert_eq!(or_opt(&mut t, &d, 10), 0.0);
+        let family: Vec<usize> = (0..pts.len()).step_by(3).collect();
+        for k in [0, 1, 5, family.len() - 1, family.len() + 3] {
+            let cands = knn_candidates(&pts, &family, k);
+            assert_eq!(cands.len(), family.last().unwrap() + 1);
+            for (v, list) in cands.iter().enumerate() {
+                if !family.contains(&v) {
+                    assert!(list.is_empty(), "non-member {v} got a list");
+                    continue;
+                }
+                assert_eq!(list.len(), k.min(family.len() - 1), "node {v}, k {k}");
+                assert!(list.iter().all(|c| family.contains(c) && *c != v));
+                let d: Vec<f64> = list.iter().map(|&c| pts[v].dist(pts[c])).collect();
+                assert!(d.windows(2).all(|w| w[0] <= w[1]), "node {v}: not nearest-first");
+                let worst = d.last().copied().unwrap_or(0.0);
+                let nearer_outside = family
+                    .iter()
+                    .filter(|&&c| c != v && !list.contains(&c))
+                    .any(|&c| pts[v].dist(pts[c]) < worst - 1e-9);
+                assert!(!nearer_outside, "node {v}: a nearer member was left out");
+            }
+        }
+        assert!(knn_candidates(&pts, &[], 4).is_empty());
     }
 }

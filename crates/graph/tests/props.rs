@@ -6,7 +6,7 @@ use perpetuum_graph::euler::{double_edges, euler_circuit, is_euler_circuit};
 use perpetuum_graph::mst::{is_spanning_tree, kruskal, prim, tree_weight};
 use perpetuum_graph::one_tree::one_tree_lower_bound;
 use perpetuum_graph::tsp_exact::held_karp;
-use perpetuum_graph::tsp_heur::{nearest_neighbor, two_opt};
+use perpetuum_graph::tsp_heur::nearest_neighbor;
 use perpetuum_graph::{DistMatrix, Tour};
 use proptest::prelude::*;
 
@@ -63,20 +63,6 @@ proptest! {
         prop_assert!(mst_w <= opt + 1e-6);
         // And tree doubling caps the approximation at 2x.
         prop_assert!(opt <= 2.0 * mst_w + 1e-6);
-    }
-
-    #[test]
-    fn two_opt_never_increases_length(pts in points(4..24)) {
-        let d = DistMatrix::from_points(&pts);
-        let mut t = nearest_neighbor(&d, 0);
-        let before = t.length(&d);
-        two_opt(&mut t, &d, 50);
-        prop_assert!(t.length(&d) <= before + 1e-6);
-        // Still a permutation starting at 0.
-        prop_assert_eq!(t.start(), Some(0));
-        let mut nodes: Vec<usize> = t.nodes().to_vec();
-        nodes.sort_unstable();
-        prop_assert_eq!(nodes, (0..pts.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -122,8 +122,6 @@ pub struct OnlineConfig {
     pub horizon: f64,
     /// EWMA discount for the per-sensor rate predictors.
     pub gamma: f64,
-    /// Local-search rounds per re-routed tour (0 = paper construction).
-    pub polish_rounds: usize,
     /// Safety margin in `[0, 1)`: achievable cycles and residual lifetimes
     /// are shrunk by `1 - margin` before planning, trading service cost for
     /// robustness to under-reported rates. The same margin doubles as
@@ -148,7 +146,6 @@ impl OnlineConfig {
         Self {
             horizon,
             gamma: EwmaPredictor::DEFAULT_GAMMA,
-            polish_rounds: 0,
             margin: 0.0,
             emergency_slack: 0.0,
             refine_steps: 0,
@@ -170,12 +167,6 @@ impl OnlineConfig {
     /// Override the emergency head-start slack.
     pub fn with_emergency_slack(mut self, slack: f64) -> Self {
         self.emergency_slack = slack;
-        self
-    }
-
-    /// Override tour polishing rounds.
-    pub fn with_polish_rounds(mut self, rounds: usize) -> Self {
-        self.polish_rounds = rounds;
         self
     }
 
@@ -943,7 +934,6 @@ impl OnlineController {
             residuals: &residuals,
             now: self.now,
             horizon: self.cfg.horizon,
-            polish_rounds: self.cfg.polish_rounds,
         };
         let detailed = replan_variable_detailed(&input, RepairStrategy::NearestScheduling);
         let (plan, planner) =
@@ -1012,8 +1002,7 @@ impl OnlineController {
         urgent.dedup();
 
         let alive = vec![true; self.network.q()];
-        let Some(set) = degraded_tour_set(&self.network, &urgent, &alive, self.cfg.polish_rounds)
-        else {
+        let Some(set) = degraded_tour_set(&self.network, &urgent, &alive) else {
             return 0; // unreachable: q >= 1 and all chargers are up
         };
         self.planner_calls += 1;

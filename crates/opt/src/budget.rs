@@ -69,24 +69,24 @@ impl Meter {
     /// Clock-poll stride: a power of two so the check compiles to a mask.
     const TIME_STRIDE: u64 = 64;
 
-    /// Consume one step. Returns `false` once the budget is exhausted —
-    /// the caller must stop evaluating moves (already-accepted moves
-    /// stand; the incumbent is always consistent).
+    /// Consume one step. Returns `true` when the caller may evaluate one
+    /// more move — exactly `limit` times under a pure step budget — and
+    /// `false` once the budget is exhausted: the caller must stop
+    /// evaluating moves (already-accepted moves stand; the incumbent is
+    /// always consistent).
     pub(crate) fn spend(&mut self) -> bool {
         if self.out {
             return false;
         }
-        self.used += 1;
-        if self.used >= self.limit {
+        if self.used.is_multiple_of(Self::TIME_STRIDE)
+            && self.deadline.is_some_and(|d| Instant::now() >= d)
+        {
             self.out = true;
-        } else if self.used.is_multiple_of(Self::TIME_STRIDE) {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.out = true;
-                }
-            }
+            return false;
         }
-        !self.out
+        self.used += 1;
+        self.out = self.used >= self.limit;
+        true
     }
 
     /// True when no further work may be done.
@@ -109,9 +109,9 @@ mod tests {
         let mut m = Budget::steps(3).meter();
         assert!(m.spend());
         assert!(m.spend());
-        assert!(!m.spend()); // third step consumes the budget
-        assert!(!m.spend());
+        assert!(m.spend()); // the third step is the last one granted
         assert!(m.exhausted());
+        assert!(!m.spend());
         assert_eq!(m.used(), 3);
     }
 

@@ -29,4 +29,4 @@ pub mod budget;
 pub mod refiner;
 
 pub use budget::Budget;
-pub use refiner::{RefineOutcome, RefineParams, Refiner, DEFAULT_CANDIDATES, IMPROVE_EPS};
+pub use refiner::{RefineOutcome, Refiner, DEFAULT_CANDIDATES, IMPROVE_EPS};

@@ -12,18 +12,17 @@
 //!   tour of the family (sensor-to-charger reassignment),
 //! * **swap** — exchange two sensors between two tours.
 //!
-//! Every kernel is strict-improvement only (`delta < -eps`, the same
-//! `1e-12` slack the constructive polish uses), so the current state *is*
-//! the incumbent: [`Refiner::best`] can be taken at any point and is
-//! never worse than the input. Depots are pinned — position 0 of every
-//! tour is untouchable — so feasibility of the surrounding schedule
-//! (which depends only on set membership and dispatch times) is
-//! preserved by construction.
+//! Every kernel is strict-improvement only (`delta < -IMPROVE_EPS`), so
+//! the current state *is* the incumbent: [`Refiner::best`] can be taken
+//! at any point and is never worse than the input. Depots are pinned —
+//! position 0 of every tour is untouchable — so feasibility of the
+//! surrounding schedule (which depends only on set membership and
+//! dispatch times) is preserved by construction.
 //!
 //! Move scanning is candidate-limited when point positions are known
-//! ([`Refiner::set_candidates`] builds k-NN lists via the same kd-tree
-//! the constructive polish uses), so a pass is `O(n·k)` and the dense
-//! `n²` matrix is never required. Work is metered by [`Budget`]: one
+//! ([`Refiner::set_candidates`] builds k-NN lists from the kd-tree via
+//! `tsp_heur::knn_candidates`), so a pass is `O(n·k)` and the dense `n²`
+//! matrix is never required. Work is metered by [`Budget`]: one
 //! step = one candidate-move evaluation, making iteration-bounded runs
 //! byte-reproducible for a fixed `(seed, budget)`.
 
@@ -34,34 +33,12 @@ use perpetuum_graph::{Metric, Tour};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Strict-improvement slack shared by all kernels (matches `tsp_heur`).
+/// Strict-improvement slack shared by all kernels: a move must gain more
+/// than this to be accepted.
 pub const IMPROVE_EPS: f64 = 1e-12;
 
 /// Default k-NN candidate-list width.
 pub const DEFAULT_CANDIDATES: usize = 10;
-
-/// Knobs for a [`Refiner`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefineParams {
-    /// RNG seed driving sweep orders. Same seed + same step budget ⇒
-    /// byte-identical output.
-    pub seed: u64,
-    /// Strict-improvement slack: a move must gain more than this.
-    pub eps: f64,
-}
-
-impl RefineParams {
-    /// Defaults with an explicit seed.
-    pub fn seeded(seed: u64) -> Self {
-        Self { seed, eps: IMPROVE_EPS }
-    }
-}
-
-impl Default for RefineParams {
-    fn default() -> Self {
-        Self::seeded(0)
-    }
-}
 
 /// What one [`Refiner::run`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,7 +74,6 @@ pub struct Refiner<M: Metric> {
     /// k-NN candidate lists by global node id; empty ⇒ exhaustive scans.
     cand: Vec<Vec<usize>>,
     rng: StdRng,
-    eps: f64,
     accepted: u64,
 }
 
@@ -115,12 +91,13 @@ fn cycle_len<M: Metric>(dist: &M, nodes: &[usize]) -> f64 {
 impl<M: Metric> Refiner<M> {
     /// Wrap a tour family. Every tour must be nonempty with its depot at
     /// position 0, node ids must be `< dist.len()`, and no node may
-    /// appear twice across the family.
+    /// appear twice across the family. `seed` drives the sweep orders:
+    /// the same seed and step budget give byte-identical output.
     ///
     /// # Panics
     /// On empty tours, out-of-range ids, or duplicated nodes — those are
     /// construction bugs upstream, not runtime conditions.
-    pub fn new(tours: Vec<Vec<usize>>, dist: M, params: RefineParams) -> Self {
+    pub fn new(tours: Vec<Vec<usize>>, dist: M, seed: u64) -> Self {
         let mut home = vec![NOWHERE; dist.len()];
         for (t, tour) in tours.iter().enumerate() {
             assert!(!tour.is_empty(), "tour {t} is empty (a depot at least is required)");
@@ -136,8 +113,7 @@ impl<M: Metric> Refiner<M> {
             lens,
             home,
             cand: Vec::new(),
-            rng: StdRng::seed_from_u64(params.seed),
-            eps: params.eps,
+            rng: StdRng::seed_from_u64(seed),
             accepted: 0,
             dist,
         }
@@ -188,7 +164,7 @@ impl<M: Metric> Refiner<M> {
         while !meter.exhausted() {
             passes += 1;
             let gained = self.pass(&mut meter);
-            if gained <= self.eps {
+            if gained <= IMPROVE_EPS {
                 // A full uninterrupted sweep found nothing: local optimum.
                 converged = !meter.exhausted();
                 break;
@@ -278,7 +254,7 @@ impl<M: Metric> Refiner<M> {
                     let c = self.tours[t][j];
                     let nxt = self.tours[t][(j + 1) % m];
                     let delta = self.d(a, c) + self.d(b, nxt) - self.d(a, b) - self.d(c, nxt);
-                    if delta < -self.eps {
+                    if delta < -IMPROVE_EPS {
                         self.tours[t][i + 1..=j].reverse();
                         self.lens[t] += delta;
                         for p in i + 1..=j {
@@ -337,7 +313,7 @@ impl<M: Metric> Refiner<M> {
                         let x = self.tours[t][j];
                         let y = self.tours[t][(j + 1) % m];
                         let delta = self.d(x, head) + self.d(tail, y) - self.d(x, y) - removal;
-                        if delta < -self.eps {
+                        if delta < -IMPROVE_EPS {
                             let moved: Vec<usize> = self.tours[t].drain(s..s + seg).collect();
                             let at = if j < s { j + 1 } else { j + 1 - seg };
                             for (k, &v) in moved.iter().enumerate() {
@@ -410,7 +386,7 @@ impl<M: Metric> Refiner<M> {
             }
             let y = self.tours[b][(j + 1) % self.tours[b].len()];
             let delta = self.d(c, v) + self.d(v, y) - self.d(c, y) - removal;
-            if delta < best_rel.map_or(-self.eps, |(d, _, _)| d) {
+            if delta < best_rel.map_or(-IMPROVE_EPS, |(d, _, _)| d) {
                 best_rel = Some((delta, b, j));
             }
         }
@@ -448,7 +424,7 @@ impl<M: Metric> Refiner<M> {
             let delta_a = self.d(prev, w) + self.d(w, next) - self.d(prev, v) - self.d(v, next);
             let delta_b = self.d(pw, v) + self.d(v, nw) - self.d(pw, w) - self.d(w, nw);
             let total = delta_a + delta_b;
-            if total < best_swap.map_or(-self.eps, |(d, _, _, _)| d) {
+            if total < best_swap.map_or(-IMPROVE_EPS, |(d, _, _, _)| d) {
                 best_swap = Some((total, delta_a, b, j));
             }
         }
@@ -486,7 +462,7 @@ mod tests {
         let pts = square();
         let dist = DistMatrix::from_points(&pts);
         // 0-2-1-3 crosses both diagonals: cost 2 + 2·√2 instead of 4.
-        let mut r = Refiner::new(vec![vec![0, 2, 1, 3]], &dist, RefineParams::default());
+        let mut r = Refiner::new(vec![vec![0, 2, 1, 3]], &dist, 0);
         let before = r.cost();
         let out = r.run(&Budget::steps(10_000));
         assert!(out.converged);
@@ -501,7 +477,7 @@ mod tests {
         // toured from depot 0. Relocation should hand it over.
         let pts = vec![Point2::new(0.0, 0.0), Point2::new(10.0, 0.0), Point2::new(10.0, 0.5)];
         let dist = DistMatrix::from_points(&pts);
-        let mut r = Refiner::new(vec![vec![0, 2], vec![1]], &dist, RefineParams::default());
+        let mut r = Refiner::new(vec![vec![0, 2], vec![1]], &dist, 0);
         let out = r.run(&Budget::steps(10_000));
         assert!(out.gain > 0.0);
         assert_eq!(r.tour_nodes()[0], vec![0]);
@@ -519,7 +495,7 @@ mod tests {
             Point2::new(0.0, 1.0),  // near A, toured by B
         ];
         let dist = DistMatrix::from_points(&pts);
-        let mut r = Refiner::new(vec![vec![0, 2], vec![1, 3]], &dist, RefineParams::default());
+        let mut r = Refiner::new(vec![vec![0, 2], vec![1, 3]], &dist, 0);
         let out = r.run(&Budget::steps(10_000));
         assert!(out.gain > 0.0);
         assert_eq!(r.tour_nodes()[0], vec![0, 3]);
@@ -530,13 +506,70 @@ mod tests {
     fn zero_budget_changes_nothing() {
         let pts = square();
         let dist = DistMatrix::from_points(&pts);
-        let mut r = Refiner::new(vec![vec![0, 2, 1, 3]], &dist, RefineParams::default());
+        let mut r = Refiner::new(vec![vec![0, 2, 1, 3]], &dist, 0);
         let before = r.cost();
         let out = r.run(&Budget::steps(0));
         assert_eq!(out.steps, 0);
         assert_eq!(out.accepted, 0);
         assert_eq!(r.cost(), before);
         assert_eq!(r.tour_nodes()[0], vec![0, 2, 1, 3]);
+    }
+
+    /// A metric that counts its distance lookups.
+    struct Counting<'a> {
+        inner: &'a DistMatrix,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl Metric for Counting<'_> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn get(&self, i: usize, j: usize) -> f64 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.get(i, j)
+        }
+    }
+
+    #[test]
+    fn steps_equal_move_evaluations() {
+        // A convex polygon in order is 2-opt clean, so the first sweep
+        // evaluates 2-opt moves only, four lookups each, and accepts none.
+        let pts: Vec<Point2> = (0..12)
+            .map(|i| {
+                let a = i as f64 * std::f64::consts::TAU / 12.0;
+                Point2::new(a.cos(), a.sin())
+            })
+            .collect();
+        let dist = DistMatrix::from_points(&pts);
+        for k in [1u64, 2, 3, 17, 40] {
+            let metric = Counting { inner: &dist, calls: std::cell::Cell::new(0) };
+            let mut r = Refiner::new(vec![(0..12).collect()], &metric, 0);
+            r.dist.calls.set(0);
+            let out = r.run(&Budget::steps(k));
+            assert_eq!(out.steps, k);
+            assert_eq!(out.accepted, 0);
+            assert_eq!(r.dist.calls.get(), 4 * k, "budget {k}: evaluations != steps");
+        }
+    }
+
+    #[test]
+    fn refiner_reaches_near_optimal_on_small_instances() {
+        use perpetuum_graph::tsp_exact::held_karp;
+        use perpetuum_graph::tsp_heur::nearest_neighbor;
+        for seed in 0..5 {
+            let mut rng = StdRng::seed_from_u64(seed + 100);
+            let pts: Vec<Point2> = (0..10)
+                .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+                .collect();
+            let d = DistMatrix::from_points(&pts);
+            let (_, opt) = held_karp(&d);
+            let start = nearest_neighbor(&d, 0).nodes().to_vec();
+            let mut r = Refiner::new(vec![start], &d, seed);
+            assert!(r.run(&Budget::steps(1_000_000)).converged);
+            let len = r.cost();
+            assert!(len <= opt * 1.15 + 1e-9, "seed {seed}: refined len {len} vs opt {opt}");
+        }
     }
 
     #[test]
@@ -549,7 +582,7 @@ mod tests {
             .collect();
         let dist = DistMatrix::from_points(&pts);
         let nodes: Vec<usize> = (0..32).collect();
-        let mut r = Refiner::new(vec![nodes], &dist, RefineParams::seeded(7));
+        let mut r = Refiner::new(vec![nodes], &dist, 7);
         let mut last = r.cost();
         for _ in 0..20 {
             r.run(&Budget::steps(50));
@@ -564,7 +597,7 @@ mod tests {
             (0..40).map(|i| Point2::new((i * 37 % 100) as f64, (i * 61 % 100) as f64)).collect();
         let dist = DistMatrix::from_points(&pts);
         let tours = vec![(0..20).collect::<Vec<_>>(), (20..40).collect::<Vec<_>>()];
-        let mut r = Refiner::new(tours, &dist, RefineParams::seeded(3));
+        let mut r = Refiner::new(tours, &dist, 3);
         r.run(&Budget::steps(200_000));
         for (t, nodes) in r.tour_nodes().iter().enumerate() {
             let exact = cycle_len(&&dist, nodes);
@@ -582,7 +615,7 @@ mod tests {
             (0..64).map(|i| Point2::new((i * 17 % 80) as f64, (i * 29 % 80) as f64)).collect();
         let dist = DistMatrix::from_points(&pts);
         let tours = vec![(0..32).collect::<Vec<_>>(), (32..64).collect::<Vec<_>>()];
-        let mut r = Refiner::new(tours, &dist, RefineParams::seeded(11));
+        let mut r = Refiner::new(tours, &dist, 11);
         r.set_candidates(&pts, 8);
         let before = r.cost();
         let out = r.run(&Budget::steps(500_000));

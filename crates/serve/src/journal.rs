@@ -256,7 +256,10 @@ fn encode_seed(w: &mut Writer, seed: &ControllerSeed) {
     let cfg = &seed.config;
     w.put_f64(cfg.horizon);
     w.put_f64(cfg.gamma);
-    w.put_u64(cfg.polish_rounds as u64);
+    // Reserved: the slot once held a tour-polish round count. Writing 0
+    // keeps every record byte-identical to journals that predate its
+    // removal.
+    w.put_u64(0);
     w.put_f64(cfg.margin);
     w.put_f64(cfg.emergency_slack);
 }
@@ -282,7 +285,7 @@ fn decode_seed(r: &mut Reader<'_>) -> Result<ControllerSeed, WireError> {
     }
     let mut config = OnlineConfig::new(r.get_f64()?);
     config.gamma = r.get_f64()?;
-    config.polish_rounds = r.get_u64()? as usize;
+    r.get_u64()?; // reserved slot, see `encode_seed`
     config.margin = r.get_f64()?;
     config.emergency_slack = r.get_f64()?;
     Ok(ControllerSeed { sensors, depots, capacities, initial_rates, config })
@@ -1207,6 +1210,50 @@ mod tests {
             assert!(!log.truncated);
             assert_eq!(log.records, vec![record]);
             assert_eq!(log.clean_bytes, bytes.len());
+        }
+    }
+
+    /// A `Create` record laid out field by field as journals have always
+    /// written it, with `slot` in the reserved u64 between `gamma` and
+    /// `margin`.
+    fn create_bytes(id: u64, seed: &ControllerSeed, slot: u64) -> Vec<u8> {
+        let mut body = Writer::default();
+        body.put_u64(id);
+        body.put_u32(seed.sensors.len() as u32);
+        for &(x, y) in &seed.sensors {
+            body.put_f64(x);
+            body.put_f64(y);
+        }
+        body.put_u32(seed.depots.len() as u32);
+        for &(x, y) in &seed.depots {
+            body.put_f64(x);
+            body.put_f64(y);
+        }
+        seed.capacities.iter().chain(&seed.initial_rates).for_each(|&v| body.put_f64(v));
+        body.put_f64(seed.config.horizon);
+        body.put_f64(seed.config.gamma);
+        body.put_u64(slot);
+        body.put_f64(seed.config.margin);
+        body.put_f64(seed.config.emergency_slack);
+        let mut payload = vec![TAG_CREATE];
+        payload.extend_from_slice(&body.into_bytes());
+        let mut framed = Writer::default();
+        framed.put_u32(payload.len() as u32);
+        framed.put_u32(crc32(&payload));
+        framed.put_bytes(&payload);
+        framed.into_bytes()
+    }
+
+    #[test]
+    fn create_records_keep_the_reserved_polish_slot() {
+        let record = Record::Create { id: 7, seed: seed() };
+        // Encoding writes 0 into the slot, byte-identical to older journals.
+        assert_eq!(encode_record(&record), create_bytes(7, &seed(), 0));
+        // Decoding reads the slot and ignores whatever an older writer put there.
+        for slot in [0, 10] {
+            let log = decode_log(&create_bytes(7, &seed(), slot));
+            assert!(!log.truncated, "slot {slot}");
+            assert_eq!(log.records, vec![record.clone()], "slot {slot}");
         }
     }
 

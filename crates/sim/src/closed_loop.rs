@@ -468,7 +468,6 @@ impl<'a> OraclePolicy<'a> {
             residuals: &residuals,
             now: obs.time,
             horizon: obs.horizon,
-            polish_rounds: 0,
         };
         PlanUpdate::Replace(replan_variable_with(&input, RepairStrategy::NearestScheduling).series)
     }

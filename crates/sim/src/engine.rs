@@ -572,7 +572,7 @@ fn recover(
     // depot subset and execute the degraded scheduling right now.
     let mut sensors: Vec<usize> = urgent_idx.iter().map(|&k| fs.orphans()[k].sensor).collect();
     sensors.sort_unstable();
-    let set = perpetuum_core::recovery::degraded_tour_set(&world.network, &sensors, &fs.up, 0)
+    let set = perpetuum_core::recovery::degraded_tour_set(&world.network, &sensors, &fs.up)
         .expect("a surviving charger exists");
     if let Some(tr) = trace.as_deref_mut() {
         tr.events.push(TraceEvent::EmergencyDispatch {

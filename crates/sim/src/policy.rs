@@ -202,7 +202,7 @@ impl<'a> MtdPolicy<'a> {
         Self { network, cfg: MtdConfig::default(), cycle_margin: 0.0 }
     }
 
-    /// Algorithm 3 with the ablation-only tour polish.
+    /// Algorithm 3 with an explicit tree-to-tour routing (ablation only).
     pub fn with_config(network: &'a Network, cfg: MtdConfig) -> Self {
         Self { network, cfg, cycle_margin: 0.0 }
     }
@@ -244,14 +244,12 @@ pub struct GreedyPolicy<'a> {
     /// two), but can be shortened independently — e.g. to keep a widened
     /// noise-margin threshold from also slowing the polls.
     pub poll: Option<f64>,
-    /// Local-search rounds per tour (ablation only).
-    pub polish_rounds: usize,
 }
 
 impl<'a> GreedyPolicy<'a> {
     /// Greedy with the paper's threshold `Δl = τ_min`.
     pub fn new(network: &'a Network, tau_min: f64) -> Self {
-        Self { network, threshold: tau_min, poll: None, polish_rounds: 0 }
+        Self { network, threshold: tau_min, poll: None }
     }
 }
 
@@ -273,7 +271,7 @@ impl ChargingPolicy for GreedyPolicy<'_> {
         if pending.is_empty() {
             None
         } else {
-            Some(greedy_batch(self.network, &pending, self.polish_rounds))
+            Some(greedy_batch(self.network, &pending))
         }
     }
 }
@@ -301,8 +299,6 @@ pub struct VarPolicy<'a> {
     /// seeding full replans; incremental replans use the anchor-grid
     /// urgency repair regardless.
     pub repair: RepairStrategy,
-    /// Local-search rounds per tour (ablation only).
-    pub polish_rounds: usize,
     /// Safety margin: plan as if cycles and residuals were a factor
     /// `(1 − margin)` smaller. Zero is the paper's model; a positive
     /// margin absorbs measurement noise and charger travel time. Must lie
@@ -326,7 +322,6 @@ impl<'a> VarPolicy<'a> {
             assigned: Vec::new(),
             scheduled: Vec::new(),
             repair: RepairStrategy::NearestScheduling,
-            polish_rounds: 0,
             cycle_margin: 0.0,
             replans: 0,
             planner: None,
@@ -386,7 +381,6 @@ impl<'a> VarPolicy<'a> {
             residuals: &residuals,
             now: obs.time,
             horizon: obs.horizon,
-            polish_rounds: self.polish_rounds,
         };
         // Timing is observational only — it never influences planning, so
         // runs stay deterministic.
@@ -503,7 +497,7 @@ impl ChargingPolicy for PeriodicPolicy<'_> {
             return PlanUpdate::Keep;
         }
         let all: Vec<usize> = (0..n).collect();
-        let set = greedy_batch(self.network, &all, 0);
+        let set = greedy_batch(self.network, &all);
         let mut series = ScheduleSeries::new();
         let id = series.add_set(set);
         let mut t = self.period;

@@ -79,7 +79,7 @@ fn main() {
     // sensors need a simultaneous post-storm recharge?
     let all: Vec<usize> = (0..n).collect();
     let src = network.dist_source();
-    let qt = perpetuum::core::qtsp::q_rooted_tsp_src(&src, &all, &network.depot_nodes(), 0);
+    let qt = perpetuum::core::qtsp::q_rooted_tsp_src(&src, &all, &network.depot_nodes());
     let alg2_span = qt.tours.iter().map(|t| t.length(&src)).fold(0.0f64, f64::max);
     let balanced = min_max_cover(&network, &all, Routing::Doubling, 200);
     println!(

@@ -64,7 +64,7 @@ fn qtsp_within_factor_two_of_exact_optimum() {
         let terminals: Vec<usize> = (0..m).collect();
         let roots: Vec<usize> = (m..m + q).collect();
 
-        let approx = q_rooted_tsp_src(&DistSource::points(&pts), &terminals, &roots, 0).cost;
+        let approx = q_rooted_tsp_src(&DistSource::points(&pts), &terminals, &roots).cost;
         let opt = exact_q_rooted_tsp(&dist, &terminals, &roots);
         assert!(approx <= 2.0 * opt + 1e-6, "seed {seed}: approx {approx} > 2x opt {opt}");
         assert!(approx >= opt - 1e-6, "seed {seed}: approx beat the optimum?!");
@@ -110,7 +110,7 @@ fn lemma3_style_lower_bound(inst: &Instance) -> f64 {
     let depots = inst.network().depot_nodes();
     // The 2-approximate tour is within 2x of the optimal full-cover cost,
     // so half of it is a valid lower bound on one window's cover.
-    let cover = q_rooted_tsp_src(&inst.network().dist_source(), &all, &depots, 0).cost;
+    let cover = q_rooted_tsp_src(&inst.network().dist_source(), &all, &depots).cost;
     windows * cover / 2.0
 }
 

@@ -62,8 +62,7 @@ fn mtd_never_costs_more_than_charge_everyone_every_tau_min() {
         // of τ_min.
         let tau_min = topo.init_cycles.iter().cloned().fold(f64::INFINITY, f64::min);
         let all: Vec<usize> = (0..20).collect();
-        let qt =
-            q_rooted_tsp_src(&topo.network.dist_source(), &all, &topo.network.depot_nodes(), 0);
+        let qt = q_rooted_tsp_src(&topo.network.dist_source(), &all, &topo.network.depot_nodes());
         let mut naive = ScheduleSeries::new();
         let set = naive.add_set(TourSet::from_qtours(qt, |v| v >= 20));
         let mut t = tau_min;
