@@ -31,8 +31,17 @@
 //!   re-emits the future grid plus one immediate batch for sensors whose
 //!   residual cannot reach their next grid service — the incremental
 //!   counterpart of the `V^a` repair.
+//! * **Lazy materialisation** — a replan only re-derives classes
+//!   ([`IncrementalPlanner::reclassify`]); a base set is spliced to match
+//!   them the first time an emitted dispatch uses it
+//!   ([`IncrementalPlanner::emit_until`]), from the membership diff
+//!   against its last splice. A high class is dispatched once per `2^K`
+//!   grid points, so most replans never touch its set, and a sensor that
+//!   leaves and rejoins a set between two of its dispatches costs no
+//!   splice at all. [`IncrementalPlanner::replan`] and
+//!   [`IncrementalPlanner::apply_migrations`] are the eager forms.
 //!
-//! A splice refuses (and the caller re-seeds from scratch) when the cached
+//! A replan refuses (and the caller re-seeds from scratch) when the cached
 //! partition no longer applies — see [`FullReason`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -358,10 +367,25 @@ pub struct IncrementalPlanner {
     class_of: Vec<usize>,
     /// `sets[k]` — live state of the cumulative base set `D_k`.
     sets: Vec<DynamicSet>,
+    /// `stale[k]` — some sensor crossed `D_k` since its last splice, so
+    /// its membership may lag `class_of`.
+    stale: Vec<bool>,
     /// `(distance, depot index)` of every sensor's cheapest depot.
     best_depot: Vec<(f64, usize)>,
+    /// The grid of the last replan; `None` after seeding (the seed plan's
+    /// dispatches are its own).
+    grid: Option<GridCursor>,
     migrated_sensors: usize,
     set_splices: usize,
+}
+
+/// The anchor-grid part of the current plan: grid indices `first..` with
+/// dispatch times before `horizon`, emitted up to (excluding) `next`.
+#[derive(Debug, Clone, Copy)]
+struct GridCursor {
+    first: u64,
+    next: u64,
+    horizon: f64,
 }
 
 impl IncrementalPlanner {
@@ -420,8 +444,10 @@ impl IncrementalPlanner {
             k_max,
             anchor: input.now,
             class_of: partition.class_of,
+            stale: vec![false; k_max + 1],
             sets,
             best_depot,
+            grid: None,
             migrated_sensors: 0,
             set_splices: 0,
         };
@@ -429,10 +455,44 @@ impl IncrementalPlanner {
     }
 
     /// One incremental replanning round at `input.now`: re-derives every
-    /// sensor's class against the cached `τ̂₁`, splices the affected base
-    /// sets, and emits the plan on the anchor grid — or refuses with a
-    /// [`FullReason`] when the cached partition no longer applies.
+    /// sensor's class against the cached `τ̂₁` and emits the whole plan to
+    /// the horizon on the anchor grid — or refuses with a [`FullReason`]
+    /// when the cached partition no longer applies. The emitted plan lists
+    /// every base set (`base_set_ids`), so every set that lags `class_of`
+    /// is spliced here; [`Self::reclassify`] + [`Self::emit_until`] is the
+    /// lazy form that splices a set only when a dispatch needs it.
     pub fn replan(&mut self, input: &VarInput) -> ReplanOutcome {
+        let urgent = match self.reclassify(input) {
+            Ok(urgent) => urgent,
+            Err(reason) => return ReplanOutcome::NeedsFull(reason),
+        };
+        let network = input.network;
+        let mut series = ScheduleSeries::new();
+        let base_set_ids: Vec<usize> = (0..=self.k_max)
+            .map(|k| {
+                self.materialize(network, k);
+                series.add_set(self.sets[k].tours.clone())
+            })
+            .collect();
+        if let Some(set) = urgent {
+            let id = series.add_set(set);
+            series.push_dispatch(input.now, id);
+        }
+        let mut ids: Vec<Option<usize>> = base_set_ids.iter().copied().map(Some).collect();
+        self.emit_grid(network, &mut series, &mut ids, input.horizon);
+        let assigned_cycles = (0..network.n()).map(|i| self.assigned_cycle(i)).collect();
+        ReplanOutcome::Incremental(VarPlan { series, assigned_cycles, base_set_ids })
+    }
+
+    /// The lazy half of [`Self::replan`]: re-derives every sensor's class
+    /// against the cached `τ̂₁`, restarts the anchor grid after
+    /// `input.now`, and returns the immediate batch for sensors whose
+    /// residual cannot reach their next grid service (`None` when every
+    /// sensor can wait). Splices nothing — [`Self::emit_until`] splices a
+    /// base set the first time it dispatches it. Refuses with a
+    /// [`FullReason`] (state unchanged) when the cached partition no
+    /// longer applies.
+    pub fn reclassify(&mut self, input: &VarInput) -> Result<Option<TourSet>, FullReason> {
         let network = input.network;
         let n = network.n();
         assert_eq!(self.class_of.len(), n, "planner seeded for a different network");
@@ -442,28 +502,91 @@ impl IncrementalPlanner {
         assert!(input.now + 1e-9 >= self.anchor, "replanning before the anchor");
 
         if input.max_cycles.iter().any(|&c| c < self.tau1) {
-            return ReplanOutcome::NeedsFull(FullReason::Tau1Undercut);
+            return Err(FullReason::Tau1Undercut);
         }
         let mut changes: Vec<(usize, usize)> = Vec::new();
         for (i, &cycle) in input.max_cycles.iter().enumerate() {
             let class = power_class(self.tau1, cycle);
             if class > self.k_max {
-                return ReplanOutcome::NeedsFull(FullReason::ClassOverflow);
+                return Err(FullReason::ClassOverflow);
             }
             if class != self.class_of[i] {
                 changes.push((i, class));
             }
         }
         if changes.len() as f64 > self.cfg.migration_fallback_fraction * n as f64 {
-            return ReplanOutcome::NeedsFull(FullReason::TooManyMigrations);
+            return Err(FullReason::TooManyMigrations);
         }
+        self.migrate(&changes);
 
-        self.apply_migrations(network, &changes);
-        let plan = self.emit(input);
-        ReplanOutcome::Incremental(plan)
+        let mut first = ((input.now - self.anchor) / self.tau1).floor().max(0.0) as u64 + 1;
+        while self.anchor + first as f64 * self.tau1 <= input.now + 1e-9 {
+            first += 1;
+        }
+        self.grid = Some(GridCursor { first, next: first, horizon: input.horizon });
+        Ok(self.urgent_batch(input))
     }
 
-    /// Applies class migrations by splicing every affected base set
+    /// Appends to `series` the grid dispatches of the current plan due
+    /// before `until` (and the horizon) that earlier calls have not
+    /// emitted yet, in time order; each base set a dispatch uses is
+    /// spliced to match `class_of` first and registered once per call.
+    /// Emits nothing after seeding: the seed plan is explicit.
+    pub fn emit_until(&mut self, network: &Network, series: &mut ScheduleSeries, until: f64) {
+        let mut ids = vec![None; self.k_max + 1];
+        self.emit_grid(network, series, &mut ids, until);
+    }
+
+    fn emit_grid(
+        &mut self,
+        network: &Network,
+        series: &mut ScheduleSeries,
+        ids: &mut [Option<usize>],
+        until: f64,
+    ) {
+        let Some(mut grid) = self.grid else { return };
+        let end = until.min(grid.horizon);
+        loop {
+            let t = self.anchor + grid.next as f64 * self.tau1;
+            if t >= end {
+                break;
+            }
+            let k = nu2(grid.next).min(self.k_max);
+            let id = match ids[k] {
+                Some(id) => id,
+                None => {
+                    self.materialize(network, k);
+                    let id = series.add_set(self.sets[k].tours.clone());
+                    ids[k] = Some(id);
+                    id
+                }
+            };
+            series.push_dispatch(t, id);
+            grid.next += 1;
+        }
+        self.grid = Some(grid);
+    }
+
+    /// First grid dispatch of the current plan strictly after `after`
+    /// (with the plan's 1e-9 slack) that charges `sensor`, or `None` when
+    /// none falls before the horizon. Sensor `s` of class `c` is in `D_k`
+    /// for every `k ≥ c`, so it rides exactly the grid points `j` with
+    /// `ν₂(j) ≥ c`: the answer is arithmetic on multiples of `2^c`, equal
+    /// to scanning the emitted series.
+    pub fn next_grid_charge(&self, sensor: usize, after: f64) -> Option<f64> {
+        let grid = self.grid?;
+        let step = 1u64 << self.class_of[sensor];
+        let from = ((after - self.anchor) / self.tau1).floor().max(0.0) as u64;
+        let mut j = grid.first.max(from).div_ceil(step) * step;
+        let mut t = self.anchor + j as f64 * self.tau1;
+        while t <= after + 1e-9 {
+            j += step;
+            t = self.anchor + j as f64 * self.tau1;
+        }
+        (t < grid.horizon).then_some(t)
+    }
+
+    /// Applies class migrations and splices every affected base set now
     /// (sensor `s` moving class `a → b` enters or leaves exactly the
     /// cumulative sets `D_k` with `min(a,b) ≤ k < max(a,b)`). Returns the
     /// indices of the spliced sets, ascending. Exposed so the online
@@ -473,53 +596,51 @@ impl IncrementalPlanner {
         network: &Network,
         changes: &[(usize, usize)],
     ) -> Vec<usize> {
-        let mut removed: Vec<Vec<usize>> = vec![Vec::new(); self.k_max + 1];
-        let mut inserted: Vec<Vec<usize>> = vec![Vec::new(); self.k_max + 1];
+        self.migrate(changes);
+        (0..=self.k_max).filter(|&k| self.materialize(network, k)).collect()
+    }
+
+    /// Records class migrations in `class_of` and marks every cumulative
+    /// set a migrating sensor enters or leaves as stale.
+    fn migrate(&mut self, changes: &[(usize, usize)]) {
         for &(s, new_class) in changes {
             assert!(new_class <= self.k_max, "class {new_class} beyond cached K={}", self.k_max);
             let old = self.class_of[s];
             if new_class == old {
                 continue;
             }
-            if new_class < old {
-                // Serving more often: s joins the smaller sets.
-                for ins in inserted.iter_mut().take(old).skip(new_class) {
-                    ins.push(s);
-                }
-            } else {
-                for rem in removed.iter_mut().take(new_class).skip(old) {
-                    rem.push(s);
-                }
-            }
+            self.stale[old.min(new_class)..old.max(new_class)].fill(true);
             self.class_of[s] = new_class;
             self.migrated_sensors += 1;
         }
-        let mut spliced = Vec::new();
-        for k in 0..=self.k_max {
-            if removed[k].is_empty() && inserted[k].is_empty() {
-                continue;
-            }
-            removed[k].sort_unstable();
-            removed[k].dedup();
-            inserted[k].sort_unstable();
-            inserted[k].dedup();
-            self.sets[k].splice(network, &removed[k], &inserted[k], &self.best_depot, &self.cfg);
-            self.set_splices += 1;
-            spliced.push(k);
-        }
-        spliced
     }
 
-    /// Emits a [`VarPlan`] from the current sets: cached base tours on the
-    /// anchor grid, plus one freshly-routed immediate batch for sensors
-    /// whose residual cannot reach their next grid service.
-    fn emit(&self, input: &VarInput) -> VarPlan {
+    /// Splices `D_k` to match `class_of` if it is stale and its membership
+    /// diff is non-empty; returns whether it spliced. A sensor that left
+    /// and rejoined since the last splice leaves no diff, so it costs
+    /// nothing.
+    fn materialize(&mut self, network: &Network, k: usize) -> bool {
+        if !std::mem::take(&mut self.stale[k]) {
+            return false;
+        }
+        let set = &self.sets[k];
+        let removed: Vec<usize> =
+            set.members.iter().copied().filter(|&s| self.class_of[s] > k).collect();
+        let inserted: Vec<usize> =
+            (0..self.class_of.len()).filter(|&s| self.class_of[s] <= k && !set.in_set[s]).collect();
+        if removed.is_empty() && inserted.is_empty() {
+            return false;
+        }
+        self.sets[k].splice(network, &removed, &inserted, &self.best_depot, &self.cfg);
+        self.set_splices += 1;
+        true
+    }
+
+    /// The immediate batch at `input.now`: sensors whose residual cannot
+    /// reach their next grid service, freshly routed.
+    fn urgent_batch(&self, input: &VarInput) -> Option<TourSet> {
         let network = input.network;
         let n = network.n();
-        let mut series = ScheduleSeries::new();
-        let base_set_ids: Vec<usize> =
-            self.sets.iter().map(|s| series.add_set(s.tours.clone())).collect();
-
         let urgent: Vec<usize> = (0..n)
             .filter(|&i| {
                 let step = self.tau1 * (1u64 << self.class_of[i]) as f64;
@@ -527,29 +648,12 @@ impl IncrementalPlanner {
                 input.now + input.residuals[i] + 1e-9 < required
             })
             .collect();
-        if !urgent.is_empty() {
-            let nodes: Vec<usize> = urgent.iter().map(|&i| network.sensor_node(i)).collect();
-            let qt = q_rooted_tsp_src(&network.dist_source(), &nodes, &network.depot_nodes());
-            let id = series.add_set(TourSet::from_qtours(qt, |v| v >= n));
-            series.push_dispatch(input.now, id);
+        if urgent.is_empty() {
+            return None;
         }
-
-        let mut j = ((input.now - self.anchor) / self.tau1).floor().max(0.0) as u64;
-        loop {
-            j += 1;
-            let t = self.anchor + j as f64 * self.tau1;
-            if t >= input.horizon {
-                break;
-            }
-            if t <= input.now + 1e-9 {
-                continue;
-            }
-            series.push_dispatch(t, base_set_ids[nu2(j).min(self.k_max)]);
-        }
-
-        let assigned_cycles: Vec<f64> =
-            self.class_of.iter().map(|&c| self.tau1 * (1u64 << c) as f64).collect();
-        VarPlan { series, assigned_cycles, base_set_ids }
+        let nodes: Vec<usize> = urgent.iter().map(|&i| network.sensor_node(i)).collect();
+        let qt = q_rooted_tsp_src(&network.dist_source(), &nodes, &network.depot_nodes());
+        Some(TourSet::from_qtours(qt, |v| v >= n))
     }
 
     /// First grid service of a class with period `step` strictly after
@@ -588,17 +692,21 @@ impl IncrementalPlanner {
         self.tau1 * (1u64 << self.class_of[i]) as f64
     }
 
-    /// Current members of base set `D_k`, ascending sensor ids.
+    /// Members of base set `D_k` as of its last splice, ascending sensor
+    /// ids. After [`Self::reclassify`] a set lags `class_of` until a
+    /// dispatch needs it; [`Self::replan`] and [`Self::apply_migrations`]
+    /// leave every set current.
     pub fn set_members(&self, k: usize) -> &[usize] {
         &self.sets[k].members
     }
 
-    /// Current tours of base set `D_k`.
+    /// Tours of base set `D_k` as of its last splice (see
+    /// [`Self::set_members`]).
     pub fn tour_set(&self, k: usize) -> &TourSet {
         &self.sets[k].tours
     }
 
-    /// Current forest weight of base set `D_k`.
+    /// Forest weight of base set `D_k` as of its last splice.
     pub fn forest_weight(&self, k: usize) -> f64 {
         self.sets[k].weight
     }
@@ -973,5 +1081,121 @@ mod tests {
         assert_eq!(spliced, vec![0, 1]);
         assert_eq!(planner.migrated_sensors(), 1);
         assert_eq!(planner.set_splices(), 2);
+    }
+
+    /// Drifted cycles and residuals for one replanning round.
+    fn drift(cycles: &mut [f64], rng: &mut impl Rng) -> Vec<f64> {
+        for c in cycles.iter_mut() {
+            if rng.gen_bool(0.1) {
+                *c = if rng.gen_bool(0.5) { (*c * 2.0).min(31.9) } else { (*c / 2.0).max(4.0) };
+            }
+        }
+        cycles.iter().map(|&c| rng.gen_range(0.1 * c..=c)).collect()
+    }
+
+    #[test]
+    fn windowed_emission_matches_the_eager_plan() {
+        // The lazy form (reclassify, then emit_until window by window up to
+        // the next replan, as the simulator drives it) hands out exactly
+        // the eager replan's dispatches: same times, same sensors per
+        // dispatch. Sets no window reaches stay stale across replans, so
+        // their diffs merge; only tour shapes may differ. Grid arithmetic
+        // agrees with scanning the eager series.
+        for seed in 0..4u64 {
+            let n = 80;
+            let network = sparse_network(n, 3, seed + 700);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 17);
+            let mut cycles = spread_cycles(n, &mut rng);
+            let (_, mut eager) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let (_, mut lazy) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let horizon = 200.0;
+            let window = 2.5;
+            let rounds = 6;
+            let mut nows: Vec<f64> = Vec::new();
+            let mut t = 0.0;
+            for _ in 0..rounds {
+                t += rng.gen_range(3.0..9.0);
+                nows.push(t);
+            }
+            for (round, &now) in nows.iter().enumerate() {
+                let residuals = drift(&mut cycles, &mut rng);
+                let input = VarInput {
+                    network: &network,
+                    max_cycles: &cycles,
+                    residuals: &residuals,
+                    now,
+                    horizon,
+                };
+                let ReplanOutcome::Incremental(plan) = eager.replan(&input) else {
+                    panic!("seed {seed} round {round}: unexpected fallback")
+                };
+                let urgent = lazy.reclassify(&input).expect("same partition as the eager planner");
+                let mut series = ScheduleSeries::new();
+                if let Some(set) = urgent {
+                    let id = series.add_set(set);
+                    series.push_dispatch(now, id);
+                }
+                let next_replan = nows.get(round + 1).copied().unwrap_or(horizon);
+                let mut until = now;
+                while until < next_replan {
+                    until = (until + window).min(next_replan);
+                    lazy.emit_until(&network, &mut series, until);
+                }
+                let want: Vec<(u64, &[usize])> = plan
+                    .series
+                    .dispatches()
+                    .iter()
+                    .filter(|d| d.time < next_replan)
+                    .map(|d| (d.time.to_bits(), plan.series.set_of(d).sensors()))
+                    .collect();
+                let got: Vec<(u64, &[usize])> = series
+                    .dispatches()
+                    .iter()
+                    .map(|d| (d.time.to_bits(), series.set_of(d).sensors()))
+                    .collect();
+                assert_eq!(want, got, "seed {seed} round {round}");
+                for s in 0..n {
+                    let times = plan.series.charge_times(s);
+                    for probe in [now, now + 0.5, next_replan, horizon - 1.0] {
+                        let want = times.iter().copied().find(|&t| t > probe + 1e-9);
+                        assert_eq!(
+                            lazy.next_grid_charge(s, probe),
+                            want,
+                            "seed {seed} round {round} sensor {s} after {probe}"
+                        );
+                    }
+                }
+            }
+            assert!(lazy.set_splices() < eager.set_splices(), "seed {seed}: nothing deferred");
+        }
+    }
+
+    #[test]
+    fn a_sensor_that_leaves_and_returns_costs_no_splice() {
+        let n = 40;
+        let network = sparse_network(n, 2, 42);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut cycles = spread_cycles(n, &mut rng);
+        let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+        let s = (1..n - 1).find(|&i| planner.class_of()[i] == 0).expect("a class-0 sensor");
+        let residuals = cycles.clone();
+        fn at<'a>(
+            network: &'a Network,
+            cycles: &'a [f64],
+            residuals: &'a [f64],
+            now: f64,
+        ) -> VarInput<'a> {
+            VarInput { network, max_cycles: cycles, residuals, now, horizon: 150.0 }
+        }
+        let home = cycles[s];
+        cycles[s] = 9.0; // class 0 → 1: leaves D_0
+        planner.reclassify(&at(&network, &cycles, &residuals, 1.0)).unwrap();
+        cycles[s] = home; // and rejoins it
+        planner.reclassify(&at(&network, &cycles, &residuals, 2.0)).unwrap();
+        assert_eq!(planner.migrated_sensors(), 2);
+        let mut series = ScheduleSeries::new();
+        planner.emit_until(&network, &mut series, 150.0);
+        assert!(series.dispatch_count() > 0);
+        assert_eq!(planner.set_splices(), 0, "the round trip left no membership diff");
     }
 }

@@ -137,6 +137,17 @@ impl ScheduleSeries {
         &self.sets
     }
 
+    /// Appends `other`'s tour sets and dispatches after this series' own,
+    /// remapping its set indices. Callers keep the series in time order by
+    /// appending only later dispatches.
+    pub fn append(&mut self, other: ScheduleSeries) {
+        let base = self.sets.len();
+        self.sets.extend(other.sets);
+        self.dispatches.extend(
+            other.dispatches.into_iter().map(|d| Dispatch { time: d.time, set: base + d.set }),
+        );
+    }
+
     /// All dispatches in insertion order (the planners insert in time
     /// order; [`ScheduleSeries::sort_by_time`] restores it otherwise).
     pub fn dispatches(&self) -> &[Dispatch] {
@@ -374,5 +385,21 @@ mod tests {
         }
         assert_eq!(all[0], vec![0.5, 1.0, 2.0, 3.0]);
         assert_eq!(all[1], vec![2.0, 3.0]);
+    }
+
+    #[test]
+    fn append_remaps_set_indices() {
+        let d = dist();
+        let mut a = ScheduleSeries::new();
+        let near = a.add_set(TourSet::new(vec![Tour::new(vec![2, 0])], &d, is_depot));
+        a.push_dispatch(1.0, near);
+        let mut b = ScheduleSeries::new();
+        let both = b.add_set(TourSet::new(vec![Tour::new(vec![2, 0, 1])], &d, is_depot));
+        b.push_dispatch(2.0, both);
+        a.append(b);
+        assert_eq!(a.dispatch_count(), 2);
+        assert_eq!(a.charge_times(0), vec![1.0, 2.0]);
+        assert_eq!(a.charge_times(1), vec![2.0]);
+        assert_eq!(a.set_of(&a.dispatches()[1]).sensors(), &[0, 1]);
     }
 }

@@ -356,7 +356,12 @@ impl EnergyCore {
 
     /// Full observation at `t` (settles every battery — O(n), reserved
     /// for slot boundaries and policies that ask for it).
-    pub(crate) fn observation(&mut self, time: f64, horizon: f64) -> Observation<'_> {
+    pub(crate) fn observation(
+        &mut self,
+        time: f64,
+        horizon: f64,
+        next_decision: f64,
+    ) -> Observation<'_> {
         self.settle_all(time);
         for (i, b) in self.batteries.iter().enumerate() {
             self.levels[i] = b.level();
@@ -364,6 +369,7 @@ impl EnergyCore {
         Observation {
             time,
             horizon,
+            next_decision,
             levels: &self.levels,
             rho_hat: &self.rho_hat,
             rho_now: &self.reported,

@@ -5,7 +5,8 @@
 //! 1. **slot boundaries** (`t = m·ΔT`) — every sensor's rate process is
 //!    resampled, predictors observe the new rate (sensors monitor their
 //!    energy far more often than `ΔT`, Section VI.A), and the policy may
-//!    replace its pending plan;
+//!    replace its pending plan or append the plan's next window (a policy
+//!    learns when it decides next from `Observation::next_decision`);
 //! 2. **policy checks** (`t = m·tick`, only for polling policies) — the
 //!    policy may trigger an immediate dispatch;
 //! 3. **dispatches** — the next pending scheduling of the active plan is
@@ -230,6 +231,9 @@ fn run_inner<P: ChargingPolicy>(
         assert!(speed > 0.0, "charger speed must be positive");
     }
 
+    // The first slot boundary; observations name it as the next decision.
+    let mut next_slot = cfg.slot;
+
     macro_rules! apply_update {
         ($upd:expr, $t:expr) => {
             match $upd {
@@ -245,13 +249,18 @@ fn run_inner<P: ChargingPolicy>(
                     plan = series;
                     dptr = 0;
                 }
+                PlanUpdate::Extend(series) => {
+                    debug_assert!(series.dispatches().iter().all(|d| d.time >= $t - 1e-9));
+                    extend_plan(&mut plan, &mut dptr, series);
+                }
             }
         };
     }
 
     macro_rules! check {
         ($t:expr) => {{
-            let mut ctx = CheckContext::lazy($t, cfg.horizon, &mut core);
+            let next_decision = next_slot.min(cfg.horizon);
+            let mut ctx = CheckContext::lazy($t, cfg.horizon, next_decision, &mut core);
             policy.on_check(&mut ctx)
         }};
     }
@@ -259,7 +268,7 @@ fn run_inner<P: ChargingPolicy>(
     macro_rules! execute {
         ($set:expr, $t:expr) => {
             execute(
-                &$set,
+                $set,
                 $t,
                 &world,
                 &mut core,
@@ -276,7 +285,7 @@ fn run_inner<P: ChargingPolicy>(
     // t = 0: initial plan.
     {
         let upd = {
-            let obs = core.observation(0.0, cfg.horizon);
+            let obs = core.observation(0.0, cfg.horizon, next_slot.min(cfg.horizon));
             policy.initialize(&obs)
         };
         apply_update!(upd, 0.0);
@@ -285,7 +294,6 @@ fn run_inner<P: ChargingPolicy>(
     let tick = policy.check_interval();
     let mut next_check = tick;
     let mut slot_idx: u64 = 1;
-    let mut next_slot = cfg.slot;
 
     // Immediate dispatches a polling policy can trigger at t = 0 are not a
     // thing in the paper's model (all sensors start full), so checks start
@@ -433,7 +441,7 @@ fn run_inner<P: ChargingPolicy>(
             next_slot = slot_idx as f64 * cfg.slot;
             core.begin_slot(next_slot);
             let upd = {
-                let obs = core.observation(t, cfg.horizon);
+                let obs = core.observation(t, cfg.horizon, next_slot.min(cfg.horizon));
                 policy.on_slot_boundary(&obs)
             };
             apply_update!(upd, t);
@@ -442,14 +450,14 @@ fn run_inner<P: ChargingPolicy>(
             // a rate spike for most of a tick.
             if tick.is_some() && Some(t) != next_check {
                 if let Some(set) = check!(t) {
-                    execute!(set, t);
+                    execute!(&set, t);
                 }
             }
         }
 
         if Some(t) == next_check {
             if let Some(set) = check!(t) {
-                execute!(set, t);
+                execute!(&set, t);
             }
             next_check = tick.map(|k| t + k);
         }
@@ -458,8 +466,7 @@ fn run_inner<P: ChargingPolicy>(
             if d.time > t {
                 break;
             }
-            let set = plan.set_of(d).clone();
-            execute!(set, t);
+            execute!(plan.set_of(d), t);
             dptr += 1;
         }
 
@@ -490,6 +497,18 @@ fn run_inner<P: ChargingPolicy>(
     }
 
     result
+}
+
+/// Appends a policy's next window to `plan`, whose dispatches before
+/// `dptr` have executed. A fully executed plan is history and is dropped,
+/// so a run of windows keeps the plan one window long.
+pub(crate) fn extend_plan(plan: &mut ScheduleSeries, dptr: &mut usize, window: ScheduleSeries) {
+    if *dptr == plan.dispatch_count() {
+        *plan = window;
+        *dptr = 0;
+    } else {
+        plan.append(window);
+    }
 }
 
 /// How far past `t` the recovery planner schedules its next look at a

@@ -9,7 +9,7 @@
 
 use crate::energy_core::EnergyCore;
 use perpetuum_core::greedy::greedy_batch;
-use perpetuum_core::incremental::{IncrementalPlanner, ReplanOutcome};
+use perpetuum_core::incremental::IncrementalPlanner;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::{Instance, Network};
 use perpetuum_core::schedule::{ScheduleSeries, TourSet};
@@ -24,6 +24,11 @@ pub struct Observation<'a> {
     pub time: f64,
     /// Monitoring period end `T`.
     pub horizon: f64,
+    /// When the policy decides next: the next slot boundary, or the
+    /// horizon when none is left. A policy may hand the engine only the
+    /// dispatches due before it and append the next window there
+    /// ([`PlanUpdate::Extend`]).
+    pub next_decision: f64,
     /// Residual energy per sensor (self-reported).
     pub levels: &'a [f64],
     /// EWMA-predicted consumption rate `ρ̂_i` per sensor (Section VI.A).
@@ -89,6 +94,7 @@ impl<'a> Observation<'a> {
 pub struct CheckContext<'a> {
     time: f64,
     horizon: f64,
+    next_decision: f64,
     source: Source<'a>,
 }
 
@@ -102,11 +108,21 @@ enum Source<'a> {
 impl<'a> CheckContext<'a> {
     /// Wraps a full observation; answers are computed by dense scans.
     pub fn from_observation(obs: Observation<'a>) -> Self {
-        Self { time: obs.time, horizon: obs.horizon, source: Source::Full(obs) }
+        Self {
+            time: obs.time,
+            horizon: obs.horizon,
+            next_decision: obs.next_decision,
+            source: Source::Full(obs),
+        }
     }
 
-    pub(crate) fn lazy(time: f64, horizon: f64, core: &'a mut EnergyCore) -> Self {
-        Self { time, horizon, source: Source::Lazy(core) }
+    pub(crate) fn lazy(
+        time: f64,
+        horizon: f64,
+        next_decision: f64,
+        core: &'a mut EnergyCore,
+    ) -> Self {
+        Self { time, horizon, next_decision, source: Source::Lazy(core) }
     }
 
     /// Current time.
@@ -137,7 +153,7 @@ impl<'a> CheckContext<'a> {
     pub fn observation(&mut self) -> Observation<'_> {
         match &mut self.source {
             Source::Full(obs) => *obs,
-            Source::Lazy(core) => core.observation(self.time, self.horizon),
+            Source::Lazy(core) => core.observation(self.time, self.horizon, self.next_decision),
         }
     }
 }
@@ -150,6 +166,10 @@ pub enum PlanUpdate {
     /// Drop all pending dispatches and install this series (all dispatch
     /// times must be `≥` the observation time).
     Replace(ScheduleSeries),
+    /// Append this series after the pending dispatches (its times must be
+    /// `≥` theirs and the observation time). Not a replan: it hands the
+    /// engine the next window of the plan already in force.
+    Extend(ScheduleSeries),
 }
 
 /// A base-station charging policy.
@@ -285,16 +305,23 @@ impl ChargingPolicy for GreedyPolicy<'_> {
 ///
 /// Replans go through the incremental planner
 /// ([`perpetuum_core::incremental`]) by default: the first plan seeds
-/// per-class forest/tour state, later replans splice it and re-emit the
-/// anchor grid, falling back to a full re-seed when the cached partition no
-/// longer applies. [`VarPolicy::full_replanning`] restores the from-scratch
-/// behaviour (the ablation baseline the `sim` bench compares against).
+/// per-class forest/tour state, later replans re-derive classes and keep
+/// the anchor grid, falling back to a full re-seed when the cached
+/// partition no longer applies. A plan is an explicit prefix — a full
+/// seed's whole series, or an incremental replan's immediate batch — plus,
+/// after an incremental replan, the planner's anchor grid. The grid is
+/// handed to the engine one window at a time, up to
+/// [`Observation::next_decision`]; the planner splices a class's set only
+/// when a window dispatches it. [`VarPolicy::full_replanning`] restores
+/// the from-scratch behaviour (the ablation baseline the `sim` bench
+/// compares against), which hands over every plan whole.
 #[derive(Debug)]
 pub struct VarPolicy<'a> {
     network: &'a Network,
     assigned: Vec<f64>,
-    /// Ascending scheduled charge times per sensor, from the current plan.
-    scheduled: Vec<Vec<f64>>,
+    /// The explicit dispatches of the current plan. With the planner's
+    /// grid (if any) they make up the whole plan.
+    prefix: ScheduleSeries,
     /// Repair strategy (paper default: nearest scheduling). Applies to the
     /// seeding full replans; incremental replans use the anchor-grid
     /// urgency repair regardless.
@@ -320,7 +347,7 @@ impl<'a> VarPolicy<'a> {
         Self {
             network,
             assigned: Vec::new(),
-            scheduled: Vec::new(),
+            prefix: ScheduleSeries::new(),
             repair: RepairStrategy::NearestScheduling,
             cycle_margin: 0.0,
             replans: 0,
@@ -361,7 +388,14 @@ impl<'a> VarPolicy<'a> {
         self.full_replans
     }
 
-    /// Wall-clock seconds spent in incremental replans.
+    /// Base-set splices the current incremental planner has performed
+    /// since its last seed (0 before seeding and in full-replanning mode).
+    pub fn set_splices(&self) -> usize {
+        self.planner.as_ref().map_or(0, IncrementalPlanner::set_splices)
+    }
+
+    /// Wall-clock seconds spent in incremental replans, including the
+    /// splices their later windows trigger.
     pub fn planner_seconds_incremental(&self) -> f64 {
         self.planner_time_incremental.as_secs_f64()
     }
@@ -385,45 +419,90 @@ impl<'a> VarPolicy<'a> {
         // Timing is observational only — it never influences planning, so
         // runs stay deterministic.
         let t0 = Instant::now();
-        let plan = if self.incremental_enabled {
-            let spliced = self.planner.as_mut().and_then(|p| match p.replan(&input) {
-                ReplanOutcome::Incremental(plan) => Some(plan),
-                ReplanOutcome::NeedsFull(_) => None,
-            });
-            match spliced {
-                Some(plan) => {
-                    self.incremental_replans += 1;
-                    self.planner_time_incremental += t0.elapsed();
-                    plan
+        // Only incremental mode ever seeds a planner.
+        if let Some(planner) = self.planner.as_mut() {
+            if let Ok(urgent) = planner.reclassify(&input) {
+                let mut prefix = ScheduleSeries::new();
+                if let Some(set) = urgent {
+                    let id = prefix.add_set(set);
+                    prefix.push_dispatch(obs.time, id);
                 }
-                None => {
-                    let (plan, planner) = IncrementalPlanner::seed(&input, self.repair);
-                    self.planner = Some(planner);
-                    self.full_replans += 1;
-                    self.planner_time_full += t0.elapsed();
-                    plan
-                }
+                let mut series = prefix.clone();
+                planner.emit_until(self.network, &mut series, obs.next_decision);
+                self.assigned = (0..self.network.n()).map(|i| planner.assigned_cycle(i)).collect();
+                self.prefix = prefix;
+                self.incremental_replans += 1;
+                self.planner_time_incremental += t0.elapsed();
+                return PlanUpdate::Replace(series);
             }
-        } else {
-            let plan = replan_variable_with(&input, self.repair);
-            self.full_replans += 1;
-            self.planner_time_full += t0.elapsed();
+        }
+        let plan = if self.incremental_enabled {
+            let (plan, planner) = IncrementalPlanner::seed(&input, self.repair);
+            self.planner = Some(planner);
             plan
+        } else {
+            replan_variable_with(&input, self.repair)
         };
+        self.full_replans += 1;
+        self.planner_time_full += t0.elapsed();
         self.assigned = plan.assigned_cycles;
-        // Sensor node ids are 0..n, so the inverted pass indexes directly.
-        self.scheduled = plan.series.charge_times_all(self.network.n());
+        self.prefix = plan.series.clone();
         PlanUpdate::Replace(plan.series)
+    }
+
+    /// Hands the engine the plan's next window of grid dispatches (none
+    /// when the plan is explicit only).
+    fn extend(&mut self, obs: &Observation) -> PlanUpdate {
+        let Some(planner) = self.planner.as_mut() else { return PlanUpdate::Keep };
+        let t0 = Instant::now();
+        let mut series = ScheduleSeries::new();
+        planner.emit_until(self.network, &mut series, obs.next_decision);
+        self.planner_time_incremental += t0.elapsed();
+        if series.dispatch_count() == 0 {
+            PlanUpdate::Keep
+        } else {
+            PlanUpdate::Extend(series)
+        }
+    }
+
+    /// Per sensor, the first prefix charge strictly after `time` (with the
+    /// plan's 1e-9 slack), `INFINITY` where none — or `None` when no
+    /// prefix dispatch is left. One walk over the remaining dispatches
+    /// that visits each distinct tour set once.
+    fn prefix_next_charges(&self, time: f64) -> Option<Vec<f64>> {
+        let dispatches = self.prefix.dispatches();
+        let from = dispatches.partition_point(|d| d.time <= time + 1e-9);
+        if from == dispatches.len() {
+            return None;
+        }
+        let mut next = vec![f64::INFINITY; self.network.n()];
+        let mut seen = vec![false; self.prefix.sets().len()];
+        for d in &dispatches[from..] {
+            if std::mem::replace(&mut seen[d.set], true) {
+                continue;
+            }
+            for &s in self.prefix.set_of(d).sensors() {
+                next[s] = next[s].min(d.time);
+            }
+        }
+        Some(next)
     }
 
     /// True when `sensor`'s estimated residual lifetime reaches its next
     /// scheduled charge (or the horizon, if it is never charged again).
-    fn residual_reaches_next_charge(&self, obs: &Observation, sensor: usize) -> bool {
-        let next = self.scheduled[sensor]
-            .iter()
-            .copied()
-            .find(|&t| t > obs.time + 1e-9)
-            .unwrap_or(obs.horizon);
+    fn residual_reaches_next_charge(
+        &self,
+        obs: &Observation,
+        sensor: usize,
+        prefix_next: Option<&[f64]>,
+    ) -> bool {
+        let explicit = prefix_next.map_or(f64::INFINITY, |next| next[sensor]);
+        let grid = self
+            .planner
+            .as_ref()
+            .and_then(|p| p.next_grid_charge(sensor, obs.time))
+            .unwrap_or(f64::INFINITY);
+        let next = explicit.min(grid).min(obs.horizon);
         obs.time + self.residual_shrunk(obs, sensor) + 1e-9 >= next
     }
 
@@ -453,12 +532,13 @@ impl ChargingPolicy for VarPolicy<'_> {
         // wait can still be starved by an in-band rate increase, so the
         // residual must also reach its next scheduled charge.
         let shrink = 1.0 - self.cycle_margin;
+        let prefix_next = self.prefix_next_charges(obs.time);
         let applicable = (0..obs.levels.len()).all(|i| {
             schedule_still_applicable(self.assigned[i], obs.max_cycle_hat(i) * shrink)
-                && self.residual_reaches_next_charge(obs, i)
+                && self.residual_reaches_next_charge(obs, i, prefix_next.as_deref())
         });
         if applicable {
-            PlanUpdate::Keep
+            self.extend(obs)
         } else {
             self.replans += 1;
             self.replan(obs)
@@ -529,7 +609,15 @@ mod tests {
         caps: &'a [f64],
     ) -> Observation<'a> {
         // Tests drive steady-state observations: measured == predicted.
-        Observation { time, horizon, levels, rho_hat: rho, rho_now: rho, capacities: caps }
+        Observation {
+            time,
+            horizon,
+            next_decision: horizon,
+            levels,
+            rho_hat: rho,
+            rho_now: rho,
+            capacities: caps,
+        }
     }
 
     #[test]
@@ -553,6 +641,7 @@ mod tests {
         let o = Observation {
             time: 0.0,
             horizon: 10.0,
+            next_decision: 10.0,
             levels: &levels,
             rho_hat: &rho_hat,
             rho_now: &rho_now,
@@ -578,7 +667,7 @@ mod tests {
                 // Sensor 0 (cycle 1) charged at every integer time.
                 assert_eq!(series.charge_times(0).len(), 15);
             }
-            PlanUpdate::Keep => panic!("expected a plan"),
+            _ => panic!("expected a plan"),
         }
         // Slot boundaries never disturb the fixed plan.
         assert!(matches!(p.on_slot_boundary(&o), PlanUpdate::Keep));
@@ -657,7 +746,7 @@ mod tests {
                     assert_eq!(series.set_of(d).sensors().len(), 3);
                 }
             }
-            PlanUpdate::Keep => panic!("expected a plan"),
+            _ => panic!("expected a plan"),
         }
     }
 
@@ -706,12 +795,55 @@ mod tests {
                 let t2 = series.charge_times(2);
                 assert_eq!(t2[0], 10.0, "starving sensor must be charged at once");
             }
-            PlanUpdate::Keep => panic!("expected a replan"),
+            _ => panic!("expected a replan"),
         }
         assert_eq!(p.replans(), 1);
         assert_eq!(p.incremental_replans(), 1);
         assert_eq!(p.full_replans(), 1); // only the seed
         assert!(p.planner_seconds_incremental() > 0.0);
+    }
+
+    #[test]
+    fn a_class_round_trip_between_dispatches_costs_no_splice() {
+        // Cycles 1, 2, 4, 8 → τ̂₁ = 1, K = 3; D_2 rides grid points 4, 12, …
+        // Sensor 2 leaves class 2 at t = 0.5 and returns at t = 1.5, both
+        // before D_2's next dispatch at t = 4, so D_2 is never spliced.
+        let network = Network::new(
+            vec![
+                Point2::new(100.0, 0.0),
+                Point2::new(0.0, 100.0),
+                Point2::new(200.0, 200.0),
+                Point2::new(-150.0, 50.0),
+            ],
+            vec![Point2::ORIGIN],
+        );
+        let mut p = VarPolicy::new(&network);
+        let caps = [1.0; 4];
+        let full = [1.0; 4];
+        let at = |time: f64, rho: &'static [f64; 4]| Observation {
+            time,
+            horizon: 64.0,
+            next_decision: time + 1.0,
+            levels: &full,
+            rho_hat: rho,
+            rho_now: rho,
+            capacities: &caps,
+        };
+        const HOME: [f64; 4] = [1.0, 0.5, 0.25, 0.125];
+        const AWAY: [f64; 4] = [1.0, 0.5, 1.0 / 8.5, 0.125];
+        let seed = Observation { next_decision: 0.5, ..at(0.0, &HOME) };
+        assert!(matches!(p.initialize(&seed), PlanUpdate::Replace(_)));
+        assert!(matches!(p.on_slot_boundary(&at(0.5, &AWAY)), PlanUpdate::Replace(_)));
+        assert!(matches!(p.on_slot_boundary(&at(1.5, &HOME)), PlanUpdate::Replace(_)));
+        assert_eq!(p.incremental_replans(), 2);
+        assert!(matches!(p.on_slot_boundary(&at(2.5, &HOME)), PlanUpdate::Extend(_)));
+        // The window [3.5, 4.5) dispatches D_2 — with sensor 2 back in it.
+        match p.on_slot_boundary(&at(3.5, &HOME)) {
+            PlanUpdate::Extend(series) => assert_eq!(series.charge_times(2), vec![4.0]),
+            _ => panic!("expected the next window"),
+        }
+        assert_eq!(p.replans(), 2);
+        assert_eq!(p.set_splices(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! full [`Observation`]s at initialisation and slot boundaries, a
 //! [`CheckContext`] (wrapping a dense observation) at polling checks.
 
-use crate::engine::{ChargeArrival, SimConfig};
+use crate::engine::{extend_plan, ChargeArrival, SimConfig};
 use crate::metrics::{DeathEvent, SimResult};
 use crate::policy::{ChargingPolicy, CheckContext, Observation, PlanUpdate};
 use crate::world::World;
@@ -117,6 +117,9 @@ fn run_dense<P: ChargingPolicy>(
     let mut levels: Vec<f64> = world.batteries.iter().map(|b| b.level()).collect();
     let mut rho_hat: Vec<f64> = predictors.iter().map(|p| p.predicted_rate()).collect();
 
+    // The first slot boundary; observations name it as the next decision.
+    let mut next_slot = cfg.slot;
+
     macro_rules! observation {
         ($t:expr) => {{
             for (i, b) in world.batteries.iter().enumerate() {
@@ -129,6 +132,7 @@ fn run_dense<P: ChargingPolicy>(
             Observation {
                 time: $t,
                 horizon: cfg.horizon,
+                next_decision: next_slot.min(cfg.horizon),
                 levels: &levels,
                 rho_hat: &rho_hat,
                 rho_now: &reported,
@@ -145,6 +149,10 @@ fn run_dense<P: ChargingPolicy>(
                     debug_assert!(series.dispatches().iter().all(|d| d.time >= $t - 1e-9));
                     plan = series;
                     dptr = 0;
+                }
+                PlanUpdate::Extend(series) => {
+                    debug_assert!(series.dispatches().iter().all(|d| d.time >= $t - 1e-9));
+                    extend_plan(&mut plan, &mut dptr, series);
                 }
             }
         };
@@ -168,7 +176,6 @@ fn run_dense<P: ChargingPolicy>(
     let tick = policy.check_interval();
     let mut next_check = tick;
     let mut slot_idx: u64 = 1;
-    let mut next_slot = cfg.slot;
     let mut t = 0.0f64;
 
     // Immediate dispatches a polling policy can trigger at t = 0 are not a
@@ -296,9 +303,8 @@ fn run_dense<P: ChargingPolicy>(
             if d.time > t {
                 break;
             }
-            let set = plan.set_of(d).clone();
             execute(
-                &set,
+                plan.set_of(d),
                 t,
                 &mut world,
                 &mut result,

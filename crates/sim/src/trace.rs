@@ -18,11 +18,13 @@ pub enum TraceEvent {
         /// The slot that just started.
         slot: u64,
     },
-    /// The policy replaced its pending plan.
+    /// The policy replaced its pending plan. (Appending a plan's next
+    /// window is not a replacement and records no event.)
     PlanReplaced {
         /// Event time.
         time: f64,
-        /// Dispatches in the new plan.
+        /// Dispatches in the new plan as handed over — for a windowed
+        /// plan, its first window.
         pending: usize,
     },
     /// A charging scheduling was executed.

@@ -1,12 +1,12 @@
 //! Engine edge cases: event ordering, misaligned periods, plan
-//! replacement, and zero-work scenarios.
+//! replacement and extension, and zero-work scenarios.
 
 use perpetuum_core::network::Network;
 use perpetuum_core::schedule::{ScheduleSeries, TourSet};
 use perpetuum_geom::Point2;
 use perpetuum_graph::Tour;
 use perpetuum_sim::policy::{ChargingPolicy, Observation, PlanUpdate};
-use perpetuum_sim::{run, GreedyPolicy, MtdPolicy, SimConfig, World};
+use perpetuum_sim::{run, run_reference, run_traced, GreedyPolicy, MtdPolicy, SimConfig, World};
 
 fn line_network(n: usize) -> Network {
     let sensors: Vec<Point2> = (0..n).map(|i| Point2::new((i + 1) as f64 * 10.0, 0.0)).collect();
@@ -158,4 +158,56 @@ fn service_cost_is_deterministic_under_repeated_runs() {
     }
     assert_eq!(costs[0], costs[1]);
     assert_eq!(costs[1], costs[2]);
+}
+
+#[test]
+fn plan_extension_appends_behind_pending_dispatches() {
+    // Installs dispatches at 2 and 7, then at the boundary t = 5 — with
+    // the one at 7 still pending — appends one at 8. Both engines run all
+    // three, and only the first install counts as a plan replacement.
+    struct Windows<'a> {
+        network: &'a Network,
+    }
+    impl Windows<'_> {
+        fn series(&self, times: &[f64]) -> ScheduleSeries {
+            let n = self.network.n();
+            let set = TourSet::new(
+                vec![Tour::new(vec![self.network.depot_node(0), 0])],
+                &self.network.dist_source(),
+                |v| v >= n,
+            );
+            let mut series = ScheduleSeries::new();
+            let id = series.add_set(set);
+            for &t in times {
+                series.push_dispatch(t, id);
+            }
+            series
+        }
+    }
+    impl ChargingPolicy for Windows<'_> {
+        fn name(&self) -> &'static str {
+            "Windows"
+        }
+        fn initialize(&mut self, obs: &Observation) -> PlanUpdate {
+            assert_eq!(obs.next_decision, 5.0);
+            PlanUpdate::Replace(self.series(&[2.0, 7.0]))
+        }
+        fn on_slot_boundary(&mut self, obs: &Observation) -> PlanUpdate {
+            if obs.time == 5.0 {
+                assert_eq!(obs.next_decision, 10.0);
+                PlanUpdate::Extend(self.series(&[8.0]))
+            } else {
+                assert_eq!(obs.next_decision, 12.0, "the horizon bounds the last window");
+                PlanUpdate::Keep
+            }
+        }
+    }
+    let network = line_network(1);
+    let cfg = SimConfig { horizon: 12.0, slot: 5.0, seed: 8, charger_speed: None };
+    let world = || World::fixed(network.clone(), &[100.0]);
+    let (r, trace) = run_traced(world(), &cfg, &mut Windows { network: &network });
+    assert_eq!(r.charge_log[0], vec![2.0, 7.0, 8.0]);
+    assert_eq!(trace.counts().1, 1, "an extension is not a replacement");
+    let slow = run_reference(world(), &cfg, &mut Windows { network: &network });
+    assert_eq!(slow.charge_log, r.charge_log);
 }

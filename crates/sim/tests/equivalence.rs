@@ -103,13 +103,16 @@ proptest! {
     }
 
     /// Adaptive policy on slot-resampled variable worlds: exercises
-    /// replans, the applicability band and measurement noise through both
-    /// engines' identical RNG streams.
+    /// replans, the applicability band, measurement noise and the plan's
+    /// slot-long windows (with tours still in transit across a window
+    /// boundary in travel-time mode) through both engines' identical RNG
+    /// streams.
     #[test]
     fn var_policy_matches_reference_on_variable_worlds(
         (network, _cycles, seed, horizon) in world_setup(),
         sigma in 0.0..8.0f64,
         noisy_sel in 0u8..2,
+        travel_sel in 0u8..2,
     ) {
         let dist = CycleDistribution::Linear { sigma };
         let bs = Point2::new(500.0, 500.0);
@@ -118,7 +121,8 @@ proptest! {
             let w = World::variable(network.clone(), &means, dist, 1.0, 30.0);
             if noisy_sel == 1 { w.with_measurement_noise(0.05) } else { w }
         };
-        let cfg = SimConfig { horizon, slot: 10.0, seed, charger_speed: None };
+        let speed = if travel_sel == 1 { Some(50.0) } else { None };
+        let cfg = SimConfig { horizon, slot: 10.0, seed, charger_speed: speed };
         let fast = {
             let mut p = VarPolicy::new(&network);
             run(make(), &cfg, &mut p)
