@@ -1,16 +1,21 @@
 //! Planning-pipeline scaling: network build, Algorithm 1 and Algorithm 2
-//! over all sensors.
+//! over all sensors, and Algorithm 3 over its cumulative sets.
 //!
 //! The numbers behind `BENCH_planner.json` and the README scaling table.
 //! `end_to_end/<n>` runs the paper's uniform deployment, and
 //! `end_to_end_clustered/2000` the clustered one of Section VII.A
 //! (5 clusters, spread 30 m) — the shape where a nearest-neighbour
 //! candidate graph used to miss minimum-forest edges. Every size runs the
-//! same points-backed pipeline; no `n²` matrix is built.
+//! same points-backed pipeline; no `n²` matrix is built. `alg3/2000` is
+//! one `POST /plan` planning call without its I/O: Algorithm 3 on the
+//! paper's fixed-cycle scenario at n = 2000, which routes the `K + 1`
+//! nested sets `D_0 ⊂ … ⊂ D_K` rather than one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::Network;
 use perpetuum_core::qtsp::q_rooted_tsp_src;
+use perpetuum_exp::scenario::{realise_world, Scenario};
 use perpetuum_geom::Point2;
 use perpetuum_geom::{deploy, derived_rng, Field};
 use std::hint::black_box;
@@ -60,6 +65,13 @@ fn bench_planner(c: &mut Criterion) {
             })
         });
     }
+    let instance =
+        realise_world(Scenario { n: 2000, ..Scenario::paper_fixed() }, 2000, 0).instance();
+    group.bench_function(BenchmarkId::new("alg3", 2000), |b| {
+        b.iter(|| {
+            black_box(plan_min_total_distance(&instance, &MtdConfig::default()).service_cost())
+        })
+    });
     group.finish();
 }
 

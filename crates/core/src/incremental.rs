@@ -15,8 +15,12 @@
 //!   membership by the same exact kd-tree Borůvka kernel the from-scratch
 //!   paths use, fed each member's cached cheapest depot — so the splice
 //!   equals [`crate::qmsf::rooted_msf_points`] on the new members exactly.
-//!   The kernel is near-linear, so there is no candidate-edge cache to
-//!   maintain between splices.
+//!   The kernel starts from the restriction of the all-sensor forest
+//!   `D_K` (one `u32` parent per sensor, fixed from seeding on, since
+//!   every sensor stays in `D_K`): by the restriction lemma those edges
+//!   are already exact, so a splice searches only for the few edges that
+//!   reconnect what the removed sensors held together. The urgent batch
+//!   starts from the same forest.
 //! * **Warm-started tours** — each root's previous tour is repaired in
 //!   place: departed nodes are dropped (triangle inequality — never
 //!   longer), arrivals are cheapest-inserted, and a localized 2-opt
@@ -48,8 +52,10 @@
 
 use crate::mtd::nu2;
 use crate::network::Network;
-use crate::qmsf::{super_root_forest, ForestEdge, RootedForest};
-use crate::qtsp::{default_tour_workers, q_rooted_tsp_src, tour_from_tree_doubling, QTours};
+use crate::qmsf::{super_root_forest, ForestEdge, RootedForest, SupersetTree};
+use crate::qtsp::{
+    default_tour_workers, tour_from_tree_doubling, tours_for_forest, QTours, Routing,
+};
 use crate::rounding::power_class;
 use crate::schedule::{ScheduleSeries, TourSet};
 use crate::var::{replan_variable_detailed, RepairStrategy, VarDetailed, VarInput, VarPlan};
@@ -103,15 +109,17 @@ pub enum ReplanOutcome {
 /// One cumulative base set `D_k` with its forest's root assignment,
 /// weight and live tours, in *sensor-id* space. The forest's edges are
 /// not kept: Algorithm 1 is exact and deterministic, so
-/// [`members_forest`] rebuilds them whenever they are needed.
+/// [`members_forest`] rebuilds them from the all-sensor forest whenever
+/// they are needed.
 #[derive(Debug, Clone)]
 struct DynamicSet {
     /// Current members, ascending sensor ids.
     members: Vec<usize>,
     /// Membership bitmap, length `n`.
     in_set: Vec<bool>,
-    /// `assignment[s]` — depot index of member `s` (stale for non-members).
-    assignment: Vec<usize>,
+    /// `assignment[s]` — depot index of member `s` (stale for non-members);
+    /// `u32` keeps a session's per-set state small.
+    assignment: Vec<u32>,
     /// Total forest weight.
     weight: f64,
     /// Current per-depot tours over the members.
@@ -132,9 +140,9 @@ impl DynamicSet {
         for &s in &members {
             in_set[s] = true;
         }
-        let mut assignment = vec![0usize; n];
+        let mut assignment = vec![0u32; n];
         for (t, &r) in forest.assignment.iter().enumerate() {
-            assignment[members[t]] = r;
+            assignment[members[t]] = r as u32;
         }
         let tours = TourSet::from_qtours(qt, |v| v >= n);
         Self { members, in_set, assignment, weight: forest.weight, tours }
@@ -142,13 +150,15 @@ impl DynamicSet {
 
     /// Splices `removed` out of and `inserted` into the set: forest
     /// surgery plus warm-started tour repair. `best_depot[s]` is the
-    /// precomputed `(distance, depot index)` super-root edge of sensor `s`.
+    /// precomputed `(distance, depot index)` super-root edge of sensor `s`,
+    /// and `all_sensors` the forest of `D_K` built with those edges.
     fn splice(
         &mut self,
         network: &Network,
         removed: &[usize],
         inserted: &[usize],
         best_depot: &[(f64, usize)],
+        all_sensors: &SupersetTree,
         cfg: &IncrementalConfig,
     ) {
         let n = network.n();
@@ -172,7 +182,7 @@ impl DynamicSet {
         let m = members.len();
 
         // --- forest surgery --------------------------------------------------
-        let forest = members_forest(network, &members, best_depot);
+        let forest = members_forest(network, &members, best_depot, all_sensors);
 
         // --- warm-started tours ----------------------------------------------
         // Per-root membership deltas: arrivals, departures, and members the
@@ -180,14 +190,14 @@ impl DynamicSet {
         let mut remove_nodes: Vec<Vec<usize>> = vec![Vec::new(); q];
         let mut insert_nodes: Vec<Vec<usize>> = vec![Vec::new(); q];
         for &s in removed {
-            remove_nodes[old_assignment[s]].push(network.sensor_node(s));
+            remove_nodes[old_assignment[s] as usize].push(network.sensor_node(s));
         }
         for (t, &r_new) in forest.assignment.iter().enumerate() {
             let s = members[t];
             if inserted.binary_search(&s).is_ok() {
                 insert_nodes[r_new].push(network.sensor_node(s));
-            } else if old_assignment[s] != r_new {
-                remove_nodes[old_assignment[s]].push(network.sensor_node(s));
+            } else if old_assignment[s] as usize != r_new {
+                remove_nodes[old_assignment[s] as usize].push(network.sensor_node(s));
                 insert_nodes[r_new].push(network.sensor_node(s));
             }
         }
@@ -220,25 +230,29 @@ impl DynamicSet {
 
         // --- commit -----------------------------------------------------------
         for (t, &r) in forest.assignment.iter().enumerate() {
-            self.assignment[members[t]] = r;
+            self.assignment[members[t]] = r as u32;
         }
         self.weight = forest.weight;
         self.members = members;
     }
 }
 
-/// Algorithm 1 over a set's `members`, each attached to the super-root
-/// through its cached cheapest depot `best_depot[s] = (distance, depot)` —
-/// the forest a from-scratch build over the same members returns.
+/// Algorithm 1 over `members` (ascending sensor ids), each attached to
+/// the super-root through its cached cheapest depot `best_depot[s] =
+/// (distance, depot)`, started from the restriction of the all-sensor
+/// forest — the forest a from-scratch build over the same members
+/// returns.
 fn members_forest(
     network: &Network,
     members: &[usize],
     best_depot: &[(f64, usize)],
+    all_sensors: &SupersetTree,
 ) -> RootedForest {
     let positions: Vec<Point2> = members.iter().map(|&s| network.sensor_pos(s)).collect();
     let (best_cost, best_root): (Vec<f64>, Vec<usize>) =
         members.iter().map(|&s| best_depot[s]).unzip();
-    super_root_forest(&positions, network.q(), &best_root, &best_cost)
+    let seed = all_sensors.restrict(members, &best_cost);
+    super_root_forest(&positions, network.q(), &best_root, &best_cost, &seed).0
 }
 
 /// The forest's per-depot trees as host node-id edges, in forest order.
@@ -372,6 +386,9 @@ pub struct IncrementalPlanner {
     stale: Vec<bool>,
     /// `(distance, depot index)` of every sensor's cheapest depot.
     best_depot: Vec<(f64, usize)>,
+    /// The forest of `D_K`, which holds every sensor for the planner's
+    /// life: every splice and urgent batch starts from its restriction.
+    all_sensors: SupersetTree,
     /// The grid of the last replan; `None` after seeding (the seed plan's
     /// dispatches are its own).
     grid: Option<GridCursor>,
@@ -412,7 +429,7 @@ impl IncrementalPlanner {
         detailed: VarDetailed,
         cfg: IncrementalConfig,
     ) -> (VarPlan, Self) {
-        let VarDetailed { plan, partition, base_builds } = detailed;
+        let VarDetailed { plan, partition, base_builds, all_sensors } = detailed;
         let network = input.network;
         let n = network.n();
         assert!(n > 0, "seeding needs at least one sensor");
@@ -447,6 +464,7 @@ impl IncrementalPlanner {
             stale: vec![false; k_max + 1],
             sets,
             best_depot,
+            all_sensors,
             grid: None,
             migrated_sensors: 0,
             set_splices: 0,
@@ -631,13 +649,21 @@ impl IncrementalPlanner {
         if removed.is_empty() && inserted.is_empty() {
             return false;
         }
-        self.sets[k].splice(network, &removed, &inserted, &self.best_depot, &self.cfg);
+        self.sets[k].splice(
+            network,
+            &removed,
+            &inserted,
+            &self.best_depot,
+            &self.all_sensors,
+            &self.cfg,
+        );
         self.set_splices += 1;
         true
     }
 
     /// The immediate batch at `input.now`: sensors whose residual cannot
-    /// reach their next grid service, freshly routed.
+    /// reach their next grid service, freshly routed by Algorithm 2 over a
+    /// forest started from the all-sensor forest.
     fn urgent_batch(&self, input: &VarInput) -> Option<TourSet> {
         let network = input.network;
         let n = network.n();
@@ -652,7 +678,16 @@ impl IncrementalPlanner {
             return None;
         }
         let nodes: Vec<usize> = urgent.iter().map(|&i| network.sensor_node(i)).collect();
-        let qt = q_rooted_tsp_src(&network.dist_source(), &nodes, &network.depot_nodes());
+        let forest = members_forest(network, &urgent, &self.best_depot, &self.all_sensors);
+        let workers = default_tour_workers(nodes.len(), network.q());
+        let qt = tours_for_forest(
+            &network.dist_source(),
+            &forest,
+            &nodes,
+            &network.depot_nodes(),
+            Routing::Doubling,
+            workers,
+        );
         Some(TourSet::from_qtours(qt, |v| v >= n))
     }
 
@@ -727,7 +762,7 @@ impl IncrementalPlanner {
     #[cfg(test)]
     fn rebuilt_cost(&self, network: &Network, k: usize) -> f64 {
         let members = &self.sets[k].members;
-        let forest = members_forest(network, members, &self.best_depot);
+        let forest = members_forest(network, members, &self.best_depot, &self.all_sensors);
         let src = network.dist_source();
         host_tree_edges(network, members, &forest)
             .iter()
@@ -869,6 +904,47 @@ mod tests {
                         fresh.weight
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_splices_and_urgent_batches_equal_unseeded_forests() {
+        // Every splice and urgent batch starts from the all-sensor forest;
+        // the result must be the unseeded forest over the same sensors,
+        // edge for edge.
+        for seed in 0..4u64 {
+            let n = 120;
+            let network = sparse_network(n, 3, seed + 600);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 3);
+            let cycles = spread_cycles(n, &mut rng);
+            let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let unseeded = |sensors: &[usize]| {
+                let tpts: Vec<Point2> = sensors.iter().map(|&s| network.sensor_pos(s)).collect();
+                let root_dist: Vec<Vec<f64>> = (0..network.q())
+                    .map(|l| tpts.iter().map(|p| network.depot_pos(l).dist(*p)).collect())
+                    .collect();
+                rooted_msf_points(&tpts, &root_dist)
+            };
+            for round in 0..3 {
+                let changes = random_migrations(&planner, 10, &mut rng);
+                planner.apply_migrations(&network, &changes);
+                for k in 0..=planner.k_max() {
+                    let members = planner.set_members(k);
+                    let seeded = members_forest(
+                        &network,
+                        members,
+                        &planner.best_depot,
+                        &planner.all_sensors,
+                    );
+                    let fresh = unseeded(members);
+                    assert_eq!(seeded.trees, fresh.trees, "seed {seed} round {round} D_{k}");
+                    assert_eq!(seeded.weight.to_bits(), fresh.weight.to_bits());
+                }
+                let batch: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.1)).collect();
+                let seeded =
+                    members_forest(&network, &batch, &planner.best_depot, &planner.all_sensors);
+                assert_eq!(seeded.trees, unseeded(&batch).trees, "seed {seed} round {round} batch");
             }
         }
     }

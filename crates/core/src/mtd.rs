@@ -17,7 +17,7 @@
 //! `⌈T/τ'_n⌉` times.
 
 use crate::network::Instance;
-use crate::qtsp::{q_rooted_tsp_routed_src, Routing};
+use crate::qtsp::{nested_tours, Routing};
 use crate::rounding::{partition_cycles, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
 
@@ -60,23 +60,22 @@ pub fn plan_min_total_distance(instance: &Instance, cfg: &MtdConfig) -> Schedule
     series
 }
 
-/// Routes the `K + 1` cumulative sensor sets `D_0 … D_K` with Algorithm 2.
+/// Routes the `K + 1` cumulative sensor sets `D_0 … D_K` with Algorithm 2,
+/// top-down: each `D_k`'s forest starts from `D_{k+1}`'s
+/// ([`crate::qtsp::nested_tours`]).
 pub(crate) fn build_cumulative_tour_sets(
     instance: &Instance,
     partition: &CyclePartition,
     cfg: &MtdConfig,
 ) -> Vec<TourSet> {
     let network = instance.network();
-    let depots = network.depot_nodes();
     let n = network.n();
-    (0..=partition.k_max())
-        .map(|k| {
-            let terminals = partition.cumulative(k);
-            let qt =
-                q_rooted_tsp_routed_src(&network.dist_source(), &terminals, &depots, cfg.routing);
-            TourSet::from_qtours(qt, |v| v >= n)
-        })
-        .collect()
+    let cums: Vec<Vec<usize>> = (0..=partition.k_max()).map(|k| partition.cumulative(k)).collect();
+    let src = network.dist_source();
+    nested_tours(&src, &cums, &network.depot_nodes(), cfg.routing, |_, qt| {
+        TourSet::from_qtours(qt, |v| v >= n)
+    })
+    .0
 }
 
 /// Emits dispatches at `start + j·τ_1` for `j = 1, 2, …` while strictly

@@ -20,6 +20,7 @@
 
 use perpetuum_geom::Point2;
 use perpetuum_graph::mst::prim;
+use perpetuum_graph::mst::Edge;
 use perpetuum_graph::{super_root_mst, DistMatrix, DistSource, Metric};
 
 /// A forest of root-attached trees produced by [`rooted_msf_general`].
@@ -197,28 +198,34 @@ fn uncontract(
 /// every component, its cheapest outgoing edge under a strict total order,
 /// which the cut property places in the unique minimum spanning tree — so
 /// the result is the minimum forest Lemma 1 asks for, on any input.
-/// Section VI.B's repair step calls this with *scheduling* super-roots.
+/// Section VI.B's repair step calls this with *scheduling* super-roots,
+/// whose rows differ from set to set, so it never starts from another
+/// set's forest.
 pub fn rooted_msf_points(term_points: &[Point2], root_dist: &[Vec<f64>]) -> RootedForest {
     let m = term_points.len();
     check_root_rows(m, root_dist);
     let (best_root, best_cost) = cheapest_roots(m, root_dist);
-    super_root_forest(term_points, root_dist.len(), &best_root, &best_cost)
+    super_root_forest(term_points, root_dist.len(), &best_root, &best_cost, &[]).0
 }
 
 /// [`rooted_msf_points`] from an already-contracted input: terminal `t`
 /// hangs off root `best_root[t]` at cost `best_cost[t]` when it attaches to
-/// the super-root. The incremental splice calls this with its cached
-/// per-sensor cheapest depots.
+/// the super-root, and `seed` lists contracted-tree edges known in advance
+/// (see [`super_root_mst`]). Also returns the contracted tree itself, as
+/// `(parent, child)` pairs over terminal indices with the super-root at
+/// `term_points.len()`.
 pub(crate) fn super_root_forest(
     term_points: &[Point2],
     q: usize,
     best_root: &[usize],
     best_cost: &[f64],
-) -> RootedForest {
-    let mst = super_root_mst(term_points, best_cost);
-    uncontract(term_points.len(), q, &mst, best_root, best_cost, |a, b| {
+    seed: &[Edge],
+) -> (RootedForest, Vec<Edge>) {
+    let mst = super_root_mst(term_points, best_cost, seed);
+    let forest = uncontract(term_points.len(), q, &mst, best_root, best_cost, |a, b| {
         term_points[a].dist(term_points[b])
-    })
+    });
+    (forest, mst)
 }
 
 /// **Algorithm 1** on a host graph: the `q`-rooted MSF over `terminals`
@@ -231,12 +238,138 @@ pub fn q_rooted_msf_src(
     terminals: &[usize],
     roots: &[usize],
 ) -> RootedForest {
+    let (tpts, best_root, best_cost) = contract(src, terminals, roots);
+    super_root_forest(&tpts, roots.len(), &best_root, &best_cost, &[]).0
+}
+
+/// [`q_rooted_msf_src`] started from the restriction of `superset`'s tree
+/// (every terminal must belong to it), also returning the result as a
+/// [`SupersetTree`] for subsets of `terminals`. Equal to
+/// [`q_rooted_msf_src`] on the same input: both trees contract every
+/// terminal to its nearest root, so the restriction lemma applies.
+pub(crate) fn q_rooted_msf_seeded(
+    src: &DistSource<'_>,
+    terminals: &[usize],
+    roots: &[usize],
+    superset: Option<&SupersetTree>,
+) -> (RootedForest, SupersetTree) {
+    let (tpts, best_root, best_cost) = contract(src, terminals, roots);
+    let seed = superset.map_or_else(Vec::new, |tree| tree.restrict(terminals, &best_cost));
+    let (forest, mst) = super_root_forest(&tpts, roots.len(), &best_root, &best_cost, &seed);
+    (forest, SupersetTree::new(src.len(), terminals, &best_cost, &mst))
+}
+
+/// Terminal positions and the nearest-root contraction of host
+/// `terminals` over host `roots`.
+fn contract(
+    src: &DistSource<'_>,
+    terminals: &[usize],
+    roots: &[usize],
+) -> (Vec<Point2>, Vec<usize>, Vec<f64>) {
     let points = src.positions();
     let tpts: Vec<Point2> = terminals.iter().map(|&t| points[t]).collect();
     // Physical-root distance rows: O(m·q) — q is small (the charger count).
     let root_dist: Vec<Vec<f64>> =
         roots.iter().map(|&rn| tpts.iter().map(|tp| points[rn].dist(*tp)).collect()).collect();
-    rooted_msf_points(&tpts, &root_dist)
+    check_root_rows(tpts.len(), &root_dist);
+    let (best_root, best_cost) = cheapest_roots(tpts.len(), &root_dist);
+    (tpts, best_root, best_cost)
+}
+
+/// `SupersetTree::parent` of a terminal attached to the super-root.
+const SUPER_ROOT: u32 = u32::MAX;
+/// `SupersetTree::parent` of a host id outside the tree's terminal set.
+const ABSENT: u32 = u32::MAX - 1;
+
+/// An exact contracted Algorithm-1 tree kept to start its subsets from:
+/// one `u32` parent per host id, hung from the super-root.
+///
+/// **Restriction lemma** (DESIGN.md §8). Let `T` be the minimum spanning
+/// tree of a superset's contracted graph and `S` a subset whose terminals
+/// keep their super-root costs. `S`'s contracted graph is then the
+/// subgraph of the superset's induced by `S` and the super-root, and every
+/// edge of `T` with both endpoints there is in `S`'s tree: no path through
+/// lighter edges joins its endpoints in the superset graph, so none does in
+/// the subgraph. Nearest-depot costs satisfy the condition; Section VI.B's
+/// scheduling rows do not.
+#[derive(Debug)]
+pub(crate) struct SupersetTree {
+    /// `parent[v]`: the host id of terminal `v`'s parent, [`SUPER_ROOT`],
+    /// or [`ABSENT`] when `v` is not a terminal of the tree.
+    parent: Vec<u32>,
+    /// `cost[v]`: the super-root cost terminal `v` was contracted with,
+    /// kept in debug builds to check the lemma's condition.
+    #[cfg(debug_assertions)]
+    cost: Vec<f64>,
+}
+
+impl SupersetTree {
+    /// The tree `mst` ([`super_root_mst`]'s `(parent, child)` pairs over
+    /// the indices of `terminals`, super-root last) in host-id space;
+    /// `host_len` bounds the host ids and `best_cost` is the contraction
+    /// the tree was built with.
+    pub(crate) fn new(
+        host_len: usize,
+        terminals: &[usize],
+        best_cost: &[f64],
+        mst: &[Edge],
+    ) -> Self {
+        let m = terminals.len();
+        assert!(host_len < ABSENT as usize, "host ids must fit below the u32 markers");
+        debug_assert_eq!(best_cost.len(), m);
+        debug_assert_eq!(mst.len(), m, "a spanning tree over the terminals and the super-root");
+        let mut parent = vec![ABSENT; host_len];
+        for &(p, c) in mst {
+            parent[terminals[c]] = if p == m { SUPER_ROOT } else { terminals[p] as u32 };
+        }
+        #[cfg(debug_assertions)]
+        let cost = {
+            let mut cost = vec![f64::NAN; host_len];
+            for (&v, &c) in terminals.iter().zip(best_cost) {
+                cost[v] = c;
+            }
+            cost
+        };
+        Self {
+            parent,
+            #[cfg(debug_assertions)]
+            cost,
+        }
+    }
+
+    /// The tree's edges whose endpoints both lie in `terminals` (host ids,
+    /// all terminals of the tree) or at the super-root, in the index space
+    /// of `terminals` with the super-root at `terminals.len()` — a seed
+    /// for [`super_root_mst`] over `terminals` contracted with
+    /// `best_cost`. Debug builds assert the lemma's condition: every
+    /// terminal keeps the super-root cost the tree was built with.
+    pub(crate) fn restrict(&self, terminals: &[usize], best_cost: &[f64]) -> Vec<Edge> {
+        let m = terminals.len();
+        debug_assert_eq!(best_cost.len(), m);
+        let mut index = vec![ABSENT; self.parent.len()];
+        for (t, &v) in terminals.iter().enumerate() {
+            index[v] = t as u32;
+        }
+        let mut seed = Vec::with_capacity(m);
+        for (t, &v) in terminals.iter().enumerate() {
+            let p = self.parent[v];
+            assert!(p != ABSENT, "terminal {v} is outside the superset tree");
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                self.cost[v].to_bits(),
+                best_cost[t].to_bits(),
+                "terminal {v}: super-root cost {} differs from the superset's {}",
+                best_cost[t],
+                self.cost[v]
+            );
+            if p == SUPER_ROOT {
+                seed.push((m, t));
+            } else if index[p as usize] != ABSENT {
+                seed.push((index[p as usize] as usize, t));
+            }
+        }
+        seed
+    }
 }
 
 #[cfg(test)]
@@ -479,6 +612,50 @@ mod tests {
                 .collect();
             assert_matches_oracle(&pts, &root_dist, &format!("seed {seed} m={m}"));
         }
+    }
+
+    /// Host terminals `0..m` of a 40-sensor line with two depots, their
+    /// nearest-depot contraction and its exact tree.
+    fn line_superset() -> (Vec<Point2>, Vec<usize>, Vec<usize>) {
+        let mut pts: Vec<Point2> =
+            (0..40).map(|i| Point2::new((i * 37 % 40) as f64 * 5.0, (i % 3) as f64)).collect();
+        pts.extend([Point2::new(0.0, 0.0), Point2::new(200.0, 0.0)]);
+        (pts, (0..40).collect(), vec![40, 41])
+    }
+
+    #[test]
+    fn seeded_forest_equals_unseeded_on_subsets() {
+        let (pts, all, roots) = line_superset();
+        let src = DistSource::points(&pts);
+        let (_, tree) = q_rooted_msf_seeded(&src, &all, &roots, None);
+        for step in [1usize, 2, 3, 7] {
+            let subset: Vec<usize> = all.iter().copied().filter(|t| t % step == 0).collect();
+            let (seeded, _) = q_rooted_msf_seeded(&src, &subset, &roots, Some(&tree));
+            let fresh = q_rooted_msf_src(&src, &subset, &roots);
+            assert_eq!(seeded.trees, fresh.trees, "every {step}th sensor");
+            assert_eq!(seeded.assignment, fresh.assignment, "every {step}th sensor");
+            assert_eq!(seeded.weight.to_bits(), fresh.weight.to_bits(), "every {step}th sensor");
+        }
+    }
+
+    #[test]
+    fn restriction_keeps_edges_between_survivors() {
+        // A path 0 – 1 – 2 hung from the super-root at 0: dropping 1 keeps
+        // only the root edge of 0; dropping 2 keeps the whole rest.
+        let tree = SupersetTree::new(3, &[0, 1, 2], &[1.0, 2.0, 3.0], &[(3, 0), (0, 1), (1, 2)]);
+        assert_eq!(tree.restrict(&[0, 2], &[1.0, 3.0]), vec![(2, 0)]);
+        assert_eq!(tree.restrict(&[0, 1], &[1.0, 2.0]), vec![(2, 0), (0, 1)]);
+        assert!(tree.restrict(&[], &[]).is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "super-root cost")]
+    fn restriction_rejects_a_changed_super_root_cost() {
+        // Section VI.B's scheduling rows give a terminal another super-root
+        // cost than the superset's nearest depot: the lemma does not apply.
+        let tree = SupersetTree::new(3, &[0, 1, 2], &[1.0, 2.0, 3.0], &[(3, 0), (0, 1), (1, 2)]);
+        tree.restrict(&[0, 1], &[1.0, 0.5]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! through [`mod@crate::refine`]. Its moves are strict improvements, so a
 //! refined plan keeps Theorem 1's bound.
 
-use crate::qmsf::{q_rooted_msf_src, ForestEdge};
+use crate::qmsf::{q_rooted_msf_seeded, q_rooted_msf_src, ForestEdge, RootedForest, SupersetTree};
 use perpetuum_graph::euler::{double_edges, euler_circuit};
 use perpetuum_graph::tsp_christofides::tour_from_tree_matched;
 use perpetuum_graph::tsp_savings::savings_tour;
@@ -134,21 +134,56 @@ pub(crate) fn default_tour_workers(terminal_count: usize, root_count: usize) -> 
     }
 }
 
-/// [`q_rooted_tsp_src`] that also returns the underlying Algorithm-1
-/// forest — the seeding hook for incremental replanning
-/// ([`crate::incremental`]), which must cache the forest a plan's tours
-/// were built from so later migrations can splice it instead of re-running
-/// Prim. Bit-identical to [`q_rooted_tsp_src`] (same forest, same per-root
-/// build).
-pub fn q_rooted_tsp_with_forest_src(
+/// Algorithm 2 over `terminals` whose Algorithm-1 forest starts from the
+/// restriction of `superset`'s tree (see [`SupersetTree`]): the tours of
+/// [`q_rooted_tsp_routed_src`] on the same input, bit for bit, together
+/// with their forest and that forest as a tree for subsets of
+/// `terminals`.
+pub(crate) fn route_from_superset(
     src: &DistSource<'_>,
     terminals: &[usize],
     roots: &[usize],
-) -> (QTours, crate::qmsf::RootedForest) {
-    let forest = q_rooted_msf_src(src, terminals, roots);
+    routing: Routing,
+    superset: Option<&SupersetTree>,
+) -> (QTours, RootedForest, SupersetTree) {
+    let (forest, tree) = q_rooted_msf_seeded(src, terminals, roots, superset);
     let workers = default_tour_workers(terminals.len(), roots.len());
-    let qt = tours_for_forest(src, &forest, terminals, roots, Routing::Doubling, workers);
-    (qt, forest)
+    let qt = tours_for_forest(src, &forest, terminals, roots, routing, workers);
+    (qt, forest, tree)
+}
+
+/// Algorithm 2 over nested terminal sets `sets[0] ⊆ sets[1] ⊆ … ⊆
+/// sets[K]` (host ids, at least one set), built top-down: `sets[K]` from
+/// scratch, then each `sets[k]` from the restriction of `sets[k + 1]`'s
+/// tree. Every build equals [`q_rooted_tsp_routed_src`] on its set. This is
+/// how Algorithm 3's cumulative sets `D_0 ⊂ … ⊂ D_K` are routed: most of
+/// each `D_k`'s forest is already in `D_{k+1}`'s.
+///
+/// `keep(forest, tours)` turns each build into what the caller holds on
+/// to, so nothing else outlives its set. Returns the kept values indexed
+/// like the sets, and the forest of `sets[K]` as a tree for its subsets.
+pub(crate) fn nested_tours<T>(
+    src: &DistSource<'_>,
+    sets: &[Vec<usize>],
+    roots: &[usize],
+    routing: Routing,
+    mut keep: impl FnMut(RootedForest, QTours) -> T,
+) -> (Vec<T>, SupersetTree) {
+    let mut kept = Vec::with_capacity(sets.len());
+    let mut top: Option<SupersetTree> = None;
+    let mut below: Option<SupersetTree> = None;
+    for terminals in sets.iter().rev() {
+        let superset = below.as_ref().or(top.as_ref());
+        let (qt, forest, tree) = route_from_superset(src, terminals, roots, routing, superset);
+        kept.push(keep(forest, qt));
+        if top.is_none() {
+            top = Some(tree);
+        } else {
+            below = Some(tree);
+        }
+    }
+    kept.reverse();
+    (kept, top.expect("at least one terminal set"))
 }
 
 /// [`q_rooted_tsp_routed_src`] with an explicit worker count — the parity

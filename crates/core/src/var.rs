@@ -25,8 +25,8 @@ use std::collections::BTreeMap;
 
 use crate::mtd::{nu2, push_dispatch_timeline};
 use crate::network::Network;
-use crate::qmsf::{rooted_msf_points, RootedForest};
-use crate::qtsp::{q_rooted_tsp_src, q_rooted_tsp_with_forest_src, QTours};
+use crate::qmsf::{rooted_msf_points, RootedForest, SupersetTree};
+use crate::qtsp::{nested_tours, route_from_superset, QTours, Routing};
 use crate::rounding::{partition_cycles, power_class, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
 use perpetuum_geom::Point2;
@@ -108,6 +108,9 @@ pub struct VarDetailed {
     pub partition: CyclePartition,
     /// `(forest, tours)` of the base set `D_k`, indexed by class `k`.
     pub base_builds: Vec<(RootedForest, QTours)>,
+    /// The forest of `D_K`, the set of all sensors, as the tree every
+    /// nearest-depot forest over a subset of the sensors can start from.
+    pub(crate) all_sensors: SupersetTree,
 }
 
 /// Like [`replan_variable_with`], but keeps the intermediate per-class
@@ -195,28 +198,28 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
     }
 
     // --- Tour construction --------------------------------------------------
+    // Base tour sets B_0 … B_K (unmodified Algorithm 3 schedulings), routed
+    // top-down from D_K, the set of all sensors. The forest behind each set
+    // is kept so the incremental planner can seed its persistent per-class
+    // state from this exact build.
     let depot_nodes = network.depot_nodes();
+    let src = network.dist_source();
+    let cum_nodes: Vec<Vec<usize>> =
+        cums.iter().map(|d| d.iter().map(|&i| network.sensor_node(i)).collect()).collect();
+    let (base_builds, all_sensors) =
+        nested_tours(&src, &cum_nodes, &depot_nodes, Routing::Doubling, |forest, qt| (forest, qt));
+    let base_ids: Vec<usize> = base_builds
+        .iter()
+        .map(|(_, qt)| series.add_set(TourSet::from_qtours(qt.clone(), |v| v >= n)))
+        .collect();
+    // A modified scheduling keeps nearest-depot costs, so its forest starts
+    // from D_K's.
     let route = |sensors: &[usize]| -> TourSet {
         let nodes: Vec<usize> = sensors.iter().map(|&i| network.sensor_node(i)).collect();
-        let qt = q_rooted_tsp_src(&network.dist_source(), &nodes, &depot_nodes);
+        let (qt, _, _) =
+            route_from_superset(&src, &nodes, &depot_nodes, Routing::Doubling, Some(&all_sensors));
         TourSet::from_qtours(qt, |v| v >= n)
     };
-
-    // Base tour sets B_0 … B_K (unmodified Algorithm 3 schedulings). The
-    // forest behind each set is kept so the incremental planner can seed
-    // its persistent per-class state from this exact build.
-    let mut base_builds: Vec<(RootedForest, QTours)> = Vec::with_capacity(k_max + 1);
-    let base_ids: Vec<usize> = cums
-        .iter()
-        .map(|d| {
-            let nodes: Vec<usize> = d.iter().map(|&i| network.sensor_node(i)).collect();
-            let (qt, forest) =
-                q_rooted_tsp_with_forest_src(&network.dist_source(), &nodes, &depot_nodes);
-            let id = series.add_set(TourSet::from_qtours(qt.clone(), |v| v >= n));
-            base_builds.push((forest, qt));
-            id
-        })
-        .collect();
 
     // Modified early schedulings.
     let mut modified_ids: BTreeMap<u64, usize> = BTreeMap::new();
@@ -252,7 +255,7 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
 
     let plan =
         VarPlan { series, assigned_cycles: partition.rounded.clone(), base_set_ids: base_ids };
-    VarDetailed { plan, partition, base_builds }
+    VarDetailed { plan, partition, base_builds, all_sensors }
 }
 
 /// Base sensors of early scheduling `j` (`j = 0` is the extra immediate
@@ -439,6 +442,43 @@ mod tests {
             // The naive repair must be feasible too.
             let naive = replan_variable_with(&input, RepairStrategy::ChargeAllNow);
             check_var_plan(&input, &naive).unwrap_or_else(|e| panic!("seed {seed} (naive): {e:?}"));
+        }
+    }
+
+    #[test]
+    fn every_set_equals_an_independent_algorithm_2_build() {
+        // The base sets come from the nested builder and the modified early
+        // schedulings from D_K's forest; each must equal Algorithm 2 run on
+        // its own sensors, as the replan built them before either existed.
+        for seed in 0..12u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 400);
+            let n = rng.gen_range(5..40);
+            let network = grid_network(n, rng.gen_range(1..5), seed);
+            let cycles: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..50.0)).collect();
+            let residuals: Vec<f64> = cycles.iter().map(|&c| rng.gen_range(0.05..=c)).collect();
+            let now = rng.gen_range(0.0..500.0);
+            let input = VarInput {
+                network: &network,
+                max_cycles: &cycles,
+                residuals: &residuals,
+                now,
+                horizon: now + rng.gen_range(10.0..500.0),
+            };
+            let detailed = replan_variable_detailed(&input, RepairStrategy::NearestScheduling);
+            let src = network.dist_source();
+            let depots = network.depot_nodes();
+            for (i, set) in detailed.plan.series.sets().iter().enumerate() {
+                let alone = crate::qtsp::q_rooted_tsp_src(&src, set.sensors(), &depots);
+                assert_eq!(set.cost().to_bits(), alone.cost.to_bits(), "seed {seed} set {i}");
+                for (a, b) in set.tours().iter().zip(&alone.tours) {
+                    assert_eq!(a.nodes(), b.nodes(), "seed {seed} set {i}");
+                }
+            }
+            for (k, (forest, _)) in detailed.base_builds.iter().enumerate() {
+                let fresh =
+                    crate::qmsf::q_rooted_msf_src(&src, &detailed.partition.cumulative(k), &depots);
+                assert_eq!(forest.trees, fresh.trees, "seed {seed} D_{k}");
+            }
         }
     }
 

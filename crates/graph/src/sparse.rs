@@ -190,35 +190,98 @@ fn offer(slot: &mut Option<KeyedEdge>, edge: KeyedEdge) {
 /// roots merged into one), and the tree is exact — the unique minimum
 /// under the strict order `(w, min id, max id)`.
 ///
+/// `seed` lists edges (over the same `0..=m` node ids) already known to
+/// lie in that tree; they are joined before the first round, so a caller
+/// that knows most of the tree pays only for the rest. `&[]` when none.
+/// The restriction of an exact superset tree is such a seed (DESIGN.md §8):
+/// an edge of the superset's tree whose endpoints both survive is the
+/// lightest way across some cut of the superset graph, hence of every
+/// subgraph holding both endpoints — provided each surviving point keeps
+/// its super-root cost. A seed that is not part of the tree makes the
+/// result wrong; one that closes a cycle panics.
+///
 /// Returns the `m` tree edges as `(parent, child)` pairs in the order
 /// heap-Prim from the super-root attaches them (what [`prim_sparse`] on
-/// any graph containing the tree would emit).
+/// any graph containing the tree would emit), whatever the seed.
 ///
 /// **Method.** Borůvka: each round, every component takes its cheapest
 /// outgoing edge — the lesser of its points' super-root edges and the
 /// nearest point outside the component, found by a kd-tree query that
 /// skips subtrees lying wholly inside the querying component. By the cut
 /// property each such edge belongs to the minimum spanning tree, and
-/// under a strict edge order the chosen edges never close a cycle, so
-/// every round at least halves the component count. `O(log m)` rounds of
-/// `m` queries: `O(m log² m)` on the uniform and clustered deployments the
-/// planners see.
-pub fn super_root_mst(points: &[Point2], root_cost: &[f64]) -> Vec<Edge> {
+/// under a strict edge order the chosen edges never close a cycle. Two
+/// rules keep rounds from repeating work:
+///
+/// * a point keeps its last nearest-foreign answer while that neighbour is
+///   still foreign (components only grow, so it is still the nearest);
+///   once the neighbour has joined, the old distance is a lower bound on
+///   the new answer, and the query is skipped while that bound exceeds the
+///   component's best edge so far;
+/// * the component with the most points does not search, and its partial
+///   pick is dropped: every other component still adds an edge of the
+///   tree and so joins at least one other, which leaves at most `⌈c/2⌉`
+///   of a round's `c` components.
+///
+/// `O(log m)` rounds of at most `m` queries: `O(m log² m)` on the uniform
+/// and clustered deployments the planners see.
+pub fn super_root_mst(points: &[Point2], root_cost: &[f64], seed: &[Edge]) -> Vec<Edge> {
     let m = points.len();
     assert_eq!(root_cost.len(), m, "one super-root cost per point");
     if m == 0 {
         return Vec::new();
     }
-    let tree = KdTree::new(points);
+    let weight = |a: usize, b: usize| {
+        let (lo, hi) = (a.min(b), a.max(b));
+        if hi == m {
+            root_cost[lo]
+        } else {
+            points[lo].dist(points[hi])
+        }
+    };
     let mut dsu = DisjointSets::new(m + 1);
-    let mut label = vec![0u32; m];
-    let mut cheapest: Vec<Option<KeyedEdge>> = vec![None; m + 1];
     let mut chosen: Vec<(usize, usize, f64)> = Vec::with_capacity(m);
+    for &(a, b) in seed {
+        assert!(dsu.union(a, b), "seed edge ({a}, {b}) closes a cycle");
+        chosen.push((a, b, weight(a, b)));
+    }
+    if chosen.len() < m {
+        boruvka(points, root_cost, &mut dsu, &mut chosen);
+    }
+    let graph = SparseGraph::from_edges(m + 1, &chosen);
+    prim_sparse(&graph, m).expect("a spanning tree is connected").0
+}
+
+/// The `near` entry of a point whose last query found no foreign point
+/// within its bound.
+const NO_POINT: u32 = u32::MAX;
+
+/// The Borůvka rounds of [`super_root_mst`]: adds tree edges to `chosen`
+/// (and joins them in `dsu`) until the `m` points and the super-root are
+/// one component.
+fn boruvka(
+    points: &[Point2],
+    root_cost: &[f64],
+    dsu: &mut DisjointSets,
+    chosen: &mut Vec<(usize, usize, f64)>,
+) {
+    let m = points.len();
+    let tree = KdTree::new(points);
+    let mut label = vec![0u32; m];
+    let mut size = vec![0u32; m + 1];
+    let mut cheapest: Vec<Option<KeyedEdge>> = vec![None; m + 1];
+    // `near[t] = (j, d)`: point t's last nearest-foreign answer, or
+    // `(NO_POINT, bound)` when none lay within `bound`. Either way `d` is a
+    // lower bound on t's nearest foreign distance from then on, and `j`,
+    // while still foreign, is that nearest point itself.
+    let mut near: Vec<(u32, f64)> = vec![(NO_POINT, 0.0); m];
     while chosen.len() < m {
+        size.fill(0);
         for (t, l) in label.iter_mut().enumerate() {
             *l = dsu.find(t) as u32;
+            size[*l as usize] += 1;
         }
         let root_comp = dsu.find(m);
+        let largest = (0..=m).max_by_key(|&c| (size[c], Reverse(c))).expect("m > 0");
         let subtree = tree.subtree_labels(&label);
         cheapest.fill(None);
         for (t, &c) in root_cost.iter().enumerate() {
@@ -231,13 +294,29 @@ pub fn super_root_mst(points: &[Point2], root_cost: &[f64]) -> Vec<Edge> {
         }
         for (t, &p) in points.iter().enumerate() {
             let comp = label[t] as usize;
+            if comp == largest {
+                continue;
+            }
+            let (j, d) = near[t];
+            if j != NO_POINT && label[j as usize] != label[t] {
+                offer(&mut cheapest[comp], KeyedEdge::new(d, t, j as usize));
+                continue;
+            }
             // Only a foreign point at most as far as the component's best
             // edge so far can improve on it.
             let bound = cheapest[comp].map_or(f64::INFINITY, |e| e.w);
-            if let Some((j, d)) = tree.nearest_foreign(p, label[t], &label, &subtree, bound) {
-                offer(&mut cheapest[comp], KeyedEdge::new(d, t, j));
+            if d > bound {
+                continue;
+            }
+            match tree.nearest_foreign(p, label[t], &label, &subtree, bound) {
+                Some((j, d)) => {
+                    near[t] = (j as u32, d);
+                    offer(&mut cheapest[comp], KeyedEdge::new(d, t, j));
+                }
+                None => near[t] = (NO_POINT, bound),
             }
         }
+        cheapest[largest] = None;
         for e in cheapest.iter().flatten() {
             // Two components may pick the same edge; it joins them once.
             if dsu.union(e.lo, e.hi) {
@@ -245,8 +324,6 @@ pub fn super_root_mst(points: &[Point2], root_cost: &[f64]) -> Vec<Edge> {
             }
         }
     }
-    let graph = SparseGraph::from_edges(m + 1, &chosen);
-    prim_sparse(&graph, m).expect("a spanning tree is connected").0
 }
 
 #[cfg(test)]
@@ -319,7 +396,7 @@ mod tests {
         for &n in &[2usize, 7, 40, 150] {
             let pts = cloud(n, 700.0);
             let root_cost: Vec<f64> = pts.iter().map(|p| p.dist(Point2::new(350.0, 0.0))).collect();
-            let tree = super_root_mst(&pts, &root_cost);
+            let tree = super_root_mst(&pts, &root_cost, &[]);
             assert!(is_spanning_tree(n + 1, &tree), "n = {n}");
             let dist = contracted(&pts, &root_cost);
             let dense = prim(&dist);
@@ -343,7 +420,7 @@ mod tests {
             }
         }
         let root_cost = vec![5_000.0; pts.len()];
-        let tree = super_root_mst(&pts, &root_cost);
+        let tree = super_root_mst(&pts, &root_cost, &[]);
         let dist = contracted(&pts, &root_cost);
         assert_eq!(sorted_pairs(&tree), sorted_pairs(&prim(&dist)));
         // One super-root edge; the rest is the points' own spanning tree,
@@ -374,12 +451,12 @@ mod tests {
             }
         }
         let (full, _) = prim_sparse(&SparseGraph::from_edges(m + 1, &all), m).unwrap();
-        assert_eq!(super_root_mst(&pts, &root_cost), full);
+        assert_eq!(super_root_mst(&pts, &root_cost, &[]), full);
     }
 
     #[test]
     fn singleton_point_set() {
-        assert_eq!(super_root_mst(&[Point2::new(3.0, 4.0)], &[5.0]), vec![(1, 0)]);
-        assert!(super_root_mst(&[], &[]).is_empty());
+        assert_eq!(super_root_mst(&[Point2::new(3.0, 4.0)], &[5.0], &[]), vec![(1, 0)]);
+        assert!(super_root_mst(&[], &[], &[]).is_empty());
     }
 }
