@@ -98,10 +98,9 @@ fn bench_replan(c: &mut Criterion) {
 }
 
 fn bench_constructors(c: &mut Criterion) {
-    use perpetuum_graph::tsp_christofides::christofides;
+    use perpetuum_exp::tsp_christofides::christofides;
+    use perpetuum_exp::tsp_savings::savings_tour;
     use perpetuum_graph::tsp_heur::nearest_neighbor;
-    use perpetuum_graph::tsp_hilbert::hilbert_tour_all;
-    use perpetuum_graph::tsp_savings::savings_tour;
 
     let mut group = c.benchmark_group("tsp_constructors");
     for &n in &[100usize, 400] {
@@ -117,9 +116,6 @@ fn bench_constructors(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("savings", n), &n, |b, _| {
             b.iter(|| black_box(savings_tour(&dist, 0, &customers)))
-        });
-        group.bench_with_input(BenchmarkId::new("hilbert", n), &n, |b, _| {
-            b.iter(|| black_box(hilbert_tour_all(&pts, 0)))
         });
     }
     group.finish();

@@ -28,7 +28,7 @@
 //!   guards every root: the shorter tour wins, so a warm tour never costs
 //!   more than the paper's 2-approximation on the current forest. Repairs
 //!   run per-root in parallel and are bit-identical for any worker count
-//!   (same argument as [`crate::qtsp::q_rooted_tsp_routed_src`]).
+//!   (same argument as [`crate::qtsp::tours_for_forest`]).
 //! * **Anchor-grid emission** — dispatch times stay on the seed grid
 //!   `anchor + j·τ̂₁` serving `D_{min(ν₂(j),K)}`, so future dispatches of
 //!   an untouched class reuse its cached tours verbatim. A replan at `now`
@@ -52,10 +52,8 @@
 
 use crate::mtd::nu2;
 use crate::network::Network;
-use crate::qmsf::{super_root_forest, ForestEdge, RootedForest, SupersetTree};
-use crate::qtsp::{
-    default_tour_workers, tour_from_tree_doubling, tours_for_forest, QTours, Routing,
-};
+use crate::qmsf::{super_root_forest, RootedForest, SupersetTree};
+use crate::qtsp::{default_tour_workers, tour_from_tree_doubling, tours_for_forest, QTours};
 use crate::rounding::power_class;
 use crate::schedule::{ScheduleSeries, TourSet};
 use crate::var::{replan_variable_detailed, RepairStrategy, VarDetailed, VarInput, VarPlan};
@@ -256,23 +254,13 @@ fn members_forest(
 }
 
 /// The forest's per-depot trees as host node-id edges, in forest order.
+/// `members` are sensor ids, which are their own node ids.
 fn host_tree_edges(
     network: &Network,
     members: &[usize],
     forest: &RootedForest,
 ) -> Vec<Vec<(usize, usize)>> {
-    let node = |t: usize| network.sensor_node(members[t]);
-    (0..forest.trees.len())
-        .map(|r| {
-            forest.trees[r]
-                .iter()
-                .map(|e| match *e {
-                    ForestEdge::TermTerm(a, b) => (node(a), node(b)),
-                    ForestEdge::RootTerm(_, t) => (network.depot_node(r), node(t)),
-                })
-                .collect()
-        })
-        .collect()
+    (0..forest.trees.len()).map(|r| forest.host_edges(r, members, network.depot_node(r))).collect()
 }
 
 /// Half-width (in tour positions) of [`local_two_opt`]'s window around
@@ -685,7 +673,6 @@ impl IncrementalPlanner {
             &forest,
             &nodes,
             &network.depot_nodes(),
-            Routing::Doubling,
             workers,
         );
         Some(TourSet::from_qtours(qt, |v| v >= n))

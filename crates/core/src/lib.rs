@@ -8,7 +8,7 @@
 //! |---|---|
 //! | network model (Section III) | [`network`] |
 //! | Algorithm 1 — `q`-rooted minimum spanning forest | [`qmsf`] |
-//! | Algorithm 2 — 2-approximate `q`-rooted TSP | [`qtsp`] |
+//! | Algorithm 2 — 2-approximate `q`-rooted TSP (tree doubling) | [`qtsp`] |
 //! | power-of-two cycle rounding (Section V.A) | [`rounding`] |
 //! | charging schedulings & service cost (Section III.B) | [`schedule`] |
 //! | Algorithm 3 — `MinTotalDistance` (Section V.B) | [`mtd`] |
@@ -69,10 +69,7 @@ pub use mtd::{plan_min_total_distance, MtdConfig};
 pub use naive::{plan_charge_all, plan_per_sensor_cadence};
 pub use network::{Instance, Network};
 pub use qmsf::{q_rooted_msf_src, rooted_msf_general, rooted_msf_points, RootedForest};
-pub use qtsp::{
-    q_rooted_tsp_routed_src, q_rooted_tsp_src, tour_from_tree_doubling, tours_for_forest, QTours,
-    Routing,
-};
+pub use qtsp::{q_rooted_tsp_src, tour_from_tree_doubling, tours_for_forest, QTours};
 pub use recovery::{degraded_tour_set, surviving_depots};
 pub use refine::{refine, refine_tour_set, Budget, RefineReport, CONVERGENCE_STEPS};
 pub use rounding::{partition_cycles, power_class, CyclePartition};

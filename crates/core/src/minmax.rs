@@ -8,8 +8,9 @@
 //! and is used by the objective-comparison experiment:
 //!
 //! 1. start from the optimal `q`-rooted MSF assignment (Algorithm 1),
-//! 2. route each group ([`crate::qtsp::Routing`]) and refine its tour to a
-//!    local optimum with the `perpetuum-opt` refiner ([`mod@crate::refine`]),
+//! 2. route each group with Algorithm 2 ([`crate::qtsp`]) and refine its
+//!    tour to a local optimum with the `perpetuum-opt` refiner
+//!    ([`mod@crate::refine`]),
 //! 3. local search: repeatedly move a sensor from the longest tour to the
 //!    charger whose tour grows the least, while the makespan improves.
 //!
@@ -17,7 +18,7 @@
 //! `O(rounds · n · q)` routing calls — fine at experiment scale.
 
 use crate::network::Network;
-use crate::qtsp::{q_rooted_tsp_routed_src, Routing};
+use crate::qtsp::q_rooted_tsp_src;
 use crate::refine::{refine_tour_set, Budget, CONVERGENCE_STEPS};
 use crate::schedule::TourSet;
 use perpetuum_graph::Tour;
@@ -42,12 +43,7 @@ pub struct MinMaxCover {
 ///
 /// `max_rounds` bounds the local-search passes (each pass tries to relieve
 /// the current longest tour once).
-pub fn min_max_cover(
-    network: &Network,
-    sensors: &[usize],
-    routing: Routing,
-    max_rounds: usize,
-) -> MinMaxCover {
+pub fn min_max_cover(network: &Network, sensors: &[usize], max_rounds: usize) -> MinMaxCover {
     let q = network.q();
     let dist = network.dist_source();
     let depots = network.depot_nodes();
@@ -67,7 +63,7 @@ pub fn min_max_cover(
         if group_nodes.is_empty() {
             return Tour::singleton(depot);
         }
-        let qt = q_rooted_tsp_routed_src(&dist, &group_nodes, &[depot], routing);
+        let qt = q_rooted_tsp_src(&dist, &group_nodes, &[depot]);
         let set = TourSet::from_qtours(qt, |v| network.is_depot(v));
         let (refined, outcome) =
             refine_tour_set(network, &set, &Budget::steps(CONVERGENCE_STEPS), 0);
@@ -177,7 +173,7 @@ mod tests {
     fn covers_all_sensors_from_correct_depots() {
         let net = network(20, 3, 1);
         let sensors: Vec<usize> = (0..20).collect();
-        let c = min_max_cover(&net, &sensors, Routing::Doubling, 50);
+        let c = min_max_cover(&net, &sensors, 50);
         assert_eq!(c.tours.len(), 3);
         for (l, t) in c.tours.iter().enumerate() {
             assert_eq!(t.start(), Some(net.depot_node(l)));
@@ -198,7 +194,7 @@ mod tests {
             let src = net.dist_source();
             let qt = q_rooted_tsp_src(&src, &sensors, &net.depot_nodes());
             let seed_span = qt.tours.iter().map(|t| t.length(&src)).fold(0.0f64, f64::max);
-            let c = min_max_cover(&net, &sensors, Routing::Doubling, 100);
+            let c = min_max_cover(&net, &sensors, 100);
             assert!(c.makespan <= seed_span + 1e-6, "seed {seed}: {} vs {}", c.makespan, seed_span);
         }
     }
@@ -215,7 +211,7 @@ mod tests {
         let depots = vec![Point2::new(10.0, 0.0), Point2::new(10.0, 100.0)];
         let net = Network::new(sensors, depots);
         let all: Vec<usize> = (0..8).collect();
-        let c = min_max_cover(&net, &all, Routing::Doubling, 100);
+        let c = min_max_cover(&net, &all, 100);
         // Each cluster should be served by its own depot.
         for i in 0..4 {
             assert_eq!(c.assignment[i], 0, "sensor {i}");
@@ -229,14 +225,14 @@ mod tests {
     fn single_charger_reduces_to_tsp() {
         let net = network(12, 1, 3);
         let sensors: Vec<usize> = (0..12).collect();
-        let c = min_max_cover(&net, &sensors, Routing::Doubling, 10);
+        let c = min_max_cover(&net, &sensors, 10);
         assert!((c.total - c.makespan).abs() < 1e-9);
     }
 
     #[test]
     fn empty_sensor_set() {
         let net = network(0, 2, 4);
-        let c = min_max_cover(&net, &[], Routing::Doubling, 10);
+        let c = min_max_cover(&net, &[], 10);
         assert_eq!(c.total, 0.0);
         assert_eq!(c.makespan, 0.0);
         assert_eq!(c.moves, 0);
@@ -246,7 +242,7 @@ mod tests {
     fn into_tour_set_costs_match() {
         let net = network(10, 2, 5);
         let sensors: Vec<usize> = (0..10).collect();
-        let c = min_max_cover(&net, &sensors, Routing::Doubling, 20);
+        let c = min_max_cover(&net, &sensors, 20);
         let total = c.total;
         let set = c.into_tour_set(&net);
         assert!((set.cost() - total).abs() < 1e-9);

@@ -17,17 +17,15 @@
 //! `⌈T/τ'_n⌉` times.
 
 use crate::network::Instance;
-use crate::qtsp::{nested_tours, Routing};
+use crate::qtsp::nested_tours;
 use crate::rounding::{partition_cycles, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
 
-/// Tunables for [`plan_min_total_distance`].
+/// The configuration argument of [`plan_min_total_distance`]. Algorithm 3
+/// has no tunables left; the type stays so callers written against the
+/// earlier signature still build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MtdConfig {
-    /// Tree-to-tour routing (ablation only; the default
-    /// [`Routing::Doubling`] is the paper's Algorithm 2).
-    pub routing: Routing,
-}
+pub struct MtdConfig {}
 
 /// 2-adic valuation ν₂(j): the exponent of the largest power of two
 /// dividing `j`.
@@ -41,13 +39,13 @@ pub(crate) fn nu2(j: u64) -> usize {
 /// horizon, with dispatches in time order.
 ///
 /// A network with zero sensors yields an empty series.
-pub fn plan_min_total_distance(instance: &Instance, cfg: &MtdConfig) -> ScheduleSeries {
+pub fn plan_min_total_distance(instance: &Instance, _cfg: &MtdConfig) -> ScheduleSeries {
     let mut series = ScheduleSeries::new();
     if instance.n() == 0 {
         return series;
     }
     let partition = partition_cycles(instance.cycles());
-    let sets = build_cumulative_tour_sets(instance, &partition, cfg);
+    let sets = build_cumulative_tour_sets(instance, &partition);
     let set_ids: Vec<usize> = sets.into_iter().map(|s| series.add_set(s)).collect();
     push_dispatch_timeline(
         &mut series,
@@ -66,16 +64,13 @@ pub fn plan_min_total_distance(instance: &Instance, cfg: &MtdConfig) -> Schedule
 pub(crate) fn build_cumulative_tour_sets(
     instance: &Instance,
     partition: &CyclePartition,
-    cfg: &MtdConfig,
 ) -> Vec<TourSet> {
     let network = instance.network();
     let n = network.n();
     let cums: Vec<Vec<usize>> = (0..=partition.k_max()).map(|k| partition.cumulative(k)).collect();
     let src = network.dist_source();
-    nested_tours(&src, &cums, &network.depot_nodes(), cfg.routing, |_, qt| {
-        TourSet::from_qtours(qt, |v| v >= n)
-    })
-    .0
+    nested_tours(&src, &cums, &network.depot_nodes(), |_, qt| TourSet::from_qtours(qt, |v| v >= n))
+        .0
 }
 
 /// Emits dispatches at `start + j·τ_1` for `j = 1, 2, …` while strictly
@@ -212,29 +207,6 @@ mod tests {
         assert!(report.converged);
         assert!(polished.service_cost() <= plain.service_cost() + 1e-9);
         crate::feasibility::check_series(&inst, &polished).unwrap();
-    }
-
-    #[test]
-    fn matching_routing_is_feasible_and_cheaper_on_average() {
-        use crate::qtsp::Routing;
-        use rand::{Rng, SeedableRng};
-        let mut doubled_total = 0.0;
-        let mut matched_total = 0.0;
-        for seed in 0..4u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 600);
-            let sensors: Vec<Point2> = (0..30)
-                .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
-                .collect();
-            let cycles: Vec<f64> = (0..30).map(|_| rng.gen_range(1.0..50.0)).collect();
-            let depots = vec![Point2::new(500.0, 500.0)];
-            let inst = Instance::new(Network::new(sensors, depots), cycles, 64.0);
-            let doubled = plan_min_total_distance(&inst, &MtdConfig::default());
-            let matched = plan_min_total_distance(&inst, &MtdConfig { routing: Routing::Matching });
-            crate::feasibility::check_series(&inst, &matched).unwrap();
-            doubled_total += doubled.service_cost();
-            matched_total += matched.service_cost();
-        }
-        assert!(matched_total < doubled_total);
     }
 
     #[test]

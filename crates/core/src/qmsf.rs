@@ -59,6 +59,18 @@ impl RootedForest {
             .collect()
     }
 
+    /// Root `r`'s tree as host node-id edges, in tree order: terminal `t`
+    /// is node `terminals[t]` and the root is node `root`.
+    pub fn host_edges(&self, r: usize, terminals: &[usize], root: usize) -> Vec<(usize, usize)> {
+        self.trees[r]
+            .iter()
+            .map(|e| match *e {
+                ForestEdge::TermTerm(a, b) => (terminals[a], terminals[b]),
+                ForestEdge::RootTerm(_, t) => (root, terminals[t]),
+            })
+            .collect()
+    }
+
     /// All per-root terminal groups in one `O(m + q)` pass:
     /// `groups[r]` lists the terminals of root `r` in ascending order.
     pub fn terminals_by_root(&self) -> Vec<Vec<usize>> {

@@ -11,34 +11,27 @@
 //! optimal tour and you get a feasible forest), and doubling at most
 //! doubles it — Theorem 1.
 //!
+//! Tree doubling is the only tree-to-tour step here: Theorem 1 is a
+//! property of it, and Algorithm 3's `2(K+2)` bound rests on Theorem 1.
+//! The matching and savings constructions the routing ablation compares
+//! it with live in `perpetuum-exp`.
+//!
 //! This module is the construction only. Tour improvement is a separate
 //! layer over any construction: the `perpetuum-opt` refiner, reached
 //! through [`mod@crate::refine`]. Its moves are strict improvements, so a
 //! refined plan keeps Theorem 1's bound.
 
-use crate::qmsf::{q_rooted_msf_seeded, q_rooted_msf_src, ForestEdge, RootedForest, SupersetTree};
+use crate::qmsf::{q_rooted_msf_seeded, q_rooted_msf_src, RootedForest, SupersetTree};
 use perpetuum_graph::euler::{double_edges, euler_circuit};
-use perpetuum_graph::tsp_christofides::tour_from_tree_matched;
-use perpetuum_graph::tsp_savings::savings_tour;
 use perpetuum_graph::{DistSource, Metric, Tour};
 
-/// How each MSF tree is turned into a closed tour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The tree-to-tour argument of the doc-hidden [`tours_for_forest_src`]
+/// shim. Algorithm 2 has one construction, so this has one variant.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routing {
-    /// The paper's Algorithm 2: double the tree, Euler circuit, shortcut.
-    /// Carries the provable 2× bound.
-    #[default]
+    /// Double the tree, Euler circuit, shortcut.
     Doubling,
-    /// Christofides-style: tree + greedy minimum matching over its
-    /// odd-degree vertices, Euler circuit, shortcut. Empirically shorter;
-    /// still within the doubling bound (a matching never outweighs the
-    /// tree). Routing-ablation only — not part of the paper's algorithm.
-    Matching,
-    /// Clarke–Wright savings construction over each MSF group's sensor
-    /// set (only the group membership comes from Algorithm 1; the tour is
-    /// built from scratch). No approximation guarantee; routing-ablation
-    /// only.
-    Savings,
 }
 
 /// The `q` closed tours produced by Algorithm 2.
@@ -97,26 +90,13 @@ impl QTours {
 /// assert!((tours.cost - (40.0 + 20.0)).abs() < 1e-9);
 /// ```
 pub fn q_rooted_tsp_src(src: &DistSource<'_>, terminals: &[usize], roots: &[usize]) -> QTours {
-    q_rooted_tsp_routed_src(src, terminals, roots, Routing::Doubling)
-}
-
-/// [`q_rooted_tsp_src`] with an explicit tree-to-tour [`Routing`], with
-/// per-root tours
-/// built in parallel.
-///
-/// Each root's tour (edge mapping, Euler circuit / matching / savings)
-/// depends only on its own tree, so the per-root computations are
-/// embarrassingly parallel; results are collected in root order and the
-/// cost is summed in that same order, making the output **bit-identical**
-/// to the sequential loop for any worker count.
-pub fn q_rooted_tsp_routed_src(
-    src: &DistSource<'_>,
-    terminals: &[usize],
-    roots: &[usize],
-    routing: Routing,
-) -> QTours {
+    debug_assert!(
+        terminals.iter().all(|t| !roots.contains(t)),
+        "terminals and roots must be disjoint"
+    );
+    let forest = q_rooted_msf_src(src, terminals, roots);
     let workers = default_tour_workers(terminals.len(), roots.len());
-    q_rooted_tsp_routed_src_workers(src, terminals, roots, routing, workers)
+    tours_for_forest(src, &forest, terminals, roots, workers)
 }
 
 /// The worker count the parallel per-root tour build defaults to.
@@ -124,7 +104,7 @@ pub fn q_rooted_tsp_routed_src(
 /// Thread spawn costs ~tens of µs; below `PAR_TERMINALS_THRESHOLD`
 /// terminals the whole per-root build is cheaper than that, so stay
 /// sequential (the result is identical either way — see
-/// [`q_rooted_tsp_routed_src`]).
+/// [`tours_for_forest`]).
 pub(crate) fn default_tour_workers(terminal_count: usize, root_count: usize) -> usize {
     const PAR_TERMINALS_THRESHOLD: usize = 256;
     if terminal_count >= PAR_TERMINALS_THRESHOLD {
@@ -136,26 +116,25 @@ pub(crate) fn default_tour_workers(terminal_count: usize, root_count: usize) -> 
 
 /// Algorithm 2 over `terminals` whose Algorithm-1 forest starts from the
 /// restriction of `superset`'s tree (see [`SupersetTree`]): the tours of
-/// [`q_rooted_tsp_routed_src`] on the same input, bit for bit, together
+/// [`q_rooted_tsp_src`] on the same input, bit for bit, together
 /// with their forest and that forest as a tree for subsets of
 /// `terminals`.
 pub(crate) fn route_from_superset(
     src: &DistSource<'_>,
     terminals: &[usize],
     roots: &[usize],
-    routing: Routing,
     superset: Option<&SupersetTree>,
 ) -> (QTours, RootedForest, SupersetTree) {
     let (forest, tree) = q_rooted_msf_seeded(src, terminals, roots, superset);
     let workers = default_tour_workers(terminals.len(), roots.len());
-    let qt = tours_for_forest(src, &forest, terminals, roots, routing, workers);
+    let qt = tours_for_forest(src, &forest, terminals, roots, workers);
     (qt, forest, tree)
 }
 
 /// Algorithm 2 over nested terminal sets `sets[0] ⊆ sets[1] ⊆ … ⊆
 /// sets[K]` (host ids, at least one set), built top-down: `sets[K]` from
 /// scratch, then each `sets[k]` from the restriction of `sets[k + 1]`'s
-/// tree. Every build equals [`q_rooted_tsp_routed_src`] on its set. This is
+/// tree. Every build equals [`q_rooted_tsp_src`] on its set. This is
 /// how Algorithm 3's cumulative sets `D_0 ⊂ … ⊂ D_K` are routed: most of
 /// each `D_k`'s forest is already in `D_{k+1}`'s.
 ///
@@ -166,7 +145,6 @@ pub(crate) fn nested_tours<T>(
     src: &DistSource<'_>,
     sets: &[Vec<usize>],
     roots: &[usize],
-    routing: Routing,
     mut keep: impl FnMut(RootedForest, QTours) -> T,
 ) -> (Vec<T>, SupersetTree) {
     let mut kept = Vec::with_capacity(sets.len());
@@ -174,7 +152,7 @@ pub(crate) fn nested_tours<T>(
     let mut below: Option<SupersetTree> = None;
     for terminals in sets.iter().rev() {
         let superset = below.as_ref().or(top.as_ref());
-        let (qt, forest, tree) = route_from_superset(src, terminals, roots, routing, superset);
+        let (qt, forest, tree) = route_from_superset(src, terminals, roots, superset);
         kept.push(keep(forest, qt));
         if top.is_none() {
             top = Some(tree);
@@ -186,84 +164,48 @@ pub(crate) fn nested_tours<T>(
     (kept, top.expect("at least one terminal set"))
 }
 
-/// [`q_rooted_tsp_routed_src`] with an explicit worker count — the parity
-/// tests use it to pin sequential vs parallel runs against each other.
-#[doc(hidden)]
-pub fn q_rooted_tsp_routed_src_workers(
-    src: &DistSource<'_>,
-    terminals: &[usize],
-    roots: &[usize],
-    routing: Routing,
-    workers: usize,
-) -> QTours {
-    debug_assert!(
-        terminals.iter().all(|t| !roots.contains(t)),
-        "terminals and roots must be disjoint"
-    );
-    let forest = q_rooted_msf_src(src, terminals, roots);
-    tours_for_forest(src, &forest, terminals, roots, routing, workers)
-}
-
 /// [`tours_for_forest`] under its earlier signature, which carried a
-/// tour-polish round count. Algorithm 2 no longer improves tours (refine
-/// the result with [`mod@crate::refine`] instead), so `polish_rounds` must be
-/// `0`; the slot stays so callers written against that signature still
-/// build.
+/// tree-to-tour routing and a tour-polish round count. Algorithm 2 has one
+/// construction and no longer improves tours (refine the result with
+/// [`mod@crate::refine`] instead), so `routing` has one value and
+/// `polish_rounds` must be `0`; the slots stay so callers written against
+/// that signature still build.
 ///
 /// # Panics
 /// When `polish_rounds != 0`.
 #[doc(hidden)]
 pub fn tours_for_forest_src(
     src: &DistSource<'_>,
-    forest: &crate::qmsf::RootedForest,
+    forest: &RootedForest,
     terminals: &[usize],
     roots: &[usize],
-    routing: Routing,
+    _routing: Routing,
     polish_rounds: usize,
     workers: usize,
 ) -> QTours {
     assert_eq!(polish_rounds, 0, "Algorithm 2 no longer polishes; refine the tours instead");
-    tours_for_forest(src, forest, terminals, roots, routing, workers)
+    tours_for_forest(src, forest, terminals, roots, workers)
 }
 
 /// The tour-construction half of Algorithm 2: turns an already-computed
-/// `q`-rooted forest into per-root closed tours. Split out of
-/// [`q_rooted_tsp_routed_src_workers`] so the incremental replanner can
-/// re-route a spliced forest without recomputing it.
+/// `q`-rooted forest into per-root closed tours with
+/// [`tour_from_tree_doubling`]. Split out of [`q_rooted_tsp_src`] so the
+/// incremental replanner can re-route a spliced forest without
+/// recomputing it.
+///
+/// Each root's tour depends only on its own tree, so the roots are built
+/// on `workers` threads; results are collected in root order and the cost
+/// is summed in that same order, making the output **bit-identical** to
+/// the sequential loop for any worker count.
 pub fn tours_for_forest(
     src: &DistSource<'_>,
-    forest: &crate::qmsf::RootedForest,
+    forest: &RootedForest,
     terminals: &[usize],
     roots: &[usize],
-    routing: Routing,
     workers: usize,
 ) -> QTours {
-    let groups = forest.terminals_by_root();
-    let node_count = src.len();
-
-    let build_tour = |r: usize| -> Tour {
-        let root_node = roots[r];
-        let edges: Vec<(usize, usize)> = forest.trees[r]
-            .iter()
-            .map(|e| match *e {
-                ForestEdge::TermTerm(a, b) => (terminals[a], terminals[b]),
-                ForestEdge::RootTerm(_, t) => (root_node, terminals[t]),
-            })
-            .collect();
-        if edges.is_empty() {
-            return Tour::singleton(root_node);
-        }
-        let tour = match routing {
-            Routing::Doubling => tour_from_tree_doubling(&edges, root_node),
-            Routing::Matching => tour_from_tree_matched(src, node_count, &edges, root_node),
-            Routing::Savings => {
-                let customers: Vec<usize> = groups[r].iter().map(|&t| terminals[t]).collect();
-                savings_tour(src, root_node, &customers)
-            }
-        };
-        debug_assert_eq!(tour.start(), Some(root_node));
-        tour
-    };
+    let build_tour =
+        |r: usize| tour_from_tree_doubling(&forest.host_edges(r, terminals, roots[r]), roots[r]);
 
     let tours = perpetuum_par::par_map_indexed(roots.len(), workers, build_tour);
     let tour_lengths: Vec<f64> = tours.iter().map(|t| t.length(src)).collect();
@@ -276,10 +218,10 @@ pub fn tours_for_forest(
 ///
 /// `edges` are the tree's edges in *host node-id* space and must form one
 /// tree containing `root_node`; an empty edge list yields a singleton tour.
-/// This is the exact Doubling arm of [`q_rooted_tsp_routed_src`], exposed
-/// so the incremental replanner can rebuild a single root's tour from a
-/// spliced forest tree (its fallback when warm-start repair loses to a
-/// fresh construction).
+/// This is the per-root step of [`tours_for_forest`], exposed so the
+/// incremental replanner can rebuild a single root's tour from a spliced
+/// forest tree (its fallback when warm-start repair loses to a fresh
+/// construction).
 pub fn tour_from_tree_doubling(edges: &[(usize, usize)], root_node: usize) -> Tour {
     if edges.is_empty() {
         return Tour::singleton(root_node);
@@ -437,76 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn matching_routing_covers_and_stays_within_doubling_bound() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let sensors: Vec<Point2> = (0..20)
-            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
-            .collect();
-        let depots = vec![Point2::new(500.0, 500.0), Point2::new(0.0, 0.0)];
-        let pts = host(&sensors, &depots);
-        let dist = DistSource::points(&pts);
-        let terminals: Vec<usize> = (0..20).collect();
-        let roots = vec![20, 21];
-        let forest = q_rooted_msf_src(&dist, &terminals, &roots);
-        let matched = q_rooted_tsp_routed_src(&dist, &terminals, &roots, Routing::Matching);
-        assert_eq!(matched.covered_nodes(|n| n >= 20), terminals);
-        assert!(matched.cost <= 2.0 * forest.weight + 1e-9);
-        for (l, t) in matched.tours.iter().enumerate() {
-            assert_eq!(t.start(), Some(roots[l]));
-        }
-    }
-
-    #[test]
-    fn savings_routing_covers_and_competes() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let sensors: Vec<Point2> = (0..25)
-            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
-            .collect();
-        let depots = vec![Point2::new(500.0, 500.0), Point2::new(100.0, 100.0)];
-        let pts = host(&sensors, &depots);
-        let dist = DistSource::points(&pts);
-        let terminals: Vec<usize> = (0..25).collect();
-        let roots = vec![25, 26];
-        let saved = q_rooted_tsp_routed_src(&dist, &terminals, &roots, Routing::Savings);
-        assert_eq!(saved.covered_nodes(|n| n >= 25), terminals);
-        for (l, t) in saved.tours.iter().enumerate() {
-            assert_eq!(t.start(), Some(roots[l]));
-        }
-        // No guarantee, but it should at least beat the star bound.
-        let star: f64 = terminals
-            .iter()
-            .map(|&s| 2.0 * roots.iter().map(|&r| dist.get(s, r)).fold(f64::INFINITY, f64::min))
-            .sum();
-        assert!(saved.cost <= star + 1e-9);
-    }
-
-    #[test]
-    fn matching_routing_beats_doubling_on_average() {
-        use rand::{Rng, SeedableRng};
-        let mut matched_total = 0.0;
-        let mut doubled_total = 0.0;
-        for seed in 0..8u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 300);
-            let sensors: Vec<Point2> = (0..30)
-                .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
-                .collect();
-            let depots = vec![Point2::new(500.0, 500.0)];
-            let pts = host(&sensors, &depots);
-            let dist = DistSource::points(&pts);
-            let terminals: Vec<usize> = (0..30).collect();
-            matched_total +=
-                q_rooted_tsp_routed_src(&dist, &terminals, &[30], Routing::Matching).cost;
-            doubled_total += q_rooted_tsp_src(&dist, &terminals, &[30]).cost;
-        }
-        assert!(
-            matched_total < doubled_total,
-            "matched {matched_total} vs doubled {doubled_total}"
-        );
-    }
-
-    #[test]
     fn parallel_per_root_tours_are_bit_identical() {
         // Above the parallel threshold, any worker count must reproduce the
         // sequential result exactly — same tours, same cost bits.
@@ -527,15 +399,13 @@ mod tests {
         let src = dist;
         let terminals: Vec<usize> = (0..n).collect();
         let roots: Vec<usize> = (n..n + 4).collect();
-        for routing in [Routing::Doubling, Routing::Matching, Routing::Savings] {
-            let seq = q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, 1);
-            for workers in [2, 4, 7] {
-                let par =
-                    q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, workers);
-                assert_eq!(seq.cost.to_bits(), par.cost.to_bits(), "{routing:?}/{workers}");
-                for (a, b) in seq.tours.iter().zip(&par.tours) {
-                    assert_eq!(a.nodes(), b.nodes(), "{routing:?}/{workers}");
-                }
+        let forest = q_rooted_msf_src(&src, &terminals, &roots);
+        let seq = tours_for_forest(&src, &forest, &terminals, &roots, 1);
+        for workers in [2, 4, 7] {
+            let par = tours_for_forest(&src, &forest, &terminals, &roots, workers);
+            assert_eq!(seq.cost.to_bits(), par.cost.to_bits(), "{workers}");
+            for (a, b) in seq.tours.iter().zip(&par.tours) {
+                assert_eq!(a.nodes(), b.nodes(), "{workers}");
             }
         }
     }
@@ -562,8 +432,7 @@ mod tests {
             let root_dist: Vec<Vec<f64>> =
                 roots.iter().map(|&r| sensors.iter().map(|p| all[r].dist(*p)).collect()).collect();
             let oracle = rooted_msf_general(&DistMatrix::from_points(&sensors), &root_dist);
-            let reference =
-                tours_for_forest(&src, &oracle, &terminals, &roots, Routing::Doubling, 1);
+            let reference = tours_for_forest(&src, &oracle, &terminals, &roots, 1);
             let pipeline = q_rooted_tsp_src(&src, &terminals, &roots);
             for (a, b) in reference.tours.iter().zip(&pipeline.tours) {
                 let (mut a, mut b) = (a.nodes().to_vec(), b.nodes().to_vec());

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use crate::mtd::{nu2, push_dispatch_timeline};
 use crate::network::Network;
 use crate::qmsf::{rooted_msf_points, RootedForest, SupersetTree};
-use crate::qtsp::{nested_tours, route_from_superset, QTours, Routing};
+use crate::qtsp::{nested_tours, route_from_superset, QTours};
 use crate::rounding::{partition_cycles, power_class, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
 use perpetuum_geom::Point2;
@@ -207,7 +207,7 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
     let cum_nodes: Vec<Vec<usize>> =
         cums.iter().map(|d| d.iter().map(|&i| network.sensor_node(i)).collect()).collect();
     let (base_builds, all_sensors) =
-        nested_tours(&src, &cum_nodes, &depot_nodes, Routing::Doubling, |forest, qt| (forest, qt));
+        nested_tours(&src, &cum_nodes, &depot_nodes, |forest, qt| (forest, qt));
     let base_ids: Vec<usize> = base_builds
         .iter()
         .map(|(_, qt)| series.add_set(TourSet::from_qtours(qt.clone(), |v| v >= n)))
@@ -216,8 +216,7 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
     // from D_K's.
     let route = |sensors: &[usize]| -> TourSet {
         let nodes: Vec<usize> = sensors.iter().map(|&i| network.sensor_node(i)).collect();
-        let (qt, _, _) =
-            route_from_superset(&src, &nodes, &depot_nodes, Routing::Doubling, Some(&all_sensors));
+        let (qt, _, _) = route_from_superset(&src, &nodes, &depot_nodes, Some(&all_sensors));
         TourSet::from_qtours(qt, |v| v >= n)
     };
 

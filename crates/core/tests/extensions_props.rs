@@ -1,9 +1,9 @@
-//! Property-based tests for the extension modules: range splitting,
-//! min–max covers and the alternative routing constructors.
+//! Property-based tests for the extension modules: range splitting and
+//! min–max covers.
 
 use perpetuum_core::minmax::min_max_cover;
 use perpetuum_core::network::Network;
-use perpetuum_core::qtsp::{q_rooted_tsp_routed_src, q_rooted_tsp_src, Routing};
+use perpetuum_core::qtsp::q_rooted_tsp_src;
 use perpetuum_core::split::split_tour;
 use perpetuum_geom::Point2;
 use perpetuum_graph::{DistMatrix, Tour};
@@ -67,7 +67,7 @@ proptest! {
             .iter()
             .map(|t| t.length(&network.dist_source()))
             .fold(0.0f64, f64::max);
-        let mm = min_max_cover(&network, &all, Routing::Doubling, 100);
+        let mm = min_max_cover(&network, &all, 100);
         prop_assert!(mm.makespan <= alg2_span + 1e-6);
         // Coverage and assignment validity.
         let mut covered: Vec<usize> = mm
@@ -82,41 +82,4 @@ proptest! {
         prop_assert!(mm.makespan <= mm.total + 1e-9);
     }
 
-    #[test]
-    fn all_routings_cover_exactly_the_terminals(
-        sensors in points(1..20),
-        depots in points(1..4),
-    ) {
-        let n = sensors.len();
-        let network = Network::new(sensors, depots);
-        let all: Vec<usize> = (0..n).collect();
-        let roots = network.depot_nodes();
-        for routing in [Routing::Doubling, Routing::Matching, Routing::Savings] {
-            let qt = q_rooted_tsp_routed_src(&network.dist_source(), &all, &roots, routing);
-            prop_assert_eq!(
-                qt.covered_nodes(|v| v >= n),
-                all.clone(),
-                "routing {:?}", routing
-            );
-            for (l, t) in qt.tours.iter().enumerate() {
-                prop_assert_eq!(t.start(), Some(roots[l]));
-            }
-            prop_assert!(qt.cost.is_finite() && qt.cost >= 0.0);
-        }
-    }
-
-    #[test]
-    fn matching_routing_within_doubling_bound(
-        sensors in points(2..18),
-        depots in points(1..3),
-    ) {
-        let n = sensors.len();
-        let network = Network::new(sensors, depots);
-        let all: Vec<usize> = (0..n).collect();
-        let roots = network.depot_nodes();
-        let forest = perpetuum_core::qmsf::q_rooted_msf_src(&network.dist_source(), &all, &roots);
-        let matched = q_rooted_tsp_routed_src(&network.dist_source(), &all, &roots, Routing::Matching);
-        prop_assert!(matched.cost <= 2.0 * forest.weight + 1e-6);
-        prop_assert!(matched.cost + 1e-6 >= forest.weight);
-    }
 }

@@ -12,7 +12,11 @@
 //! * **repair** — `MinTotalDistance-var`'s nearest-scheduling `V^a`
 //!   insertion versus naively charging all of `V^a` immediately;
 //! * **routing** — Algorithm 2's tree doubling versus the
-//!   Christofides-style odd-vertex matching, with and without the refiner.
+//!   Christofides-style odd-vertex matching ([`crate::tsp_christofides`])
+//!   and Clarke–Wright savings ([`crate::tsp_savings`]), with and without
+//!   the refiner. Only the tree-to-tour step differs between the arms:
+//!   [`with_construction`] rebuilds Algorithm 3's sets and keeps its
+//!   dispatch timeline.
 //!
 //! The refined arms build the plan with Algorithm 3, then call
 //! [`refine`] with [`CONVERGENCE_STEPS`] and assert that every tour set
@@ -20,13 +24,18 @@
 
 use crate::figures::{FigureData, Series};
 use crate::scenario::Scenario;
+use crate::tsp_christofides::tour_from_tree_matched;
+use crate::tsp_savings::savings_tour;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::naive::{plan_charge_all, plan_per_sensor_cadence};
 use perpetuum_core::network::Instance;
-use perpetuum_core::qtsp::Routing;
+use perpetuum_core::qmsf::q_rooted_msf_src;
+use perpetuum_core::qtsp::{tour_from_tree_doubling, QTours};
 use perpetuum_core::refine::{refine, Budget, CONVERGENCE_STEPS};
-use perpetuum_core::schedule::ScheduleSeries;
+use perpetuum_core::rounding::partition_cycles;
+use perpetuum_core::schedule::{ScheduleSeries, TourSet};
 use perpetuum_core::var::RepairStrategy;
+use perpetuum_graph::{DistSource, Metric, Tour};
 use perpetuum_par::{mean, par_map, std_dev};
 use perpetuum_sim::{run, SimConfig, VarPolicy};
 
@@ -39,7 +48,7 @@ pub enum AblationId {
     TourPolish,
     /// Nearest-scheduling `V^a` repair vs charge-all-now.
     Repair,
-    /// Tree doubling vs odd-vertex matching, plain and refined.
+    /// Tree doubling vs odd-vertex matching vs savings, plain and refined.
     Routing,
 }
 
@@ -48,7 +57,8 @@ impl AblationId {
     pub const ALL: [AblationId; 4] =
         [AblationId::Rounding, AblationId::TourPolish, AblationId::Repair, AblationId::Routing];
 
-    /// Parses `"rounding"`, `"tour-polish"` / `"polish"`, `"repair"`.
+    /// Parses `"rounding"`, `"tour-polish"` / `"polish"`, `"repair"`,
+    /// `"routing"`.
     pub fn parse(s: &str) -> Option<AblationId> {
         match s.to_ascii_lowercase().as_str() {
             "rounding" => Some(AblationId::Rounding),
@@ -122,18 +132,25 @@ fn collect(
     }
 }
 
+/// Network sizes of the fixed-cycle ablations (rounding, polish, routing).
+const FIXED_NS: [usize; 3] = [50, 100, 200];
+
+/// The instance the fixed-cycle ablations share: topology `i` of the
+/// paper's fixed-cycle scenario at size `n`, horizon 200.
+fn fixed_instance(n: usize, seed: u64, i: usize) -> Instance {
+    let s = Scenario { n, horizon: 200.0, ..Scenario::paper_fixed() };
+    let topo = s.build_topology(seed, i as u64);
+    Instance::new(topo.network, topo.init_cycles, s.horizon)
+}
+
 /// Runs one ablation with `topologies` replications per point.
 pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData {
     match id {
         AblationId::Rounding => {
-            let ns = [50usize, 100, 200];
             let mut cells = Vec::new();
-            for &n in &ns {
-                let s = Scenario { n, horizon: 200.0, ..Scenario::paper_fixed() };
+            for n in FIXED_NS {
                 let rows = par_map(topologies, |i| {
-                    let topo = s.build_topology(seed, i as u64);
-                    let inst =
-                        Instance::new(topo.network.clone(), topo.init_cycles.clone(), s.horizon);
+                    let inst = fixed_instance(n, seed, i);
                     let mtd = plan_min_total_distance(&inst, &MtdConfig::default()).service_cost();
                     let per_sensor = plan_per_sensor_cadence(&inst).service_cost();
                     let charge_all = plan_charge_all(&inst).service_cost();
@@ -144,7 +161,7 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
             collect(
                 id,
                 "network size n",
-                ns.iter().map(|&n| n as f64).collect(),
+                FIXED_NS.iter().map(|&n| n as f64).collect(),
                 &["MinTotalDistance", "per-sensor exact cadence", "charge all every tau_min"],
                 cells,
                 topologies,
@@ -152,14 +169,10 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
             )
         }
         AblationId::TourPolish => {
-            let ns = [50usize, 100, 200];
             let mut cells = Vec::new();
-            for &n in &ns {
-                let s = Scenario { n, horizon: 200.0, ..Scenario::paper_fixed() };
+            for n in FIXED_NS {
                 let rows = par_map(topologies, |i| {
-                    let topo = s.build_topology(seed, i as u64);
-                    let inst =
-                        Instance::new(topo.network.clone(), topo.init_cycles.clone(), s.horizon);
+                    let inst = fixed_instance(n, seed, i);
                     let plain = plan_min_total_distance(&inst, &MtdConfig::default());
                     let refined = refined_to_convergence(&inst, &plain, seed);
                     [plain.service_cost() / 1000.0, refined.service_cost() / 1000.0]
@@ -169,7 +182,7 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
             collect(
                 id,
                 "network size n",
-                ns.iter().map(|&n| n as f64).collect(),
+                FIXED_NS.iter().map(|&n| n as f64).collect(),
                 &["Algorithm 2 (doubling)", "Algorithm 2 + refiner"],
                 cells,
                 topologies,
@@ -177,22 +190,17 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
             )
         }
         AblationId::Routing => {
-            let ns = [50usize, 100, 200];
             let mut cells = Vec::new();
-            for &n in &ns {
-                let s = Scenario { n, horizon: 200.0, ..Scenario::paper_fixed() };
+            for n in FIXED_NS {
                 let rows = par_map(topologies, |i| {
-                    let topo = s.build_topology(seed, i as u64);
-                    let inst =
-                        Instance::new(topo.network.clone(), topo.init_cycles.clone(), s.horizon);
-                    let plan =
-                        |routing: Routing| plan_min_total_distance(&inst, &MtdConfig { routing });
+                    let inst = fixed_instance(n, seed, i);
                     let km = |plan: &ScheduleSeries| plan.service_cost() / 1000.0;
-                    let (doubling, matching) = (plan(Routing::Doubling), plan(Routing::Matching));
+                    let doubling = plan_min_total_distance(&inst, &MtdConfig::default());
+                    let matching = with_construction(&inst, &doubling, Construction::Matching);
                     [
                         km(&doubling),
                         km(&matching),
-                        km(&plan(Routing::Savings)),
+                        km(&with_construction(&inst, &doubling, Construction::Savings)),
                         km(&refined_to_convergence(&inst, &doubling, seed)),
                         km(&refined_to_convergence(&inst, &matching, seed)),
                     ]
@@ -202,7 +210,7 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
             collect(
                 id,
                 "network size n",
-                ns.iter().map(|&n| n as f64).collect(),
+                FIXED_NS.iter().map(|&n| n as f64).collect(),
                 &[
                     "doubling (Algorithm 2)",
                     "matching",
@@ -255,6 +263,72 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
     }
 }
 
+/// A tree-to-tour construction compared by the routing ablation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Construction {
+    /// Algorithm 2's own step: double the tree, Euler circuit, shortcut.
+    Doubling,
+    /// The tree plus a greedy matching of its odd-degree vertices, Euler
+    /// circuit, shortcut ([`tour_from_tree_matched`]). Still within the
+    /// doubling bound: the matching never outweighs the tree.
+    Matching,
+    /// Clarke–Wright savings over the tree's sensors ([`savings_tour`]);
+    /// only the membership comes from Algorithm 1. No approximation
+    /// guarantee.
+    Savings,
+}
+
+/// Algorithm 2 over `terminals` with `construction` as its tree-to-tour
+/// step: Algorithm 1's forest, then one tour per root in `roots`.
+pub fn q_rooted_tours(
+    src: &DistSource<'_>,
+    terminals: &[usize],
+    roots: &[usize],
+    construction: Construction,
+) -> QTours {
+    let forest = q_rooted_msf_src(src, terminals, roots);
+    let groups = forest.terminals_by_root();
+    let tours: Vec<Tour> = (0..roots.len())
+        .map(|r| {
+            let edges = forest.host_edges(r, terminals, roots[r]);
+            match construction {
+                Construction::Doubling => tour_from_tree_doubling(&edges, roots[r]),
+                Construction::Matching => tour_from_tree_matched(src, src.len(), &edges, roots[r]),
+                Construction::Savings => {
+                    let customers: Vec<usize> = groups[r].iter().map(|&t| terminals[t]).collect();
+                    savings_tour(src, roots[r], &customers)
+                }
+            }
+        })
+        .collect();
+    let tour_lengths: Vec<f64> = tours.iter().map(|t| t.length(src)).collect();
+    let cost = tour_lengths.iter().sum();
+    QTours { tours, tour_lengths, cost }
+}
+
+/// `plan`, Algorithm 3's schedule for `inst`, with each of its `K + 1`
+/// cumulative sets `D_k` rebuilt by `construction` and the same dispatch
+/// timeline. With [`Construction::Doubling`] the result is `plan` bit for
+/// bit, so the arms differ from Algorithm 3 only in the construction.
+pub fn with_construction(
+    inst: &Instance,
+    plan: &ScheduleSeries,
+    construction: Construction,
+) -> ScheduleSeries {
+    let network = inst.network();
+    let (n, src, roots) = (network.n(), network.dist_source(), network.depot_nodes());
+    let partition = partition_cycles(inst.cycles());
+    let mut rebuilt = ScheduleSeries::new();
+    for k in 0..=partition.k_max() {
+        let qt = q_rooted_tours(&src, &partition.cumulative(k), &roots, construction);
+        rebuilt.add_set(TourSet::from_qtours(qt, |v| v >= n));
+    }
+    for d in plan.dispatches() {
+        rebuilt.push_dispatch(d.time, d.set);
+    }
+    rebuilt
+}
+
 /// `plan` refined by the `perpetuum-opt` refiner until every tour set is
 /// at a local optimum.
 fn refined_to_convergence(inst: &Instance, plan: &ScheduleSeries, seed: u64) -> ScheduleSeries {
@@ -278,12 +352,16 @@ fn transpose<const V: usize>(rows: Vec<[f64; V]>) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perpetuum_core::network::Network;
+    use perpetuum_core::qtsp::q_rooted_tsp_src;
+    use perpetuum_geom::Point2;
 
     #[test]
     fn parse_ids() {
         assert_eq!(AblationId::parse("rounding"), Some(AblationId::Rounding));
         assert_eq!(AblationId::parse("polish"), Some(AblationId::TourPolish));
         assert_eq!(AblationId::parse("repair"), Some(AblationId::Repair));
+        assert_eq!(AblationId::parse("routing"), Some(AblationId::Routing));
         assert_eq!(AblationId::parse("nope"), None);
     }
 
@@ -318,5 +396,137 @@ mod tests {
         for i in 0..fd.xs.len() {
             assert!(fd.series[1].values[i] <= fd.series[0].values[i] + 1e-9);
         }
+    }
+
+    #[test]
+    fn doubling_rebuild_reproduces_algorithm_3_bit_for_bit() {
+        // The matching and savings arms reuse Algorithm 3's cumulative sets
+        // and dispatch timeline; with the doubling construction the rebuild
+        // must be Algorithm 3 itself, on the routing ablation's scenarios.
+        for n in FIXED_NS {
+            for i in 0..4 {
+                let inst = fixed_instance(n, 42, i);
+                let plan = plan_min_total_distance(&inst, &MtdConfig::default());
+                let rebuilt = with_construction(&inst, &plan, Construction::Doubling);
+                assert_eq!(rebuilt.sets().len(), plan.sets().len(), "n {n} topology {i}");
+                for (a, b) in rebuilt.sets().iter().zip(plan.sets()) {
+                    assert_eq!(a.cost().to_bits(), b.cost().to_bits(), "n {n} topology {i}");
+                    assert_eq!(a.sensors(), b.sensors(), "n {n} topology {i}");
+                    for ((ta, la), (tb, lb)) in a
+                        .tours()
+                        .iter()
+                        .zip(a.tour_lengths())
+                        .zip(b.tours().iter().zip(b.tour_lengths()))
+                    {
+                        assert_eq!(ta.nodes(), tb.nodes(), "n {n} topology {i}");
+                        assert_eq!(la.to_bits(), lb.to_bits(), "n {n} topology {i}");
+                    }
+                }
+                let times = |s: &ScheduleSeries| -> Vec<(u64, usize)> {
+                    s.dispatches().iter().map(|d| (d.time.to_bits(), d.set)).collect()
+                };
+                assert_eq!(times(&rebuilt), times(&plan), "n {n} topology {i}");
+                assert_eq!(
+                    rebuilt.service_cost().to_bits(),
+                    plan.service_cost().to_bits(),
+                    "n {n} topology {i}"
+                );
+            }
+        }
+    }
+
+    fn host(sensors: &[Point2], depots: &[Point2]) -> Vec<Point2> {
+        sensors.iter().chain(depots.iter()).copied().collect()
+    }
+
+    #[test]
+    fn matching_routing_covers_and_stays_within_doubling_bound() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let sensors: Vec<Point2> = (0..20)
+            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+            .collect();
+        let depots = vec![Point2::new(500.0, 500.0), Point2::new(0.0, 0.0)];
+        let pts = host(&sensors, &depots);
+        let dist = DistSource::points(&pts);
+        let terminals: Vec<usize> = (0..20).collect();
+        let roots = vec![20, 21];
+        let forest = q_rooted_msf_src(&dist, &terminals, &roots);
+        let matched = q_rooted_tours(&dist, &terminals, &roots, Construction::Matching);
+        assert_eq!(matched.covered_nodes(|n| n >= 20), terminals);
+        assert!(matched.cost <= 2.0 * forest.weight + 1e-9);
+        for (l, t) in matched.tours.iter().enumerate() {
+            assert_eq!(t.start(), Some(roots[l]));
+        }
+    }
+
+    #[test]
+    fn savings_routing_covers_and_competes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let sensors: Vec<Point2> = (0..25)
+            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+            .collect();
+        let depots = vec![Point2::new(500.0, 500.0), Point2::new(100.0, 100.0)];
+        let pts = host(&sensors, &depots);
+        let dist = DistSource::points(&pts);
+        let terminals: Vec<usize> = (0..25).collect();
+        let roots = vec![25, 26];
+        let saved = q_rooted_tours(&dist, &terminals, &roots, Construction::Savings);
+        assert_eq!(saved.covered_nodes(|n| n >= 25), terminals);
+        for (l, t) in saved.tours.iter().enumerate() {
+            assert_eq!(t.start(), Some(roots[l]));
+        }
+        // No guarantee, but it should at least beat the star bound.
+        let star: f64 = terminals
+            .iter()
+            .map(|&s| 2.0 * roots.iter().map(|&r| dist.get(s, r)).fold(f64::INFINITY, f64::min))
+            .sum();
+        assert!(saved.cost <= star + 1e-9);
+    }
+
+    #[test]
+    fn matching_routing_beats_doubling_on_average() {
+        use rand::{Rng, SeedableRng};
+        let mut matched_total = 0.0;
+        let mut doubled_total = 0.0;
+        for seed in 0..8u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 300);
+            let sensors: Vec<Point2> = (0..30)
+                .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+                .collect();
+            let depots = vec![Point2::new(500.0, 500.0)];
+            let pts = host(&sensors, &depots);
+            let dist = DistSource::points(&pts);
+            let terminals: Vec<usize> = (0..30).collect();
+            matched_total += q_rooted_tours(&dist, &terminals, &[30], Construction::Matching).cost;
+            doubled_total += q_rooted_tsp_src(&dist, &terminals, &[30]).cost;
+        }
+        assert!(
+            matched_total < doubled_total,
+            "matched {matched_total} vs doubled {doubled_total}"
+        );
+    }
+
+    #[test]
+    fn matching_routing_is_feasible_and_cheaper_on_average() {
+        use rand::{Rng, SeedableRng};
+        let mut doubled_total = 0.0;
+        let mut matched_total = 0.0;
+        for seed in 0..4u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 600);
+            let sensors: Vec<Point2> = (0..30)
+                .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+                .collect();
+            let cycles: Vec<f64> = (0..30).map(|_| rng.gen_range(1.0..50.0)).collect();
+            let depots = vec![Point2::new(500.0, 500.0)];
+            let inst = Instance::new(Network::new(sensors, depots), cycles, 64.0);
+            let doubled = plan_min_total_distance(&inst, &MtdConfig::default());
+            let matched = with_construction(&inst, &doubled, Construction::Matching);
+            perpetuum_core::feasibility::check_series(&inst, &matched).unwrap();
+            doubled_total += doubled.service_cost();
+            matched_total += matched.service_cost();
+        }
+        assert!(matched_total < doubled_total);
     }
 }

@@ -44,7 +44,7 @@ use perpetuum_core::greedy::{plan_greedy_fixed, GreedyConfig};
 use perpetuum_core::minmax::min_max_cover;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::Instance;
-use perpetuum_core::qtsp::{q_rooted_tsp_src, Routing};
+use perpetuum_core::qtsp::q_rooted_tsp_src;
 use perpetuum_core::rounding::partition_cycles;
 use perpetuum_core::split::split_tour_set;
 use perpetuum_graph::Metric;
@@ -250,7 +250,7 @@ fn run_minmax(topologies: usize, seed: u64) -> FigureData {
             let src = topo.network.dist_source();
             let qt = q_rooted_tsp_src(&src, &sensors, &topo.network.depot_nodes());
             let alg2_span = qt.tours.iter().map(|t| t.length(&src)).fold(0.0f64, f64::max);
-            let mm = min_max_cover(&topo.network, &sensors, Routing::Doubling, 200);
+            let mm = min_max_cover(&topo.network, &sensors, 200);
             [qt.cost / 1000.0, alg2_span / 1000.0, mm.total / 1000.0, mm.makespan / 1000.0]
         });
         for (idx, s) in

@@ -15,14 +15,22 @@
 //! Every data point is the mean over `topologies` independent seeded
 //! topologies (100 in the paper), run in parallel with `perpetuum-par` and
 //! reported in km.
+//!
+//! The routing ablation's alternative tree-to-tour constructions live
+//! here too, beside their only user: [`tsp_christofides`] (tree plus an
+//! odd-vertex [`matching`]) and [`tsp_savings`] (Clarke–Wright). The
+//! planners use Algorithm 2's tree doubling only.
 
 pub mod ablation;
 pub mod extras;
 pub mod figures;
+pub mod matching;
 pub mod output;
 pub mod plot;
 pub mod report;
 pub mod scenario;
+pub mod tsp_christofides;
+pub mod tsp_savings;
 pub mod viz;
 
 pub use ablation::{run_ablation, AblationId};

@@ -30,21 +30,6 @@ pub trait Metric {
     fn walk_len(&self, nodes: &[usize]) -> f64 {
         nodes.windows(2).map(|w| self.get(w[0], w[1])).sum()
     }
-
-    /// Smallest distance from `i` to any node in `targets`, with the
-    /// achieving target. `None` when `targets` is empty. First minimum in
-    /// target order wins ties (same rule as `DistMatrix::nearest_of`).
-    fn nearest_of(&self, i: usize, targets: &[usize]) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for &t in targets {
-            let d = self.get(i, t);
-            match best {
-                Some((_, bd)) if bd <= d => {}
-                _ => best = Some((t, d)),
-            }
-        }
-        best
-    }
 }
 
 impl Metric for DistMatrix {
@@ -143,8 +128,6 @@ mod tests {
         let src = DistSource::points(&pts);
         let walk: Vec<usize> = vec![0, 5, 2, 9, 1];
         assert_eq!(src.walk_len(&walk), dense.walk_len(&walk));
-        assert_eq!(Metric::nearest_of(&src, 3, &[7, 1, 11]), dense.nearest_of(3, &[7, 1, 11]));
-        assert_eq!(Metric::nearest_of(&src, 0, &[]), None);
     }
 
     #[test]

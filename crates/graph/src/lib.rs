@@ -25,28 +25,24 @@
 //! * [`tsp_heur`] — nearest-neighbour construction and the kd-tree k-NN
 //!   candidate lists the `perpetuum-opt` refiner scans (tour improvement
 //!   itself lives only in that refiner),
-//! * [`matching`] — greedy + 2-swap minimum-weight perfect matching,
-//! * [`tsp_christofides`] — MST + odd-vertex-matching tour construction
-//!   (the routing ablation's alternative to tree doubling),
-//! * [`tsp_savings`] — Clarke–Wright savings construction (the classic
-//!   VRP route builder, a third routing variant),
 //! * [`one_tree`] — Held–Karp 1-tree lower bounds for certifying tour
 //!   quality beyond exact-solver reach.
+//!
+//! The planners turn trees into tours one way, by doubling
+//! ([`euler::double_edges`]). The matching and Clarke–Wright savings
+//! constructions that the routing ablation compares against live beside
+//! that ablation, in `perpetuum-exp`.
 
 pub mod dist;
 pub mod dsu;
 pub mod euler;
-pub mod matching;
 pub mod matrix;
 pub mod mst;
 pub mod one_tree;
 pub mod sparse;
 pub mod tour;
-pub mod tsp_christofides;
 pub mod tsp_exact;
 pub mod tsp_heur;
-pub mod tsp_hilbert;
-pub mod tsp_savings;
 
 pub use dist::{DistSource, Metric};
 pub use dsu::DisjointSets;

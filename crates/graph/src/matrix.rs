@@ -156,21 +156,6 @@ impl DistMatrix {
         }
         true
     }
-
-    /// Smallest distance from `i` to any node in `targets`, with the
-    /// achieving target index. `None` when `targets` is empty.
-    pub fn nearest_of(&self, i: usize, targets: &[usize]) -> Option<(usize, f64)> {
-        let row = self.row(i);
-        let mut best: Option<(usize, f64)> = None;
-        for &t in targets {
-            let d = row[t];
-            match best {
-                Some((_, bd)) if bd <= d => {}
-                _ => best = Some((t, d)),
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -262,17 +247,6 @@ mod tests {
         assert_eq!(m.walk_len(&[0, 1, 2, 3]), 3.0);
         assert_eq!(m.walk_len(&[0]), 0.0);
         assert_eq!(m.walk_len(&[]), 0.0);
-    }
-
-    #[test]
-    fn nearest_of_picks_minimum() {
-        let m = DistMatrix::from_points(&square_points());
-        let (t, d) = m.nearest_of(0, &[2, 1, 3]).unwrap();
-        // Nodes 1 and 3 are both at distance 1; first minimum in target
-        // order wins, which is node 1 here.
-        assert_eq!(t, 1);
-        assert_eq!(d, 1.0);
-        assert!(m.nearest_of(0, &[]).is_none());
     }
 
     #[test]

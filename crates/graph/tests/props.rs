@@ -99,16 +99,4 @@ proptest! {
         prop_assert!(opt <= nn + 1e-6);
     }
 
-    #[test]
-    fn every_constructor_respects_the_one_tree_bound(pts in points(4..24)) {
-        let d = DistMatrix::from_points(&pts);
-        let lb = one_tree_lower_bound(&d);
-        let nn = nearest_neighbor(&d, 0).length(&d);
-        let chris = perpetuum_graph::tsp_christofides::christofides(&d, 0).length(&d);
-        let customers: Vec<usize> = (1..pts.len()).collect();
-        let sav = perpetuum_graph::tsp_savings::savings_tour(&d, 0, &customers).length(&d);
-        prop_assert!(nn + 1e-6 >= lb);
-        prop_assert!(chris + 1e-6 >= lb);
-        prop_assert!(sav + 1e-6 >= lb);
-    }
 }

@@ -208,7 +208,6 @@ pub trait ChargingPolicy {
 #[derive(Debug)]
 pub struct MtdPolicy<'a> {
     network: &'a Network,
-    cfg: MtdConfig,
     /// Safety margin: plan as if every cycle were `τ̂ · (1 − margin)`.
     /// Zero (the paper's model) plans against the exact cycles; a positive
     /// margin buys slack for charger travel time (see the `speed`
@@ -219,18 +218,13 @@ pub struct MtdPolicy<'a> {
 impl<'a> MtdPolicy<'a> {
     /// Plain Algorithm 3.
     pub fn new(network: &'a Network) -> Self {
-        Self { network, cfg: MtdConfig::default(), cycle_margin: 0.0 }
-    }
-
-    /// Algorithm 3 with an explicit tree-to-tour routing (ablation only).
-    pub fn with_config(network: &'a Network, cfg: MtdConfig) -> Self {
-        Self { network, cfg, cycle_margin: 0.0 }
+        Self { network, cycle_margin: 0.0 }
     }
 
     /// Algorithm 3 planning against `τ̂ · (1 − margin)`.
     pub fn with_margin(network: &'a Network, cycle_margin: f64) -> Self {
         assert!((0.0..1.0).contains(&cycle_margin), "margin must be in [0, 1)");
-        Self { network, cfg: MtdConfig::default(), cycle_margin }
+        Self { network, cycle_margin }
     }
 }
 
@@ -246,7 +240,7 @@ impl ChargingPolicy for MtdPolicy<'_> {
             return PlanUpdate::Keep;
         }
         let instance = Instance::new(self.network.clone(), cycles, obs.horizon);
-        PlanUpdate::Replace(plan_min_total_distance(&instance, &self.cfg))
+        PlanUpdate::Replace(plan_min_total_distance(&instance, &MtdConfig::default()))
     }
 }
 

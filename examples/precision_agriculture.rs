@@ -13,8 +13,6 @@
 //! cargo run --release --example precision_agriculture
 //! ```
 
-use perpetuum::core::minmax::min_max_cover;
-use perpetuum::core::qtsp::Routing;
 use perpetuum::core::split::split_tour_set;
 use perpetuum::energy::CycleDistribution;
 use perpetuum::geom::{deploy, derived_rng, Field};
@@ -79,9 +77,9 @@ fn main() {
     // sensors need a simultaneous post-storm recharge?
     let all: Vec<usize> = (0..n).collect();
     let src = network.dist_source();
-    let qt = perpetuum::core::qtsp::q_rooted_tsp_src(&src, &all, &network.depot_nodes());
+    let qt = q_rooted_tsp_src(&src, &all, &network.depot_nodes());
     let alg2_span = qt.tours.iter().map(|t| t.length(&src)).fold(0.0f64, f64::max);
-    let balanced = min_max_cover(&network, &all, Routing::Doubling, 200);
+    let balanced = min_max_cover(&network, &all, 200);
     println!(
         "\nfull-recharge makespan: Algorithm 2 routing {:.0} m, balanced cover {:.0} m \
          ({} rebalancing moves, total {:.0} m vs {:.0} m)",

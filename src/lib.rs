@@ -78,7 +78,7 @@ pub mod prelude {
     pub use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
     pub use perpetuum_core::network::{Instance, Network};
     pub use perpetuum_core::qmsf::q_rooted_msf_src;
-    pub use perpetuum_core::qtsp::{q_rooted_tsp_routed_src, q_rooted_tsp_src, Routing};
+    pub use perpetuum_core::qtsp::q_rooted_tsp_src;
     pub use perpetuum_core::rounding::partition_cycles;
     pub use perpetuum_core::schedule::ScheduleSeries;
     pub use perpetuum_core::split::{split_tour, split_tour_set};
