@@ -18,10 +18,14 @@
 //!    retargeted in place; the dispatch timeline is untouched. A `τ₁`
 //!    undercut or a class-structure change falls back to a full
 //!    Algorithm-3 round with `V^a` repair, which re-seeds the planner.
-//! 4. **Emergency dispatch** — a min-heap of predicted death times (same
-//!    shape as the simulator's death-prediction queue) is checked after
-//!    every batch; a sensor whose predicted death precedes its next
-//!    scheduled visit gets an immediate rescue tour appended at `now`.
+//! 4. **Emergency dispatch** — after every batch, a sensor whose predicted
+//!    death precedes its next scheduled visit gets an immediate rescue
+//!    tour appended at `now`. Every plan mutation bumps `revision` and
+//!    every charge or report re-pushes the sensor's predicted death, so
+//!    while the revision stands a batch examines only the sensors it
+//!    re-pushed (touched or charged); after a bump it examines all `n`.
+//!    Their next visits come from one walk over the pending dispatches
+//!    that stops once every examined sensor is found.
 //!
 //! The controller is pure state-machine: no clocks, no RNG, no I/O. The
 //! same construction arguments and telemetry stream therefore produce a
@@ -29,11 +33,9 @@
 //!
 //! Stale *modified* repair sets from an earlier full replan are not
 //! rewritten by later incremental rounds — if drift makes one insufficient,
-//! the deadline queue catches the affected sensor and issues a rescue
+//! the emergency check catches the affected sensor and issues a rescue
 //! dispatch, so safety never depends on repair-set freshness.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use perpetuum_core::incremental::{IncrementalConfig, IncrementalPlanner};
@@ -260,38 +262,6 @@ impl IngestReport {
     }
 }
 
-/// Predicted death entry in the emergency queue. Ordered by time, then
-/// sensor, then stamp — a total order, so heap behaviour is deterministic.
-#[derive(Debug, Clone, Copy)]
-struct Deadline {
-    time: f64,
-    sensor: usize,
-    stamp: u64,
-}
-
-impl PartialEq for Deadline {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for Deadline {}
-
-impl PartialOrd for Deadline {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Deadline {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.sensor.cmp(&other.sensor))
-            .then(self.stamp.cmp(&other.stamp))
-    }
-}
-
 /// The closed-loop controller. See the module docs for the control law.
 #[derive(Debug)]
 pub struct OnlineController {
@@ -319,9 +289,16 @@ pub struct OnlineController {
     /// by every full replan.
     planner: Option<IncrementalPlanner>,
 
-    // --- emergency queue ----------------------------------------------
-    heap: BinaryHeap<Reverse<Deadline>>,
-    stamp: Vec<u64>,
+    // --- emergency check ----------------------------------------------
+    /// Predicted death of each sensor as of its last re-push; live only
+    /// below the horizon (`INFINITY` until the first re-push).
+    deadline: Vec<f64>,
+    /// Sensors re-pushed since the last check, possibly repeated.
+    dirty: Vec<usize>,
+    /// Plan revision the last check ran against.
+    checked_revision: u64,
+    /// Live deadlines examined by all checks so far.
+    examined: u64,
 
     // --- charge log (for edge-client mirroring) ------------------------
     /// When enabled, every applied charge is appended as `(time, sensor)`
@@ -398,8 +375,10 @@ impl OnlineController {
             base_ids: Vec::new(),
             next_dispatch: 0,
             planner: None,
-            heap: BinaryHeap::new(),
-            stamp: vec![0; n],
+            deadline: vec![f64::INFINITY; n],
+            dirty: Vec::new(),
+            checked_revision: 0,
+            examined: 0,
             log_charges: false,
             charged: Vec::new(),
             revision: 0,
@@ -585,7 +564,6 @@ impl OnlineController {
             }
         }
 
-        let planner_before = self.planner_calls;
         let t = batch.time.max(self.now);
         // Dispatches strictly before the batch time are already reflected
         // in the reported levels; dispatches scheduled at exactly `t` are
@@ -632,31 +610,7 @@ impl OnlineController {
                 changes.push((i, power_class(self.tau1, tau)));
             }
         }
-        let class_changes = changes.len();
-
-        let mut replan = ReplanKind::None;
-        if !changes.is_empty() && self.now < self.cfg.horizon {
-            if !need_full && self.try_incremental(&changes) {
-                replan = ReplanKind::Incremental;
-            } else {
-                self.full_replan();
-                replan = ReplanKind::Full;
-            }
-        }
-
-        for &i in &touched {
-            self.push_deadline(i);
-        }
-        let emergency_sensors = self.check_emergencies();
-
-        Ok(IngestReport {
-            revision: self.revision,
-            time: self.now,
-            replan,
-            class_changes,
-            emergency_sensors,
-            planner_calls: self.planner_calls - planner_before,
-        })
+        Ok(self.settle(&touched, &changes, need_full))
     }
 
     /// Ingest a suppressed-event batch from edge clients: reconstruct the
@@ -752,7 +706,6 @@ impl OnlineController {
                 changes.push((i, power_class(self.tau1, tau)));
             }
         }
-        let class_changes = changes.len();
         let will_replan = !changes.is_empty() && t < self.cfg.horizon;
         if will_replan && (need_full || !self.incremental_feasible(&changes)) && !batch.sync {
             return Err(OnlineError::SyncRequired);
@@ -760,7 +713,6 @@ impl OnlineController {
 
         // Commit: same clock/charge choreography as `ingest`, but the
         // estimator state is *adopted*, not re-derived.
-        let planner_before = self.planner_calls;
         self.execute_due(t - EPS);
         self.now = t;
         for &i in &touched {
@@ -772,29 +724,40 @@ impl OnlineController {
         }
         self.execute_due(t + EPS);
 
+        Ok(self.settle(&touched, &changes, need_full))
+    }
+
+    /// Shared tail of both ingest paths, once the batch's measurements are
+    /// in: replan at the cheapest sufficient tier, re-push the touched
+    /// sensors and run the emergency check.
+    fn settle(
+        &mut self,
+        touched: &[usize],
+        changes: &[(usize, usize)],
+        need_full: bool,
+    ) -> IngestReport {
+        let planner_before = self.planner_calls;
         let mut replan = ReplanKind::None;
-        if will_replan {
-            if !need_full && self.try_incremental(&changes) {
-                replan = ReplanKind::Incremental;
+        if !changes.is_empty() && self.now < self.cfg.horizon {
+            replan = if !need_full && self.try_incremental(changes) {
+                ReplanKind::Incremental
             } else {
                 self.full_replan();
-                replan = ReplanKind::Full;
-            }
+                ReplanKind::Full
+            };
         }
-
-        for &i in &touched {
+        for &i in touched {
             self.push_deadline(i);
         }
         let emergency_sensors = self.check_emergencies();
-
-        Ok(IngestReport {
+        IngestReport {
             revision: self.revision,
             time: self.now,
             replan,
-            class_changes,
+            class_changes: changes.len(),
             emergency_sensors,
             planner_calls: self.planner_calls - planner_before,
-        })
+        }
     }
 
     /// Execute every pending dispatch with time `<= limit`: covered
@@ -826,23 +789,39 @@ impl OnlineController {
         self.now = t;
     }
 
-    /// Queue (or refresh) a sensor's predicted-death deadline. Deadlines at
-    /// or past the horizon are not queued — any state change re-pushes, so
-    /// nothing is lost by dropping them.
+    /// Re-push a sensor: refresh its predicted death and mark it for the
+    /// next check. Every change to a sensor's estimate or charge state
+    /// must come through here.
     fn push_deadline(&mut self, sensor: usize) {
-        self.stamp[sensor] += 1;
-        let death = self.death_time(sensor);
-        if death < self.cfg.horizon {
-            self.heap.push(Reverse(Deadline { time: death, sensor, stamp: self.stamp[sensor] }));
-        }
+        self.deadline[sensor] = self.death_time(sensor);
+        self.dirty.push(sensor);
     }
 
-    /// First pending dispatch that covers `sensor`, if any.
-    fn next_charge_time(&self, sensor: usize) -> Option<f64> {
-        self.series.dispatches()[self.next_dispatch..]
-            .iter()
-            .find(|d| self.series.sets()[d.set].contains_sensor(sensor))
-            .map(|d| d.time)
+    /// Time of the first pending dispatch that covers each of the distinct
+    /// `sensors`, indexed by sensor (`INFINITY`: none does, or not asked).
+    /// One walk over the pending dispatches visits each distinct set once
+    /// and stops as soon as every asked sensor has its time.
+    fn next_charge_times(&self, sensors: &[usize]) -> Vec<f64> {
+        let mut next = vec![f64::INFINITY; self.network.n()];
+        let mut wanted = vec![false; next.len()];
+        sensors.iter().for_each(|&i| wanted[i] = true);
+        let mut missing = sensors.len();
+        let mut seen = vec![false; self.series.sets().len()];
+        for d in &self.series.dispatches()[self.next_dispatch..] {
+            if missing == 0 {
+                break;
+            }
+            if std::mem::replace(&mut seen[d.set], true) {
+                continue;
+            }
+            for &i in self.series.sets()[d.set].sensors() {
+                if std::mem::take(&mut wanted[i]) {
+                    next[i] = d.time;
+                    missing -= 1;
+                }
+            }
+        }
+        next
     }
 
     /// Incremental tier: splice only the cumulative sets whose membership
@@ -970,36 +949,32 @@ impl OnlineController {
         self.advance_to(t);
     }
 
-    /// Drain the deadline queue: any live deadline before the horizon whose
-    /// sensor is not visited in time gets folded into one rescue dispatch
-    /// at `now`. Returns the number of rescued sensors.
+    /// Emergency check: every sensor whose live deadline (before the
+    /// horizon) its next visit misses is folded into one rescue dispatch
+    /// at `now` — examining only re-pushed sensors while the revision
+    /// stands (module docs, step 4). Returns the number of rescued sensors.
     fn check_emergencies(&mut self) -> usize {
+        let mut examine = std::mem::take(&mut self.dirty);
         if self.now >= self.cfg.horizon {
             return 0;
         }
-        let mut safe: Vec<Deadline> = Vec::new();
-        let mut urgent: Vec<usize> = Vec::new();
-        while let Some(Reverse(d)) = self.heap.pop() {
-            if d.stamp != self.stamp[d.sensor] {
-                continue; // superseded by a newer estimate
-            }
-            if d.time >= self.cfg.horizon {
-                continue;
-            }
-            let visit_by = d.time - self.cfg.emergency_slack;
-            match self.next_charge_time(d.sensor) {
-                Some(t) if t <= visit_by + EPS => safe.push(d),
-                _ => urgent.push(d.sensor),
-            }
+        if self.checked_revision != self.revision {
+            examine = (0..self.network.n()).collect();
+            self.checked_revision = self.revision;
         }
-        for d in safe {
-            self.heap.push(Reverse(d));
-        }
+        examine.sort_unstable();
+        examine.dedup();
+        examine.retain(|&i| self.deadline[i] < self.cfg.horizon);
+        self.examined += examine.len() as u64;
+        let next = self.next_charge_times(&examine);
+        // A sensor no pending dispatch covers (`INFINITY`) is urgent.
+        examine.retain(|&i| next[i] > self.deadline[i] - self.cfg.emergency_slack + EPS);
+        let urgent = examine;
+        #[cfg(test)]
+        assert_eq!(urgent, self.brute_force_urgent(), "check disagrees with a full scan");
         if urgent.is_empty() {
             return 0;
         }
-        urgent.sort_unstable();
-        urgent.dedup();
 
         let alive = vec![true; self.network.q()];
         let Some(set) = degraded_tour_set(&self.network, &urgent, &alive) else {
@@ -1081,8 +1056,36 @@ impl OnlineController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::ClassEvent;
     use crate::telemetry::{TelemetryBatch, TelemetryRecord};
     use perpetuum_geom::Point2;
+    use proptest::prelude::*;
+
+    impl OnlineController {
+        /// Brute-force emergency verdicts, asserted against every
+        /// incremental check: each live deadline (which must equal the
+        /// sensor's current predicted death — every estimate change
+        /// re-pushes) checked against a linear scan of the pending
+        /// dispatches and of their sets' sensors.
+        pub(super) fn brute_force_urgent(&self) -> Vec<usize> {
+            (0..self.network.n())
+                .filter(|&i| {
+                    let death = self.deadline[i];
+                    if death == f64::INFINITY {
+                        return false; // never re-pushed
+                    }
+                    assert_eq!(death.to_bits(), self.death_time(i).to_bits(), "stale deadline {i}");
+                    if death >= self.cfg.horizon {
+                        return false;
+                    }
+                    let first = self.series.dispatches()[self.next_dispatch..]
+                        .iter()
+                        .find(|d| self.series.sets()[d.set].sensors().contains(&i));
+                    !matches!(first, Some(d) if d.time <= death - self.cfg.emergency_slack + EPS)
+                })
+                .collect()
+        }
+    }
 
     /// 5 sensors on a line, one depot. Cycles 4, 5.5, 6.5, 13, 14 →
     /// τ₁ = 4, classes [0, 0, 0, 1, 1], assigned [4, 4, 4, 8, 8].
@@ -1329,5 +1332,137 @@ mod tests {
             OnlineController::new(net, vec![1.0], vec![0.5], OnlineConfig::new(-1.0)),
             Err(OnlineError::NotPositive { field: "horizon", .. })
         ));
+    }
+    /// Examined deadlines per frame: a sweep after construction, then only
+    /// the sensors a frame touches or charges while the revision stands.
+    #[test]
+    fn a_frame_without_plan_change_examines_only_touched_and_charged_sensors() {
+        let mut ctl = controller();
+        ctl.ingest(&TelemetryBatch::tick(0.5)).expect("ingest");
+        // First check after the initial plan sweeps every live deadline:
+        // none, since no sensor has been re-pushed yet.
+        assert_eq!(ctl.examined, 0);
+        let rate = TelemetryBatch { time: 1.0, records: vec![TelemetryRecord::rate(1, 0.19)] };
+        let report = ctl.ingest(&rate).expect("ingest");
+        assert_eq!(report.replan, ReplanKind::None);
+        assert_eq!(ctl.examined, 1, "one touched sensor, nothing charged");
+        ctl.ingest(&TelemetryBatch::tick(2.0)).expect("ingest");
+        assert_eq!(ctl.examined, 1, "a quiet frame examines nothing");
+        // The dispatch at τ₁ = 4 charges D_0 = {0, 1, 2}.
+        ctl.ingest(&TelemetryBatch::tick(4.5)).expect("ingest");
+        assert_eq!(ctl.examined, 4, "three charged sensors");
+    }
+
+    const PROP_N: usize = 12;
+    const PROP_HORIZON: f64 = 60.0;
+
+    /// Base rate of sensor `i` in the property test's world (cycles 3..25).
+    fn prop_rate(i: usize) -> f64 {
+        1.0 / (3.0 + 2.0 * i as f64)
+    }
+
+    /// Line world of [`PROP_N`] sensors and two depots.
+    fn prop_controller(slack: f64) -> OnlineController {
+        let sensors = (0..PROP_N)
+            .map(|i| Point2::new(12.0 * i as f64, if i % 3 == 0 { 0.0 } else { 18.0 }))
+            .collect();
+        let depots = vec![Point2::new(30.0, 40.0), Point2::new(110.0, -20.0)];
+        let rates = (0..PROP_N).map(prop_rate).collect();
+        let cfg = OnlineConfig::new(PROP_HORIZON).with_emergency_slack(slack);
+        OnlineController::new(Network::new(sensors, depots), vec![1.0; PROP_N], rates, cfg)
+            .expect("valid controller")
+    }
+
+    /// One generated frame: its time step, whether it goes in as class
+    /// events, and `(sensor, rate factor, level drop)` per record.
+    type Frame = (f64, bool, Vec<(usize, f64, Option<f64>)>);
+
+    fn frames() -> impl Strategy<Value = Vec<Frame>> {
+        let record = (0..PROP_N, 0.3f64..4.0, 0.0f64..1.0)
+            .prop_map(|(i, f, u)| (i, f, (u < 0.25).then_some(0.8 * u)));
+        let frame = (0.05f64..6.0, 0.0f64..1.0, prop::collection::vec(record, 0..5))
+            .prop_map(|(dt, u, records)| (dt, u < 0.3, records));
+        prop::collection::vec(frame, 1..30)
+    }
+
+    /// Feeds one generated frame at time `t`, as telemetry or as class
+    /// events (retried as a sync batch when refused), and returns its
+    /// report and the sensors it touched.
+    fn feed(ctl: &mut OnlineController, t: f64, frame: &Frame) -> (IngestReport, Vec<usize>) {
+        let (_, events, records) = frame;
+        let touched: Vec<usize> = records.iter().map(|r| r.0).collect();
+        if !events {
+            let records = records
+                .iter()
+                .map(|&(i, f, drop)| match drop {
+                    Some(level) => TelemetryRecord::full(i, f * prop_rate(i), level),
+                    None => TelemetryRecord::rate(i, f * prop_rate(i)),
+                })
+                .collect();
+            return (ctl.ingest(&TelemetryBatch { time: t, records }).expect("ingest"), touched);
+        }
+        let event = |ctl: &OnlineController, i: usize, f: f64, drop: Option<f64>| {
+            let rate = f * prop_rate(i);
+            ClassEvent::new(i, rate, rate, drop.unwrap_or_else(|| ctl.level_at(i, t)))
+        };
+        let evs: Vec<ClassEvent> = records.iter().map(|&(i, f, d)| event(ctl, i, f, d)).collect();
+        match ctl.ingest_events(&EventBatch::new(t, evs.clone())) {
+            Err(OnlineError::SyncRequired) => {
+                let mut all: Vec<ClassEvent> = (0..PROP_N)
+                    .map(|i| {
+                        let rate = ctl.rate_estimate(i);
+                        ClassEvent::new(i, rate, rate, ctl.level_at(i, t))
+                    })
+                    .collect();
+                for e in evs {
+                    all[e.sensor] = e;
+                }
+                let sync = EventBatch { sync: true, ..EventBatch::new(t, all) };
+                (ctl.ingest_events(&sync).expect("sync batch"), (0..PROP_N).collect())
+            }
+            report => (report.expect("event batch"), touched),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Drift, level drops, class events with and without sync, and
+        /// frames past the horizon: every check's urgent set equals the
+        /// brute-force one (asserted inside the check), every rescue
+        /// covers exactly the reported sensors, and a frame that follows
+        /// a frame without plan change, and changes none itself, examines
+        /// at most the sensors it touched or charged.
+        #[test]
+        fn incremental_check_matches_brute_force(stream in frames(), slack in 0u8..2) {
+            let mut ctl = prop_controller(1.5 * f64::from(slack));
+            ctl.set_charge_log(true);
+            let mut t = 0.0;
+            let mut standing = false;
+            for frame in &stream {
+                t += frame.0;
+                let (examined, revision) = (ctl.examined, ctl.revision());
+                let rescues = ctl.emergency_dispatches();
+                let (report, mut touched) = feed(&mut ctl, t, frame);
+                if report.emergency_sensors > 0 {
+                    prop_assert!(t < PROP_HORIZON);
+                    prop_assert_eq!(ctl.emergency_dispatches(), rescues + 1);
+                    let rescue = ctl.series().sets().last().expect("rescue set");
+                    prop_assert_eq!(rescue.sensors().len(), report.emergency_sensors);
+                }
+                touched.extend(ctl.take_charges().into_iter().map(|(_, i)| i));
+                touched.sort_unstable();
+                touched.dedup();
+                let delta = (ctl.examined - examined) as usize;
+                let unchanged = report.revision == revision;
+                if standing && unchanged {
+                    prop_assert!(delta <= touched.len(), "examined {} of {:?}", delta, touched);
+                }
+                if t >= PROP_HORIZON {
+                    prop_assert_eq!(delta, 0);
+                }
+                standing = unchanged;
+            }
+        }
     }
 }

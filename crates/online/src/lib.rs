@@ -9,8 +9,8 @@
 //! predictors, drift that invalidates a sensor's power-of-two rounding
 //! class triggers *incremental* replanning (only the affected cumulative
 //! sets are re-routed and their future dispatches retargeted), and a
-//! death-prediction deadline queue issues emergency rescue dispatches when
-//! a sensor would die before its next scheduled visit.
+//! per-sensor predicted-death check issues emergency rescue dispatches
+//! when a sensor would die before its next scheduled visit.
 //!
 //! The controller is deterministic by construction — no clocks, RNG or
 //! I/O — so the same telemetry stream always yields a byte-identical plan

@@ -6,7 +6,7 @@
 //! [`ControllerSeed`] and re-ingesting the same batches yields a
 //! byte-identical plan sequence (pinned by `tests/determinism.rs`). A
 //! durability layer therefore never needs to serialize the controller's
-//! internal fields (predictor EWMAs, forests, heaps); it journals the
+//! internal fields (predictor EWMAs, forests, deadlines); it journals the
 //! seed once and every accepted batch after it. That is also the only
 //! *provably* faithful snapshot: a field-by-field dump could silently
 //! miss a new field, while seed + replay is exact by the determinism

@@ -16,9 +16,10 @@ const BUCKETS: [f64; 9] = [0.0005, 0.001, 0.005, 0.025, 0.1, 0.25, 1.0, 5.0, 15.
 #[derive(Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS.len() + 1],
-    /// Sum of observations in microseconds (integer atomics; Prometheus
-    /// gets seconds back at render time).
-    sum_us: AtomicU64,
+    /// Sum of observations in nanoseconds (integer atomics; Prometheus
+    /// gets seconds back at render time). Microseconds would drop up to
+    /// one from each planner-free ingest, which takes only tens of them.
+    sum_ns: AtomicU64,
     count: AtomicU64,
 }
 
@@ -27,7 +28,7 @@ impl Histogram {
     pub fn observe(&self, seconds: f64) {
         let idx = BUCKETS.iter().position(|&ub| seconds <= ub).unwrap_or(BUCKETS.len());
         self.buckets[idx].fetch_add(1, Relaxed);
-        self.sum_us.fetch_add((seconds * 1e6) as u64, Relaxed);
+        self.sum_ns.fetch_add((seconds * 1e9) as u64, Relaxed);
         self.count.fetch_add(1, Relaxed);
     }
 
@@ -45,7 +46,7 @@ impl Histogram {
         }
         cumulative += self.buckets[BUCKETS.len()].load(Relaxed);
         let _ = writeln!(out, "{name}_bucket{{{label}=\"{value}\",le=\"+Inf\"}} {cumulative}");
-        let sum = self.sum_us.load(Relaxed) as f64 / 1e6;
+        let sum = self.sum_ns.load(Relaxed) as f64 / 1e9;
         let _ = writeln!(out, "{name}_sum{{{label}=\"{value}\"}} {sum}");
         let _ = writeln!(out, "{name}_count{{{label}=\"{value}\"}} {}", self.count.load(Relaxed));
     }
@@ -117,6 +118,8 @@ pub struct Metrics {
     pub session_replans: [AtomicU64; 3],
     /// Emergency rescue dispatches issued by session ingests.
     pub session_emergencies: AtomicU64,
+    /// Ingest latency of telemetry batches that replanned nothing.
+    pub planner_none: Histogram,
     /// Planner latency of telemetry batches resolved on the incremental
     /// (forest-splice) path.
     pub planner_incremental: Histogram,
@@ -151,8 +154,8 @@ pub struct Metrics {
 
 impl Metrics {
     /// Records one session telemetry ingest: the replan kind it resolved
-    /// to, the rescued-sensor count, and (for the two planning paths) the
-    /// end-to-end ingest latency.
+    /// to, the rescued-sensor count, and the end-to-end ingest latency
+    /// under that replan path.
     pub fn record_ingest(
         &self,
         kind: perpetuum_online::ReplanKind,
@@ -168,9 +171,9 @@ impl Metrics {
         self.session_replans[idx].fetch_add(1, Relaxed);
         self.session_emergencies.fetch_add(emergencies, Relaxed);
         match kind {
+            ReplanKind::None => self.planner_none.observe(seconds),
             ReplanKind::Incremental => self.planner_incremental.observe(seconds),
             ReplanKind::Full => self.planner_full.observe(seconds),
-            ReplanKind::None => {}
         }
     }
 
@@ -319,6 +322,7 @@ impl Metrics {
 
         out.push_str("# HELP perpetuum_planner_seconds Telemetry ingest latency by replan path.\n");
         out.push_str("# TYPE perpetuum_planner_seconds histogram\n");
+        self.planner_none.render(&mut out, "perpetuum_planner_seconds", "path", "none");
         self.planner_incremental.render(
             &mut out,
             "perpetuum_planner_seconds",
@@ -543,6 +547,7 @@ mod tests {
             "perpetuum_queue_depth 0",
             "perpetuum_session_replans_total{kind=\"none\"} 0",
             "perpetuum_session_emergencies_total 0",
+            "perpetuum_planner_seconds_count{path=\"none\"} 0",
             "perpetuum_planner_seconds_count{path=\"incremental\"} 0",
             "perpetuum_planner_seconds_count{path=\"full\"} 0",
         ] {
@@ -564,13 +569,17 @@ mod tests {
             "perpetuum_session_replans_total{kind=\"incremental\"} 2",
             "perpetuum_session_replans_total{kind=\"full\"} 1",
             "perpetuum_session_emergencies_total 3",
+            "perpetuum_planner_seconds_count{path=\"none\"} 1",
+            "perpetuum_planner_seconds_bucket{path=\"none\",le=\"0.0005\"} 1",
+            "perpetuum_planner_seconds_sum{path=\"none\"} 0.0001",
             "perpetuum_planner_seconds_count{path=\"incremental\"} 2",
             "perpetuum_planner_seconds_count{path=\"full\"} 1",
             "perpetuum_planner_seconds_bucket{path=\"full\",le=\"0.25\"} 1",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        // The planner-free path never lands in either histogram.
+        // Each ingest lands in exactly its own path's histogram.
+        assert_eq!(m.planner_none.count(), 1);
         assert_eq!(m.planner_incremental.count() + m.planner_full.count(), 3);
     }
 }

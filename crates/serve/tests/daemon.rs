@@ -370,12 +370,22 @@ fn session_lifecycle_over_the_wire() {
         "perpetuum_session_replans_total{kind=\"none\"} 1",
         "perpetuum_session_replans_total{kind=\"incremental\"} 1",
         "perpetuum_session_replans_total{kind=\"full\"} 0",
+        "perpetuum_planner_seconds_count{path=\"none\"} 1",
+        "perpetuum_planner_seconds_bucket{path=\"none\",le=\"+Inf\"} 1",
         "perpetuum_planner_seconds_count{path=\"incremental\"} 1",
         "perpetuum_planner_seconds_count{path=\"full\"} 0",
         "perpetuum_planner_seconds_bucket{path=\"incremental\",le=\"+Inf\"} 1",
     ] {
         assert!(metrics.body.contains(family), "missing {family:?}:\n{}", metrics.body);
     }
+    // The planner-free ingest's latency is metered too, not dropped.
+    let none_sum = metrics
+        .body
+        .lines()
+        .find_map(|l| l.strip_prefix("perpetuum_planner_seconds_sum{path=\"none\"} "))
+        .and_then(|v| v.parse::<f64>().ok())
+        .expect("none-path latency sum");
+    assert!(none_sum > 0.0, "planner-free ingest metered as {none_sum} s");
 
     // Delete, then every session route 404s and the gauge drops to zero.
     assert_eq!(delete(addr, &format!("/session/{id}")).status, 200);
