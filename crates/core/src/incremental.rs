@@ -26,9 +26,8 @@
 //!   longer), arrivals are cheapest-inserted, and a localized 2-opt
 //!   smooths the seams. A fresh doubling rebuild of the spliced tree
 //!   guards every root: the shorter tour wins, so a warm tour never costs
-//!   more than the paper's 2-approximation on the current forest. Repairs
-//!   run per-root in parallel and are bit-identical for any worker count
-//!   (same argument as [`crate::qtsp::tours_for_forest`]).
+//!   more than the paper's 2-approximation on the current forest. Roots
+//!   are repaired one after another; a splice usually touches one or two.
 //! * **Anchor-grid emission** — dispatch times stay on the seed grid
 //!   `anchor + j·τ̂₁` serving `D_{min(ν₂(j),K)}`, so future dispatches of
 //!   an untouched class reuse its cached tours verbatim. A replan at `now`
@@ -53,7 +52,7 @@
 use crate::mtd::nu2;
 use crate::network::Network;
 use crate::qmsf::{super_root_forest, RootedForest, SupersetTree};
-use crate::qtsp::{default_tour_workers, tour_from_tree_doubling, tours_for_forest, QTours};
+use crate::qtsp::{tour_from_tree_doubling, tours_for_forest, QTours};
 use crate::rounding::power_class;
 use crate::schedule::{ScheduleSeries, TourSet};
 use crate::var::{replan_variable_detailed, RepairStrategy, VarDetailed, VarInput, VarPlan};
@@ -67,15 +66,11 @@ pub struct IncrementalConfig {
     /// replan, surgery would touch most of the forest anyway — fall back
     /// to a full replan instead.
     pub migration_fallback_fraction: f64,
-    /// Worker override for the parallel per-root tour repair; `None` uses
-    /// the same heuristic as the from-scratch tour build. The parity tests
-    /// pin explicit counts against each other.
-    pub tour_workers: Option<usize>,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
-        Self { migration_fallback_fraction: 0.25, tour_workers: None }
+        Self { migration_fallback_fraction: 0.25 }
     }
 }
 
@@ -157,7 +152,6 @@ impl DynamicSet {
         inserted: &[usize],
         best_depot: &[(f64, usize)],
         all_sensors: &SupersetTree,
-        cfg: &IncrementalConfig,
     ) {
         let n = network.n();
         let q = network.q();
@@ -177,7 +171,6 @@ impl DynamicSet {
         }
         members.extend_from_slice(inserted);
         members.sort_unstable();
-        let m = members.len();
 
         // --- forest surgery --------------------------------------------------
         let forest = members_forest(network, &members, best_depot, all_sensors);
@@ -202,11 +195,15 @@ impl DynamicSet {
         let tree_edges = host_tree_edges(network, &members, &forest);
 
         let old_tours = self.tours.tours();
-        let workers = cfg.tour_workers.unwrap_or_else(|| default_tour_workers(m, q));
-        let build = |r: usize| -> Tour {
+        let mut tours = Vec::with_capacity(q);
+        let mut tour_lengths = Vec::with_capacity(q);
+        for r in 0..q {
             let depot = network.depot_node(r);
             if tree_edges[r].is_empty() {
-                return Tour::singleton(depot);
+                let idle = Tour::singleton(depot);
+                tour_lengths.push(idle.length(&src));
+                tours.push(idle);
+                continue;
             }
             let rebuilt = tour_from_tree_doubling(&tree_edges[r], depot);
             let warm = if remove_nodes[r].is_empty() && insert_nodes[r].is_empty() {
@@ -217,14 +214,17 @@ impl DynamicSet {
             // The doubling rebuild of the spliced tree guards the warm
             // repair, so the kept tour is never worse than the paper's
             // 2-approximation on the current forest.
-            if warm.length(&src) <= rebuilt.length(&src) + 1e-12 {
-                warm
+            let (warm_len, rebuilt_len) = (warm.length(&src), rebuilt.length(&src));
+            let (tour, len) = if warm_len <= rebuilt_len + 1e-12 {
+                (warm, warm_len)
             } else {
-                rebuilt
-            }
-        };
-        let tours = perpetuum_par::par_map_indexed(q, workers, build);
-        self.tours = TourSet::new(tours, &src, |v| v >= n);
+                (rebuilt, rebuilt_len)
+            };
+            tours.push(tour);
+            tour_lengths.push(len);
+        }
+        let cost = tour_lengths.iter().sum();
+        self.tours = TourSet::from_qtours(QTours { tours, tour_lengths, cost }, |v| v >= n);
 
         // --- commit -----------------------------------------------------------
         for (t, &r) in forest.assignment.iter().enumerate() {
@@ -637,14 +637,7 @@ impl IncrementalPlanner {
         if removed.is_empty() && inserted.is_empty() {
             return false;
         }
-        self.sets[k].splice(
-            network,
-            &removed,
-            &inserted,
-            &self.best_depot,
-            &self.all_sensors,
-            &self.cfg,
-        );
+        self.sets[k].splice(network, &removed, &inserted, &self.best_depot, &self.all_sensors);
         self.set_splices += 1;
         true
     }
@@ -667,14 +660,7 @@ impl IncrementalPlanner {
         }
         let nodes: Vec<usize> = urgent.iter().map(|&i| network.sensor_node(i)).collect();
         let forest = members_forest(network, &urgent, &self.best_depot, &self.all_sensors);
-        let workers = default_tour_workers(nodes.len(), network.q());
-        let qt = tours_for_forest(
-            &network.dist_source(),
-            &forest,
-            &nodes,
-            &network.depot_nodes(),
-            workers,
-        );
+        let qt = tours_for_forest(&network.dist_source(), &forest, &nodes, &network.depot_nodes());
         Some(TourSet::from_qtours(qt, |v| v >= n))
     }
 
@@ -958,6 +944,14 @@ mod tests {
                     assert_eq!(tour.start(), Some(network.depot_node(l)), "seed {seed} D_{k}");
                 }
                 assert_eq!(set.sensors(), planner.set_members(k), "seed {seed} D_{k} coverage");
+                // The kept lengths are the ones the splice measured; they
+                // must be what a fresh measurement gives, to the bit.
+                let src = network.dist_source();
+                for (tour, &len) in set.tours().iter().zip(set.tour_lengths()) {
+                    assert_eq!(len.to_bits(), tour.length(&src).to_bits(), "seed {seed} D_{k}");
+                }
+                let fresh: f64 = set.tours().iter().map(|t| t.length(&src)).sum();
+                assert_eq!(set.cost().to_bits(), fresh.to_bits(), "seed {seed} D_{k} cost");
                 let rebuilt = planner.rebuilt_cost(&network, k);
                 assert!(
                     set.cost() <= rebuilt + 1e-9,
@@ -970,41 +964,6 @@ mod tests {
                     set.cost(),
                     2.0 * planner.forest_weight(k)
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_tour_repair_is_bit_identical() {
-        // Property (c): the per-root warm repair collects in root order, so
-        // any worker count reproduces the sequential result bit for bit.
-        let n = 150;
-        let network = sparse_network(n, 4, 77);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let cycles = spread_cycles(n, &mut rng);
-        let changes_rng_seed = 55u64;
-        let run = |workers: usize| {
-            let cfg = IncrementalConfig { tour_workers: Some(workers), ..Default::default() };
-            let (_, mut planner) = seed_planner(&network, &cycles, cfg);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(changes_rng_seed);
-            for _ in 0..3 {
-                let changes = random_migrations(&planner, 15, &mut rng);
-                planner.apply_migrations(&network, &changes);
-            }
-            planner
-        };
-        let seq = run(1);
-        for workers in [2, 4, 7] {
-            let par = run(workers);
-            for k in 0..=seq.k_max() {
-                assert_eq!(
-                    seq.tour_set(k).cost().to_bits(),
-                    par.tour_set(k).cost().to_bits(),
-                    "workers {workers} D_{k}"
-                );
-                for (a, b) in seq.tour_set(k).tours().iter().zip(par.tour_set(k).tours()) {
-                    assert_eq!(a.nodes(), b.nodes(), "workers {workers} D_{k}");
-                }
             }
         }
     }
@@ -1116,7 +1075,7 @@ mod tests {
         ));
 
         // Migration budget.
-        let cfg = IncrementalConfig { migration_fallback_fraction: 0.0, ..Default::default() };
+        let cfg = IncrementalConfig { migration_fallback_fraction: 0.0 };
         let (_, mut strict) = seed_planner(&network, &cycles, cfg);
         let mut drift = cycles.clone();
         drift[5] = (drift[5] * 2.0).min(31.9);

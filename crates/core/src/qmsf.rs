@@ -174,17 +174,18 @@ fn uncontract(
 
     // Every component of the terminal sub-forest hangs off exactly one
     // super-root edge (tree property), which fixes its root assignment.
-    let mut comp_root = std::collections::HashMap::new();
+    // `comp_root[rep]` — the root of the component whose DSU
+    // representative is `rep` (`usize::MAX` until its super-root edge).
+    let mut comp_root = vec![usize::MAX; m];
     for &(r, t) in &root_edges {
-        let prev = comp_root.insert(dsu.find(t), r);
-        debug_assert!(prev.is_none(), "a tree component can only attach to one root");
+        let prev = std::mem::replace(&mut comp_root[dsu.find(t)], r);
+        debug_assert_eq!(prev, usize::MAX, "a tree component can only attach to one root");
     }
 
     let mut assignment = vec![usize::MAX; m];
     for (t, slot) in assignment.iter_mut().enumerate() {
-        *slot = *comp_root
-            .get(&dsu.find(t))
-            .expect("every terminal component touches the super-root in an MST");
+        *slot = comp_root[dsu.find(t)];
+        assert_ne!(*slot, usize::MAX, "every terminal component touches the super-root in an MST");
     }
 
     let mut trees: Vec<Vec<ForestEdge>> = vec![Vec::new(); q];

@@ -16,13 +16,18 @@
 //! The matching and savings constructions the routing ablation compares
 //! it with live in `perpetuum-exp`.
 //!
+//! Step 2 is a flat, sequential kernel ([`tour_from_tree_doubling`]): the
+//! roots are walked one after another on the calling thread, each on
+//! arrays sized by its own tree. Parallelism sits above the planner, across
+//! requests (the daemon's workers) and across topologies (`perpetuum-exp`
+//! sweeps).
+//!
 //! This module is the construction only. Tour improvement is a separate
 //! layer over any construction: the `perpetuum-opt` refiner, reached
 //! through [`mod@crate::refine`]. Its moves are strict improvements, so a
 //! refined plan keeps Theorem 1's bound.
 
 use crate::qmsf::{q_rooted_msf_seeded, q_rooted_msf_src, RootedForest, SupersetTree};
-use perpetuum_graph::euler::{double_edges, euler_circuit};
 use perpetuum_graph::{DistSource, Metric, Tour};
 
 /// The tree-to-tour argument of the doc-hidden [`tours_for_forest_src`]
@@ -95,23 +100,7 @@ pub fn q_rooted_tsp_src(src: &DistSource<'_>, terminals: &[usize], roots: &[usiz
         "terminals and roots must be disjoint"
     );
     let forest = q_rooted_msf_src(src, terminals, roots);
-    let workers = default_tour_workers(terminals.len(), roots.len());
-    tours_for_forest(src, &forest, terminals, roots, workers)
-}
-
-/// The worker count the parallel per-root tour build defaults to.
-///
-/// Thread spawn costs ~tens of µs; below `PAR_TERMINALS_THRESHOLD`
-/// terminals the whole per-root build is cheaper than that, so stay
-/// sequential (the result is identical either way — see
-/// [`tours_for_forest`]).
-pub(crate) fn default_tour_workers(terminal_count: usize, root_count: usize) -> usize {
-    const PAR_TERMINALS_THRESHOLD: usize = 256;
-    if terminal_count >= PAR_TERMINALS_THRESHOLD {
-        perpetuum_par::default_workers(root_count)
-    } else {
-        1
-    }
+    tours_for_forest(src, &forest, terminals, roots)
 }
 
 /// Algorithm 2 over `terminals` whose Algorithm-1 forest starts from the
@@ -126,8 +115,7 @@ pub(crate) fn route_from_superset(
     superset: Option<&SupersetTree>,
 ) -> (QTours, RootedForest, SupersetTree) {
     let (forest, tree) = q_rooted_msf_seeded(src, terminals, roots, superset);
-    let workers = default_tour_workers(terminals.len(), roots.len());
-    let qt = tours_for_forest(src, &forest, terminals, roots, workers);
+    let qt = tours_for_forest(src, &forest, terminals, roots);
     (qt, forest, tree)
 }
 
@@ -165,10 +153,11 @@ pub(crate) fn nested_tours<T>(
 }
 
 /// [`tours_for_forest`] under its earlier signature, which carried a
-/// tree-to-tour routing and a tour-polish round count. Algorithm 2 has one
-/// construction and no longer improves tours (refine the result with
-/// [`mod@crate::refine`] instead), so `routing` has one value and
-/// `polish_rounds` must be `0`; the slots stay so callers written against
+/// tree-to-tour routing, a tour-polish round count and a worker count.
+/// Algorithm 2 has one construction, no longer improves tours (refine the
+/// result with [`mod@crate::refine`] instead) and builds its tours on the
+/// calling thread, so `routing` has one value, `polish_rounds` must be `0`
+/// and `workers` is ignored; the slots stay so callers written against
 /// that signature still build.
 ///
 /// # Panics
@@ -181,10 +170,10 @@ pub fn tours_for_forest_src(
     roots: &[usize],
     _routing: Routing,
     polish_rounds: usize,
-    workers: usize,
+    _workers: usize,
 ) -> QTours {
     assert_eq!(polish_rounds, 0, "Algorithm 2 no longer polishes; refine the tours instead");
-    tours_for_forest(src, forest, terminals, roots, workers)
+    tours_for_forest(src, forest, terminals, roots)
 }
 
 /// The tour-construction half of Algorithm 2: turns an already-computed
@@ -193,21 +182,21 @@ pub fn tours_for_forest_src(
 /// incremental replanner can re-route a spliced forest without
 /// recomputing it.
 ///
-/// Each root's tour depends only on its own tree, so the roots are built
-/// on `workers` threads; results are collected in root order and the cost
-/// is summed in that same order, making the output **bit-identical** to
-/// the sequential loop for any worker count.
+/// The roots are built one after another on the calling thread: a root's
+/// tree costs microseconds to walk, less than a thread spawn, and the
+/// callers already run side by side (daemon workers across requests,
+/// `perpetuum-exp` sweeps across topologies).
 pub fn tours_for_forest(
     src: &DistSource<'_>,
     forest: &RootedForest,
     terminals: &[usize],
     roots: &[usize],
-    workers: usize,
 ) -> QTours {
-    let build_tour =
-        |r: usize| tour_from_tree_doubling(&forest.host_edges(r, terminals, roots[r]), roots[r]);
-
-    let tours = perpetuum_par::par_map_indexed(roots.len(), workers, build_tour);
+    let tours: Vec<Tour> = roots
+        .iter()
+        .enumerate()
+        .map(|(r, &root)| tour_from_tree_doubling(&forest.host_edges(r, terminals, root), root))
+        .collect();
     let tour_lengths: Vec<f64> = tours.iter().map(|t| t.length(src)).collect();
     let cost = tour_lengths.iter().sum();
     QTours { tours, tour_lengths, cost }
@@ -222,44 +211,91 @@ pub fn tours_for_forest(
 /// incremental replanner can rebuild a single root's tour from a spliced
 /// forest tree (its fallback when warm-start repair loses to a fresh
 /// construction).
+///
+/// The walk is Hierholzer's algorithm with each node's doubled edges tried
+/// in `edges` order, the order [`perpetuum_graph::euler::euler_circuit`]
+/// uses, so the tour is that circuit's shortcut node for node. It runs on
+/// flat arrays over the tree's own nodes, relabelled by rank among their
+/// sorted host ids: in-sim replans route small batches through here every
+/// polling tick, and anything sized by the network would dwarf the batch.
+///
+/// # Panics
+/// When `edges` do not form one tree containing `root_node`.
 pub fn tour_from_tree_doubling(edges: &[(usize, usize)], root_node: usize) -> Tour {
     if edges.is_empty() {
         return Tour::singleton(root_node);
     }
-    // Relabel this root's tree onto a compact node space before the Euler
-    // walk: the walk only touches the tree's own nodes, but `euler_circuit`
-    // allocates adjacency for every node id below its bound. In-sim replans
-    // route small batches through here every polling tick, and paying
-    // O(network) per root would dwarf the batch itself. The relabeling is
-    // an isomorphism that preserves edge order, so the circuit (and hence
-    // the tour) is unchanged.
-    let mut locals: Vec<usize> = vec![root_node];
-    let mut index = std::collections::HashMap::with_capacity(edges.len() + 1);
-    index.insert(root_node, 0usize);
-    let compact: Vec<(usize, usize)> = edges
-        .iter()
-        .map(|&(u, v)| {
-            (compact_id(u, &mut index, &mut locals), compact_id(v, &mut index, &mut locals))
-        })
-        .collect();
-    let doubled = double_edges(&compact);
-    let circuit = euler_circuit(locals.len(), &doubled, 0)
-        .expect("a doubled tree always has an Euler circuit from its root");
-    let walk: Vec<usize> = circuit.iter().map(|&v| locals[v]).collect();
-    Tour::shortcut(&walk)
-}
+    // Exact relabel: local id = rank of the host id among the tree's nodes.
+    let mut hosts: Vec<usize> = Vec::with_capacity(2 * edges.len() + 1);
+    hosts.push(root_node);
+    hosts.extend(edges.iter().flat_map(|&(u, v)| [u, v]));
+    hosts.sort_unstable();
+    hosts.dedup();
+    let local = |x: usize| hosts.binary_search(&x).expect("endpoint is a tree node") as u32;
+    let ends: Vec<(u32, u32)> = edges.iter().map(|&(u, v)| (local(u), local(v))).collect();
 
-/// Dense-index helper for the Euler relabeling above: the id of `x` in the
-/// compact space, allocating the next one on first sight.
-fn compact_id(
-    x: usize,
-    index: &mut std::collections::HashMap<usize, usize>,
-    locals: &mut Vec<usize>,
-) -> usize {
-    *index.entry(x).or_insert_with(|| {
-        locals.push(x);
-        locals.len() - 1
-    })
+    // CSR adjacency of the doubled tree: tree edge `i` is doubled edge ids
+    // `2i` and `2i + 1`, listed at both endpoints in id order.
+    let nodes = hosts.len();
+    let mut start = vec![0u32; nodes + 1];
+    for &(a, b) in &ends {
+        start[a as usize + 1] += 2;
+        start[b as usize + 1] += 2;
+    }
+    for v in 0..nodes {
+        start[v + 1] += start[v];
+    }
+    let mut cursor: Vec<u32> = start[..nodes].to_vec();
+    let mut adj = vec![(0u32, 0u32); 4 * ends.len()];
+    for (i, &(a, b)) in ends.iter().enumerate() {
+        for id in [2 * i as u32, 2 * i as u32 + 1] {
+            adj[cursor[a as usize] as usize] = (b, id);
+            cursor[a as usize] += 1;
+            adj[cursor[b as usize] as usize] = (a, id);
+            cursor[b as usize] += 1;
+        }
+    }
+
+    // Hierholzer: `cursor[v]` is the next untried slot of `v`'s list.
+    cursor.copy_from_slice(&start[..nodes]);
+    let mut used = vec![false; 2 * ends.len()];
+    let mut stack: Vec<u32> = vec![local(root_node)];
+    let mut circuit: Vec<u32> = Vec::with_capacity(2 * ends.len() + 1);
+    while let Some(&v) = stack.last() {
+        let (v, end) = (v as usize, start[v as usize + 1]);
+        let mut next = None;
+        while cursor[v] < end {
+            let (to, id) = adj[cursor[v] as usize];
+            cursor[v] += 1;
+            if !used[id as usize] {
+                used[id as usize] = true;
+                next = Some(to);
+                break;
+            }
+        }
+        match next {
+            Some(to) => stack.push(to),
+            None => {
+                circuit.push(v as u32);
+                stack.pop();
+            }
+        }
+    }
+    assert_eq!(
+        circuit.len(),
+        2 * ends.len() + 1,
+        "a doubled tree always has an Euler circuit from its root"
+    );
+
+    // The circuit is the pop order reversed; shortcut keeps first visits.
+    let mut seen = vec![false; nodes];
+    let mut tour = Vec::with_capacity(nodes);
+    for &v in circuit.iter().rev() {
+        if !std::mem::replace(&mut seen[v as usize], true) {
+            tour.push(hosts[v as usize]);
+        }
+    }
+    Tour::new(tour)
 }
 
 #[cfg(test)]
@@ -378,36 +414,123 @@ mod tests {
         assert_eq!(polished[1].start(), Some(26));
     }
 
-    #[test]
-    fn parallel_per_root_tours_are_bit_identical() {
-        // Above the parallel threshold, any worker count must reproduce the
-        // sequential result exactly — same tours, same cost bits.
+    /// The tree-to-tour step as it was first written, kept as the reference
+    /// for [`tour_from_tree_doubling`]: relabel through a `HashMap` in
+    /// first-seen order, double the edges, walk
+    /// [`perpetuum_graph::euler::euler_circuit`] and [`Tour::shortcut`].
+    fn reference_doubling(edges: &[(usize, usize)], root_node: usize) -> Tour {
+        use perpetuum_graph::euler::{double_edges, euler_circuit};
+        use std::collections::HashMap;
+        if edges.is_empty() {
+            return Tour::singleton(root_node);
+        }
+        let mut locals: Vec<usize> = vec![root_node];
+        let mut index: HashMap<usize, usize> = HashMap::from([(root_node, 0)]);
+        let mut compact_id = |x: usize| {
+            *index.entry(x).or_insert_with(|| {
+                locals.push(x);
+                locals.len() - 1
+            })
+        };
+        let compact: Vec<(usize, usize)> =
+            edges.iter().map(|&(u, v)| (compact_id(u), compact_id(v))).collect();
+        let circuit = euler_circuit(locals.len(), &double_edges(&compact), 0)
+            .expect("a doubled tree always has an Euler circuit from its root");
+        let walk: Vec<usize> = circuit.iter().map(|&v| locals[v]).collect();
+        Tour::shortcut(&walk)
+    }
+
+    /// Shape of a generated tree: node `i > 0` hangs off `parent(i) < i`.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Random,
+        Star,
+        Path,
+    }
+
+    /// A tree of `size` nodes of the given shape on sparse host ids, rooted
+    /// at a random node, with its edges shuffled and randomly oriented.
+    fn generated_tree(size: usize, shape: Shape, seed: u64) -> (Vec<(usize, usize)>, usize) {
         use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let n = 300;
-        let sensors: Vec<Point2> = (0..n)
-            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
-            .collect();
-        let depots = vec![
-            Point2::new(100.0, 100.0),
-            Point2::new(900.0, 100.0),
-            Point2::new(500.0, 900.0),
-            Point2::new(500.0, 500.0),
-        ];
-        let pts = host(&sensors, &depots);
-        let dist = DistSource::points(&pts);
-        let src = dist;
-        let terminals: Vec<usize> = (0..n).collect();
-        let roots: Vec<usize> = (n..n + 4).collect();
-        let forest = q_rooted_msf_src(&src, &terminals, &roots);
-        let seq = tours_for_forest(&src, &forest, &terminals, &roots, 1);
-        for workers in [2, 4, 7] {
-            let par = tours_for_forest(&src, &forest, &terminals, &roots, workers);
-            assert_eq!(seq.cost.to_bits(), par.cost.to_bits(), "{workers}");
-            for (a, b) in seq.tours.iter().zip(&par.tours) {
-                assert_eq!(a.nodes(), b.nodes(), "{workers}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut ids: Vec<usize> = Vec::with_capacity(size);
+        let mut next = rng.gen_range(0..1_000_000usize);
+        for _ in 0..size {
+            ids.push(next);
+            next += rng.gen_range(1..1_000_000usize);
+        }
+        fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
+            for i in (1..xs.len()).rev() {
+                xs.swap(i, rng.gen_range(0..=i));
             }
         }
+        shuffle(&mut ids, &mut rng);
+        let mut edges: Vec<(usize, usize)> = (1..size)
+            .map(|i| {
+                let parent = match shape {
+                    Shape::Random => rng.gen_range(0..i),
+                    Shape::Star => 0,
+                    Shape::Path => i - 1,
+                };
+                if rng.gen_bool(0.5) {
+                    (ids[parent], ids[i])
+                } else {
+                    (ids[i], ids[parent])
+                }
+            })
+            .collect();
+        shuffle(&mut edges, &mut rng);
+        let root = ids[rng.gen_range(0..size)];
+        (edges, root)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn flat_doubling_matches_reference(
+            size in 2usize..64,
+            shape in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let shape = [Shape::Random, Shape::Star, Shape::Path][shape];
+            let (edges, root) = generated_tree(size, shape, seed);
+            let flat = tour_from_tree_doubling(&edges, root);
+            proptest::prop_assert_eq!(
+                flat.nodes(),
+                reference_doubling(&edges, root).nodes(),
+                "{:?} tree of {} nodes, seed {}", shape, size, seed
+            );
+        }
+    }
+
+    #[test]
+    fn flat_doubling_matches_reference_on_small_trees() {
+        let cases: &[(&[(usize, usize)], usize)] = &[
+            (&[], 7),
+            (&[(3, 9)], 3),
+            (&[(3, 9)], 9),
+            (&[(9, 3)], 3),
+            // Star: centre 5, rooted at the centre and at a leaf.
+            (&[(5, 1), (8, 5), (5, 40), (2, 5)], 5),
+            (&[(5, 1), (8, 5), (5, 40), (2, 5)], 40),
+            // Path 10 - 20 - 30 - 40, rooted at an end and in the middle.
+            (&[(20, 30), (10, 20), (40, 30)], 10),
+            (&[(20, 30), (10, 20), (40, 30)], 30),
+            // Host ids beyond 32 bits.
+            (&[(usize::MAX, 0), (1 << 40, usize::MAX)], 1 << 40),
+        ];
+        for &(edges, root) in cases {
+            let flat = tour_from_tree_doubling(edges, root);
+            assert_eq!(flat.nodes(), reference_doubling(edges, root).nodes(), "{edges:?} @ {root}");
+            assert_eq!(flat.start(), Some(root));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Euler circuit")]
+    fn a_root_outside_the_tree_panics() {
+        tour_from_tree_doubling(&[(1, 2)], 3);
     }
 
     #[test]
@@ -432,7 +555,7 @@ mod tests {
             let root_dist: Vec<Vec<f64>> =
                 roots.iter().map(|&r| sensors.iter().map(|p| all[r].dist(*p)).collect()).collect();
             let oracle = rooted_msf_general(&DistMatrix::from_points(&sensors), &root_dist);
-            let reference = tours_for_forest(&src, &oracle, &terminals, &roots, 1);
+            let reference = tours_for_forest(&src, &oracle, &terminals, &roots);
             let pipeline = q_rooted_tsp_src(&src, &terminals, &roots);
             for (a, b) in reference.tours.iter().zip(&pipeline.tours) {
                 let (mut a, mut b) = (a.nodes().to_vec(), b.nodes().to_vec());

@@ -9,8 +9,13 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Histogram bucket upper bounds, in seconds (`+Inf` is implicit).
-const BUCKETS: [f64; 9] = [0.0005, 0.001, 0.005, 0.025, 0.1, 0.25, 1.0, 5.0, 15.0];
+/// Histogram bucket upper bounds, in seconds (`+Inf` is implicit). The
+/// sub-millisecond bounds resolve planner-free ingests, which take tens of
+/// microseconds.
+const BUCKETS: [f64; 14] = [
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.25, 1.0, 5.0,
+    15.0,
+];
 
 /// A fixed-bucket latency histogram (Prometheus `histogram` type).
 #[derive(Default)]
@@ -471,12 +476,14 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative() {
         let h = Histogram::default();
-        h.observe(0.0001); // first bucket
+        h.observe(0.0001); // ≤ 0.0001
         h.observe(0.01); // ≤ 0.025
         h.observe(100.0); // +Inf only
         assert_eq!(h.count(), 3);
         let mut out = String::new();
         h.render(&mut out, "x_seconds", "endpoint", "plan");
+        assert!(out.contains("x_seconds_bucket{endpoint=\"plan\",le=\"0.00005\"} 0"), "{out}");
+        assert!(out.contains("x_seconds_bucket{endpoint=\"plan\",le=\"0.0001\"} 1"), "{out}");
         assert!(out.contains("x_seconds_bucket{endpoint=\"plan\",le=\"0.0005\"} 1"), "{out}");
         assert!(out.contains("x_seconds_bucket{endpoint=\"plan\",le=\"0.025\"} 2"), "{out}");
         assert!(out.contains("x_seconds_bucket{endpoint=\"plan\",le=\"+Inf\"} 3"), "{out}");
@@ -559,7 +566,7 @@ mod tests {
     fn ingest_records_split_by_replan_path() {
         use perpetuum_online::ReplanKind;
         let m = Metrics::default();
-        m.record_ingest(ReplanKind::None, 0, 0.0001);
+        m.record_ingest(ReplanKind::None, 0, 0.00003);
         m.record_ingest(ReplanKind::Incremental, 0, 0.002);
         m.record_ingest(ReplanKind::Incremental, 1, 0.003);
         m.record_ingest(ReplanKind::Full, 2, 0.2);
@@ -570,8 +577,9 @@ mod tests {
             "perpetuum_session_replans_total{kind=\"full\"} 1",
             "perpetuum_session_emergencies_total 3",
             "perpetuum_planner_seconds_count{path=\"none\"} 1",
-            "perpetuum_planner_seconds_bucket{path=\"none\",le=\"0.0005\"} 1",
-            "perpetuum_planner_seconds_sum{path=\"none\"} 0.0001",
+            "perpetuum_planner_seconds_bucket{path=\"none\",le=\"0.000025\"} 0",
+            "perpetuum_planner_seconds_bucket{path=\"none\",le=\"0.00005\"} 1",
+            "perpetuum_planner_seconds_sum{path=\"none\"} 0.00003",
             "perpetuum_planner_seconds_count{path=\"incremental\"} 2",
             "perpetuum_planner_seconds_count{path=\"full\"} 1",
             "perpetuum_planner_seconds_bucket{path=\"full\",le=\"0.25\"} 1",
