@@ -10,11 +10,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
-use perpetuum_core::naive::{plan_charge_all, plan_per_sensor_cadence};
 use perpetuum_core::network::Instance;
 use perpetuum_core::refine::{refine, Budget, CONVERGENCE_STEPS};
 use perpetuum_core::var::RepairStrategy;
-use perpetuum_exp::scenario::Scenario;
+use perpetuum_exp::naive::{plan_charge_all, plan_per_sensor_cadence};
+use perpetuum_sim::scenario::Scenario;
 use perpetuum_sim::{run, SimConfig, VarPolicy};
 use std::hint::black_box;
 

@@ -5,10 +5,10 @@
 //! compounding 1.5%/slot rate drift:
 //!
 //! * `client/drift_streaming/*` — per-slot streaming
-//!   [`perpetuum_sim::OnlinePolicy`]: one telemetry record per sensor per
+//!   [`perpetuum_exp::closed_loop::OnlinePolicy`]: one telemetry record per sensor per
 //!   slot;
 //! * `client/drift_suppressed/*` — the edge-suppressed
-//!   [`perpetuum_sim::SuppressedPolicy`]: a [`perpetuum_client::SensorClient`]
+//!   [`perpetuum_exp::closed_loop::SuppressedPolicy`]: a [`perpetuum_client::SensorClient`]
 //!   per sensor runs the drift test locally and only class-crossing slots
 //!   go on the wire.
 //!
@@ -26,13 +26,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perpetuum_client::SensorClient;
-use perpetuum_exp::Scenario;
+use perpetuum_exp::closed_loop::{OnlinePolicy, SuppressedPolicy};
 use perpetuum_online::{
     EventBatch, OnlineConfig, OnlineController, TelemetryBatch, TelemetryRecord,
 };
-use perpetuum_sim::{
-    run_with_faults, FaultModel, OnlinePolicy, RateShock, SimConfig, SuppressedPolicy,
-};
+use perpetuum_sim::scenario::Scenario;
+use perpetuum_sim::{run_with_faults, FaultModel, RateShock, SimConfig};
 use std::hint::black_box;
 
 /// Per-slot compounding drift factor — the strongest point of the

@@ -24,12 +24,10 @@
 //! planner invocations (asserted before timing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perpetuum_exp::Scenario;
+use perpetuum_exp::closed_loop::{compare_under_drift, OnlinePolicy, OraclePolicy};
 use perpetuum_online::{OnlineConfig, OnlineController, TelemetryBatch, TelemetryRecord};
-use perpetuum_sim::{
-    compare_under_drift, run_with_faults, FaultModel, MtdPolicy, OnlinePolicy, OraclePolicy,
-    RateShock, SimConfig,
-};
+use perpetuum_sim::scenario::Scenario;
+use perpetuum_sim::{run_with_faults, FaultModel, MtdPolicy, RateShock, SimConfig};
 use std::hint::black_box;
 
 /// Per-slot compounding drift factor — the strongest point of the

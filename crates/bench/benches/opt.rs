@@ -28,9 +28,9 @@ use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::Instance;
 use perpetuum_core::refine::{refine, Budget};
 use perpetuum_core::schedule::ScheduleSeries;
-use perpetuum_exp::Scenario;
 use perpetuum_serve::handlers;
 use perpetuum_serve::AppState;
+use perpetuum_sim::scenario::Scenario;
 use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;

@@ -15,9 +15,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::Network;
 use perpetuum_core::qtsp::q_rooted_tsp_src;
-use perpetuum_exp::scenario::{realise_world, Scenario};
 use perpetuum_geom::Point2;
 use perpetuum_geom::{deploy, derived_rng, Field};
+use perpetuum_sim::scenario::{realise_world, Scenario};
 use std::hint::black_box;
 
 const Q: usize = 5;

@@ -9,7 +9,7 @@
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::Instance;
 use perpetuum_core::refine::{refine, Budget};
-use perpetuum_exp::Scenario;
+use perpetuum_sim::scenario::Scenario;
 use std::time::Instant;
 
 const BUDGETS: [u64; 3] = [100_000, 400_000, 1_600_000];

@@ -9,8 +9,9 @@
 //!
 //! # What lives here
 //!
-//! * [`power_class`] — the Section V.A rounding-class computation (the
-//!   canonical definition; `perpetuum-core` re-exports it),
+//! * [`power_class`] — the Section V.A rounding-class computation,
+//!   re-exported from `perpetuum-energy`'s always-compiled predictor
+//!   module so sensors and the base station share one definition,
 //! * [`SensorClient`] — a fixed-size, alloc-free mirror of one sensor's
 //!   slice of the server-side `OnlineController` state: the EWMA predictor,
 //!   the pessimistic `max(predicted, observed)` rate estimate, the lazily
@@ -51,26 +52,9 @@
 #![no_std]
 #![deny(unsafe_code)]
 
-pub use perpetuum_energy::predictor::{schedule_still_applicable, EwmaPredictor, HoltPredictor};
-
-/// Largest `k ≥ 0` such that `2^k · tau1 ≤ tau` — the power-of-two
-/// rounding class of Section V.A.
-///
-/// Computed by repeated doubling rather than `log2` so the class boundary
-/// semantics are exact even when `tau/tau1` sits on a power of two.
-///
-/// # Panics
-/// Panics when `tau < tau1` or either is non-positive.
-pub fn power_class(tau1: f64, tau: f64) -> usize {
-    assert!(tau1 > 0.0 && tau >= tau1, "need 0 < tau1 <= tau, got {tau1}, {tau}");
-    let mut k = 0usize;
-    let mut v = tau1;
-    while v * 2.0 <= tau {
-        v *= 2.0;
-        k += 1;
-    }
-    k
-}
+pub use perpetuum_energy::predictor::{
+    power_class, schedule_still_applicable, EwmaPredictor, HoltPredictor,
+};
 
 /// The exact post-observation estimator state a suppressed event carries.
 ///

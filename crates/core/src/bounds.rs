@@ -91,7 +91,6 @@ mod tests {
     use super::*;
     use crate::greedy::{plan_greedy_fixed, GreedyConfig};
     use crate::mtd::{plan_min_total_distance, MtdConfig};
-    use crate::naive::plan_per_sensor_cadence;
     use crate::network::Network;
     use perpetuum_geom::Point2;
     use rand::{Rng, SeedableRng};
@@ -116,7 +115,6 @@ mod tests {
             for cost in [
                 plan_min_total_distance(&inst, &MtdConfig::default()).service_cost(),
                 plan_greedy_fixed(&inst, &GreedyConfig::paper_default(1.0)).service_cost(),
-                plan_per_sensor_cadence(&inst).service_cost(),
             ] {
                 assert!(
                     cost + 1e-6 >= lb.bound,

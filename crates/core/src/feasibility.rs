@@ -62,7 +62,7 @@ impl Violation {
     /// By how much the gap overshoots the sensor's cycle `τ_i` — the
     /// "how far from feasible" magnitude (always positive for a reported
     /// violation).
-    pub fn excess(&self) -> f64 {
+    pub(crate) fn excess(&self) -> f64 {
         match *self {
             Violation::GapExceeded { tau, .. } | Violation::TailExceeded { tau, .. } => {
                 self.gap() - tau
@@ -98,8 +98,7 @@ const EPS: f64 = 1e-9;
 /// violations (empty `Ok` means every sensor survives the whole period).
 ///
 /// Runs as a single inverted pass: one sweep over the dispatches builds
-/// every sensor's charge times at once
-/// ([`ScheduleSeries::charge_times_all`]), so the whole check costs
+/// every sensor's charge times at once, so the whole check costs
 /// `O(D log D + total charges)` instead of the `O(n · D)` per-sensor
 /// membership scans it used to perform.
 pub fn check_series(instance: &Instance, series: &ScheduleSeries) -> Result<(), Vec<Violation>> {

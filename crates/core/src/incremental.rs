@@ -402,7 +402,7 @@ impl IncrementalPlanner {
     }
 
     /// [`Self::seed`] with explicit tuning knobs.
-    pub fn seed_with(
+    pub(crate) fn seed_with(
         input: &VarInput,
         repair: RepairStrategy,
         cfg: IncrementalConfig,
@@ -704,23 +704,28 @@ impl IncrementalPlanner {
     /// ids. After [`Self::reclassify`] a set lags `class_of` until a
     /// dispatch needs it; [`Self::replan`] and [`Self::apply_migrations`]
     /// leave every set current.
-    pub fn set_members(&self, k: usize) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn set_members(&self, k: usize) -> &[usize] {
         &self.sets[k].members
     }
 
-    /// Tours of base set `D_k` as of its last splice (see
-    /// [`Self::set_members`]).
+    /// Tours of base set `D_k` as of its last splice. After
+    /// [`Self::reclassify`] a set lags `class_of` until a dispatch needs
+    /// it; [`Self::replan`] and [`Self::apply_migrations`] leave every set
+    /// current.
     pub fn tour_set(&self, k: usize) -> &TourSet {
         &self.sets[k].tours
     }
 
     /// Forest weight of base set `D_k` as of its last splice.
-    pub fn forest_weight(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn forest_weight(&self, k: usize) -> f64 {
         self.sets[k].weight
     }
 
     /// Total sensors that changed class since seeding.
-    pub fn migrated_sensors(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn migrated_sensors(&self) -> usize {
         self.migrated_sensors
     }
 

@@ -46,9 +46,7 @@ pub mod bounds;
 pub mod feasibility;
 pub mod greedy;
 pub mod incremental;
-pub mod minmax;
 pub mod mtd;
-pub mod naive;
 pub mod network;
 pub mod qmsf;
 pub mod qtsp;
@@ -56,27 +54,22 @@ pub mod recovery;
 pub mod refine;
 pub mod rounding;
 pub mod schedule;
-pub mod split;
 pub mod stats;
 pub mod var;
 
-pub use bounds::{lemma3_lower_bound, ServiceCostBound};
+pub use bounds::lemma3_lower_bound;
 pub use feasibility::check_series;
 pub use greedy::{plan_greedy_fixed, GreedyConfig};
-pub use incremental::{FullReason, IncrementalConfig, IncrementalPlanner, ReplanOutcome};
-pub use minmax::{min_max_cover, MinMaxCover};
+pub use incremental::{IncrementalConfig, IncrementalPlanner};
 pub use mtd::{plan_min_total_distance, MtdConfig};
-pub use naive::{plan_charge_all, plan_per_sensor_cadence};
 pub use network::{Instance, Network};
 pub use qmsf::{q_rooted_msf_src, rooted_msf_general, rooted_msf_points, RootedForest};
-pub use qtsp::{q_rooted_tsp_src, tour_from_tree_doubling, tours_for_forest, QTours};
-pub use recovery::{degraded_tour_set, surviving_depots};
+pub use qtsp::{q_rooted_tsp_src, tour_from_tree_doubling, QTours};
+pub use recovery::degraded_tour_set;
 pub use refine::{refine, refine_tour_set, Budget, RefineReport, CONVERGENCE_STEPS};
 pub use rounding::{partition_cycles, power_class, CyclePartition};
 pub use schedule::{Dispatch, ScheduleSeries, TourSet};
-pub use split::{split_tour, split_tour_set, SplitError, SplitTourSet};
-pub use stats::{analyze, SeriesStats};
+pub use stats::analyze;
 pub use var::{
-    replan_variable, replan_variable_detailed, replan_variable_with, RepairStrategy, VarDetailed,
-    VarInput,
+    replan_variable, replan_variable_detailed, replan_variable_with, RepairStrategy, VarInput,
 };

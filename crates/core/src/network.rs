@@ -5,7 +5,7 @@ use perpetuum_geom::Point2;
 use perpetuum_graph::DistSource;
 
 /// A sensor index, `0..n`.
-pub type SensorId = usize;
+pub(crate) type SensorId = usize;
 
 /// The geometry of a WSN charging problem: sensor and depot positions,
 /// whose Euclidean metric closure is the complete graph the planners run
@@ -56,7 +56,7 @@ impl Network {
 
     /// Total node count `n + q`.
     #[inline]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.n() + self.q()
     }
 

@@ -51,7 +51,8 @@ impl RootedForest {
     /// (scheduler loops, per-root routing), use
     /// [`RootedForest::terminals_by_root`] instead — one pass, one
     /// allocation set, instead of `q` scans over the full assignment.
-    pub fn terminals_of(&self, r: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn terminals_of(&self, r: usize) -> Vec<usize> {
         self.assignment
             .iter()
             .enumerate()

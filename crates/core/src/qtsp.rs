@@ -28,7 +28,7 @@
 //! refined plan keeps Theorem 1's bound.
 
 use crate::qmsf::{q_rooted_msf_seeded, q_rooted_msf_src, RootedForest, SupersetTree};
-use perpetuum_graph::{DistSource, Metric, Tour};
+use perpetuum_graph::{DistSource, Tour};
 
 /// The tree-to-tour argument of the doc-hidden [`tours_for_forest_src`]
 /// shim. Algorithm 2 has one construction, so this has one variant.
@@ -53,7 +53,8 @@ pub struct QTours {
 
 impl QTours {
     /// Recomputes the total length (used by tests to cross-check `cost`).
-    pub fn total_length<M: Metric>(&self, dist: &M) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_length<M: perpetuum_graph::Metric>(&self, dist: &M) -> f64 {
         self.tours.iter().map(|t| t.length(dist)).sum()
     }
 
@@ -186,7 +187,7 @@ pub fn tours_for_forest_src(
 /// tree costs microseconds to walk, less than a thread spawn, and the
 /// callers already run side by side (daemon workers across requests,
 /// `perpetuum-exp` sweeps across topologies).
-pub fn tours_for_forest(
+pub(crate) fn tours_for_forest(
     src: &DistSource<'_>,
     forest: &RootedForest,
     terminals: &[usize],
@@ -207,7 +208,7 @@ pub fn tours_for_forest(
 ///
 /// `edges` are the tree's edges in *host node-id* space and must form one
 /// tree containing `root_node`; an empty edge list yields a singleton tour.
-/// This is the per-root step of [`tours_for_forest`], exposed so the
+/// This is the per-root step of `tours_for_forest`, exposed so the
 /// incremental replanner can rebuild a single root's tour from a spliced
 /// forest tree (its fallback when warm-start repair loses to a fresh
 /// construction).

@@ -20,7 +20,7 @@ use perpetuum_graph::Tour;
 
 /// Indices of the depots whose chargers are up. `alive[l]` corresponds to
 /// depot `l`.
-pub fn surviving_depots(alive: &[bool]) -> Vec<usize> {
+pub(crate) fn surviving_depots(alive: &[bool]) -> Vec<usize> {
     alive.iter().enumerate().filter_map(|(l, &up)| up.then_some(l)).collect()
 }
 

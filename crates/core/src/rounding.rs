@@ -15,10 +15,11 @@
 
 use serde::{Deserialize, Serialize};
 
-// The class computation itself lives in `perpetuum-client` (the `no_std`
-// sensor-side crate) so sensors and the base station share one definition;
-// re-exported here to keep the historical public path.
-pub use perpetuum_client::power_class;
+// The class computation itself lives in `perpetuum-energy`'s `no_std`
+// predictor module, so sensors (through `perpetuum-client`) and the base
+// station share one definition; re-exported here to keep the historical
+// public path.
+pub use perpetuum_energy::predictor::power_class;
 
 /// The sensor-class partition `V_0, …, V_K` and rounded cycles of
 /// Section V.A.

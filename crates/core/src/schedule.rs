@@ -87,7 +87,8 @@ impl TourSet {
     }
 
     /// True when no sensor is covered (all chargers idle).
-    pub fn is_idle(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
         self.sensors.is_empty()
     }
 }
@@ -217,7 +218,7 @@ impl ScheduleSeries {
     /// — one inverted pass over the dispatches (`O(D log D + total
     /// charges)`) instead of an `O(n · D)` membership scan per sensor.
     /// Equals `(0..n).map(|s| self.charge_times(s))`.
-    pub fn charge_times_all(&self, n: usize) -> Vec<Vec<f64>> {
+    pub(crate) fn charge_times_all(&self, n: usize) -> Vec<Vec<f64>> {
         let mut order: Vec<&Dispatch> = self.dispatches.iter().collect();
         order.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("dispatch times are finite"));
         let mut out = vec![Vec::new(); n];

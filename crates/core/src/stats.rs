@@ -95,7 +95,8 @@ pub fn analyze(series: &ScheduleSeries, n: usize, horizon: f64) -> SeriesStats {
 impl SeriesStats {
     /// True when every sensor's worst gap is within its cycle — the same
     /// check as [`crate::feasibility::check_series`], phrased on stats.
-    pub fn feasible_for(&self, cycles: &[f64]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn feasible_for(&self, cycles: &[f64]) -> bool {
         self.max_gap_per_sensor.iter().zip(cycles.iter()).all(|(&gap, &tau)| gap <= tau + 1e-9)
     }
 }

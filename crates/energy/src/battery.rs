@@ -55,7 +55,8 @@ impl Battery {
     }
 
     /// A battery at an arbitrary level `level ∈ [0, capacity]`.
-    pub fn at_level(capacity: f64, level: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn at_level(capacity: f64, level: f64) -> Self {
         let mut b = Self::full(capacity);
         assert!((0.0..=capacity).contains(&level), "level {level} outside [0, {capacity}]");
         b.level = level;

@@ -150,7 +150,8 @@ impl MarkovBurst {
     }
 
     /// True while the sensor is in the burst state.
-    pub fn is_bursting(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_bursting(&self) -> bool {
         self.bursting
     }
 

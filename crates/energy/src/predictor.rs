@@ -37,11 +37,6 @@ impl EwmaPredictor {
         Self { gamma, rho_hat: initial_rate }
     }
 
-    /// Predictor with the default `γ`.
-    pub fn with_default_gamma(initial_rate: f64) -> Self {
-        Self::new(Self::DEFAULT_GAMMA, initial_rate)
-    }
-
     /// Reconstructs a predictor from previously captured state — the exact
     /// `ρ̂` an identical predictor holds after some observation sequence.
     /// Unlike [`EwmaPredictor::new`], the state may be zero or negative
@@ -109,6 +104,25 @@ impl EwmaPredictor {
 #[inline]
 pub fn schedule_still_applicable(tau_scheduled: f64, tau_new: f64) -> bool {
     tau_scheduled <= tau_new && tau_new < 2.0 * tau_scheduled
+}
+
+/// Largest `k ≥ 0` such that `2^k · tau1 ≤ tau` — the power-of-two
+/// rounding class of Section V.A.
+///
+/// Computed by repeated doubling rather than `log2` so the class boundary
+/// semantics are exact even when `tau/tau1` sits on a power of two.
+///
+/// # Panics
+/// Panics when `tau < tau1` or either is non-positive.
+pub fn power_class(tau1: f64, tau: f64) -> usize {
+    assert!(tau1 > 0.0 && tau >= tau1, "need 0 < tau1 <= tau, got {tau1}, {tau}");
+    let mut k = 0usize;
+    let mut v = tau1;
+    while v * 2.0 <= tau {
+        v *= 2.0;
+        k += 1;
+    }
+    k
 }
 
 /// Double-exponential (Holt) smoothing: tracks both a level and a trend,
@@ -190,7 +204,7 @@ mod tests {
 
     #[test]
     fn converges_to_constant_signal() {
-        let mut p = EwmaPredictor::with_default_gamma(10.0);
+        let mut p = EwmaPredictor::new(EwmaPredictor::DEFAULT_GAMMA, 10.0);
         for _ in 0..60 {
             p.observe(2.0);
         }

@@ -83,11 +83,6 @@ impl ShockState {
         Self { remaining: 0, drift_mult: 1.0 }
     }
 
-    /// True while a shock is active.
-    pub fn is_shocked(&self) -> bool {
-        self.remaining > 0
-    }
-
     /// Transforms the freshly resampled `rate` for the next slot, advancing
     /// the machine. Consumes exactly one uniform draw from `rng` per call.
     pub fn apply<R: Rng + ?Sized>(&mut self, cfg: &RateShock, rate: f64, rng: &mut R) -> f64 {
@@ -120,7 +115,7 @@ mod tests {
         let r2 = st.apply(&cfg, 1.0, &mut rng);
         assert!((r1 - 1.1).abs() < 1e-12);
         assert!((r2 - 1.21).abs() < 1e-12);
-        assert!(!st.is_shocked());
+        assert_eq!(st.remaining, 0);
     }
 
     #[test]

@@ -23,11 +23,10 @@
 //! converged, so the numbers measure the local optimum, not a budget.
 
 use crate::figures::{FigureData, Series};
-use crate::scenario::Scenario;
+use crate::naive::{plan_charge_all, plan_per_sensor_cadence};
 use crate::tsp_christofides::tour_from_tree_matched;
 use crate::tsp_savings::savings_tour;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
-use perpetuum_core::naive::{plan_charge_all, plan_per_sensor_cadence};
 use perpetuum_core::network::Instance;
 use perpetuum_core::qmsf::q_rooted_msf_src;
 use perpetuum_core::qtsp::{tour_from_tree_doubling, QTours};
@@ -37,6 +36,7 @@ use perpetuum_core::schedule::{ScheduleSeries, TourSet};
 use perpetuum_core::var::RepairStrategy;
 use perpetuum_graph::{DistSource, Metric, Tour};
 use perpetuum_par::{mean, par_map, std_dev};
+use perpetuum_sim::scenario::Scenario;
 use perpetuum_sim::{run, SimConfig, VarPolicy};
 
 /// Identifier of an ablation experiment.

@@ -34,24 +34,23 @@
 //!   faults cost in service distance, deaths and downtime?
 //! * **drift** — the closed control loop under compounding consumption
 //!   drift: the static open-loop plan vs the telemetry-driven
-//!   [`perpetuum_sim::OnlinePolicy`] vs the every-slot-replanning oracle
+//!   [`crate::closed_loop::OnlinePolicy`] vs the every-slot-replanning oracle
 //!   — deaths and planner invocations per arm.
 
+use crate::closed_loop::compare_under_drift;
 use crate::figures::{FigureData, Series};
-use crate::scenario::{Deployment, Scenario};
+use crate::minmax::min_max_cover;
+use crate::split::split_tour_set;
 use perpetuum_core::bounds::lemma3_lower_bound;
 use perpetuum_core::greedy::{plan_greedy_fixed, GreedyConfig};
-use perpetuum_core::minmax::min_max_cover;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::Instance;
 use perpetuum_core::qtsp::q_rooted_tsp_src;
 use perpetuum_core::rounding::partition_cycles;
-use perpetuum_core::split::split_tour_set;
 use perpetuum_graph::Metric;
 use perpetuum_par::{mean, par_map, std_dev};
-use perpetuum_sim::{
-    compare_under_drift, run, FaultModel, GreedyPolicy, MtdPolicy, SimConfig, VarPolicy, World,
-};
+use perpetuum_sim::scenario::{Deployment, Scenario};
+use perpetuum_sim::{run, FaultModel, GreedyPolicy, MtdPolicy, SimConfig, VarPolicy, World};
 
 /// Identifier of an extension experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -532,7 +531,7 @@ fn run_aging(topologies: usize, seed: u64) -> FigureData {
 }
 
 fn run_deploy(topologies: usize, seed: u64) -> FigureData {
-    use crate::scenario::Algo;
+    use perpetuum_sim::scenario::Algo;
     let kinds = [
         ("uniform", Deployment::Uniform),
         ("halton", Deployment::Halton),
@@ -572,7 +571,7 @@ fn run_deploy(topologies: usize, seed: u64) -> FigureData {
 }
 
 fn run_robustness(topologies: usize, seed: u64) -> FigureData {
-    use crate::scenario::Algo;
+    use perpetuum_sim::scenario::Algo;
     // Expected breakdowns per charger over the horizon; 0 is the fault-free
     // baseline (the engine takes the exact pre-fault code path there).
     let intensities = [0.0, 0.5, 1.0, 2.0, 4.0];

@@ -1,7 +1,7 @@
 //! Figure runners — one per figure of Section VII.
 
-use crate::scenario::{Algo, Scenario};
 use perpetuum_par::{mean, par_map};
+use perpetuum_sim::scenario::{Algo, Scenario};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a reproduced figure.

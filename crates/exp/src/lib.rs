@@ -20,15 +20,26 @@
 //! here too, beside their only user: [`tsp_christofides`] (tree plus an
 //! odd-vertex [`matching`]) and [`tsp_savings`] (Clarke–Wright). The
 //! planners use Algorithm 2's tree doubling only.
+//!
+//! Other code that only experiments run lives here as well: the ablation
+//! strawmen ([`naive`]), the extensions the paper only cites ([`minmax`]
+//! covers, range [`split`]ting), and the [`closed_loop`] harness that runs
+//! the online controller against the simulator. The scenario-to-world surface
+//! lives in [`perpetuum_sim::scenario`]; [`scenario`] adds custom
+//! experiments on top of it.
 
 pub mod ablation;
+pub mod closed_loop;
 pub mod extras;
 pub mod figures;
 pub mod matching;
+pub mod minmax;
+pub mod naive;
 pub mod output;
 pub mod plot;
 pub mod report;
 pub mod scenario;
+pub mod split;
 pub mod tsp_christofides;
 pub mod tsp_savings;
 pub mod viz;
@@ -36,7 +47,4 @@ pub mod viz;
 pub use ablation::{run_ablation, AblationId};
 pub use extras::{run_extension, ExtensionId};
 pub use figures::{run_figure, FigureData, FigureId, Series};
-pub use scenario::{
-    parse_world, realise_world, scenario_from_value, world_from_value, Algo, CustomExperiment,
-    Deployment, ParsedWorld, Scenario, ScenarioError, Topology,
-};
+pub use scenario::CustomExperiment;

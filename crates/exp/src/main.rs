@@ -192,7 +192,7 @@ fn main() -> ExitCode {
     if let Some(path) = &args.render_topology {
         use perpetuum_core::qtsp::q_rooted_tsp_src;
         use perpetuum_core::schedule::TourSet;
-        let scenario = perpetuum_exp::Scenario::paper_fixed();
+        let scenario = perpetuum_sim::scenario::Scenario::paper_fixed();
         let topo = scenario.build_topology(args.seed, 0);
         let all: Vec<usize> = (0..topo.network.n()).collect();
         let qt = q_rooted_tsp_src(&topo.network.dist_source(), &all, &topo.network.depot_nodes());
@@ -228,10 +228,10 @@ fn main() -> ExitCode {
             // a deploy is the point of this subcommand.
             let result = match serde_json::parse_value(&text) {
                 Ok(tree) => match tree.get("scenario") {
-                    Some(sub) => perpetuum_exp::scenario::world_from_value(sub, args.seed, 0),
-                    None => perpetuum_exp::scenario::parse_world(&text, args.seed, 0),
+                    Some(sub) => perpetuum_sim::scenario::world_from_value(sub, args.seed, 0),
+                    None => perpetuum_sim::scenario::parse_world(&text, args.seed, 0),
                 },
-                Err(_) => perpetuum_exp::scenario::parse_world(&text, args.seed, 0),
+                Err(_) => perpetuum_sim::scenario::parse_world(&text, args.seed, 0),
             };
             match result {
                 Ok(parsed) => println!(

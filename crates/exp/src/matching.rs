@@ -91,7 +91,8 @@ fn improve_matching<M: Metric>(dist: &M, nodes: &[usize], matching: &mut [(usize
 }
 
 /// Total weight of a matching.
-pub fn matching_weight<M: Metric>(dist: &M, matching: &Matching) -> f64 {
+#[cfg(test)]
+pub(crate) fn matching_weight<M: Metric>(dist: &M, matching: &Matching) -> f64 {
     matching.iter().map(|&(u, v)| dist.get(u, v)).sum()
 }
 

@@ -45,18 +45,6 @@ impl Point2 {
         Point2::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
     }
 
-    /// Linear interpolation: `t = 0` gives `self`, `t = 1` gives `other`.
-    #[inline]
-    pub fn lerp(&self, other: Point2, t: f64) -> Point2 {
-        Point2::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-    }
-
-    /// Component-wise translation.
-    #[inline]
-    pub fn translate(&self, dx: f64, dy: f64) -> Point2 {
-        Point2::new(self.x + dx, self.y + dy)
-    }
-
     /// True when both coordinates are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -167,21 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn lerp_endpoints() {
-        let a = Point2::new(1.0, 2.0);
-        let b = Point2::new(5.0, -2.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), a.midpoint(b));
-    }
-
-    #[test]
-    fn translate_moves_point() {
-        let a = Point2::new(1.0, 1.0);
-        assert_eq!(a.translate(2.0, -3.0), Point2::new(3.0, -2.0));
-    }
-
-    #[test]
     fn centroid_of_square() {
         let pts = [
             Point2::new(0.0, 0.0),
@@ -235,9 +208,6 @@ mod tests {
         assert_eq!(b - a, Point2::new(2.0, -3.0));
         assert_eq!(a * 2.0, Point2::new(2.0, 4.0));
         assert_eq!(-a, Point2::new(-1.0, -2.0));
-        // lerp expressed through the operators agrees with the method.
-        let t = 0.25;
-        assert_eq!(a + (b - a) * t, a.lerp(b, t));
     }
 
     #[test]

@@ -65,7 +65,8 @@ impl DisjointSets {
     }
 
     /// Size of the set containing `x`.
-    pub fn size_of(&mut self, x: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn size_of(&mut self, x: usize) -> usize {
         let r = self.find(x);
         self.size[r] as usize
     }

@@ -19,23 +19,9 @@ impl DistMatrix {
         Self { n, d: vec![0.0; n * n] }
     }
 
-    /// Node count above which [`DistMatrix::from_points`] fills rows on
-    /// multiple threads. Below it, thread spawn/teardown costs more than
-    /// the `O(n²)` fill saves.
-    pub const PAR_POINTS_THRESHOLD: usize = 512;
-
     /// Builds the Euclidean metric closure of a point set.
-    ///
-    /// Above [`DistMatrix::PAR_POINTS_THRESHOLD`] nodes the rows are filled
-    /// in parallel; the result is bit-identical either way (each entry is
-    /// the same IEEE expression `points[i].dist(points[j])`, and
-    /// `(a − b)² == (b − a)²` exactly, so row-major and triangular fills
-    /// agree on every bit).
     pub fn from_points(points: &[Point2]) -> Self {
         let n = points.len();
-        if n >= Self::PAR_POINTS_THRESHOLD {
-            return Self::from_points_parallel(points, perpetuum_par::default_workers(n));
-        }
         let mut d = vec![0.0; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
@@ -43,28 +29,6 @@ impl DistMatrix {
                 d[i * n + j] = dist;
                 d[j * n + i] = dist;
             }
-        }
-        Self { n, d }
-    }
-
-    /// Row-parallel [`DistMatrix::from_points`] on `workers` threads.
-    /// Each worker fills whole rows, so no two threads touch the same
-    /// cache line and the output is deterministic.
-    pub fn from_points_parallel(points: &[Point2], workers: usize) -> Self {
-        let n = points.len();
-        let rows = perpetuum_par::par_map_indexed(n, workers, |i| {
-            let mut row = vec![0.0; n];
-            let pi = points[i];
-            for (j, slot) in row.iter_mut().enumerate() {
-                if j != i {
-                    *slot = pi.dist(points[j]);
-                }
-            }
-            row
-        });
-        let mut d = Vec::with_capacity(n * n);
-        for row in rows {
-            d.extend_from_slice(&row);
         }
         Self { n, d }
     }
@@ -161,30 +125,6 @@ impl DistMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_from_points_is_bit_identical() {
-        let pts: Vec<Point2> = (0..600)
-            .map(|i| {
-                let i = i as f64;
-                Point2::new((i * 37.0) % 997.0, (i * i * 13.0) % 983.0)
-            })
-            .collect();
-        // 600 ≥ PAR_POINTS_THRESHOLD, so from_points takes the parallel
-        // path; rebuild sequentially and demand exact equality.
-        let par = DistMatrix::from_points(&pts);
-        let n = pts.len();
-        let mut seq = DistMatrix::zeros(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                seq.set(i, j, pts[i].dist(pts[j]));
-            }
-        }
-        assert_eq!(par, seq);
-        // And explicit worker counts agree with each other.
-        assert_eq!(DistMatrix::from_points_parallel(&pts, 1), par);
-        assert_eq!(DistMatrix::from_points_parallel(&pts, 7), par);
-    }
 
     fn square_points() -> Vec<Point2> {
         vec![

@@ -99,7 +99,8 @@ impl SparseGraph {
     }
 
     /// Number of stored undirected edges.
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.nbr.len() / 2
     }
 

@@ -53,20 +53,6 @@ impl Tour {
         Self { nodes }
     }
 
-    /// Like [`Tour::shortcut`], but keeps only nodes in `keep` (given as a
-    /// membership predicate). Implements the Lemma-3 step "removal of the
-    /// nodes not in `R ∪ V_0 ∪ … ∪ V_k` … and performing path short-cutting".
-    pub fn shortcut_filtered(walk: &[usize], keep: impl Fn(usize) -> bool) -> Self {
-        let mut seen = std::collections::HashSet::with_capacity(walk.len());
-        let mut nodes = Vec::with_capacity(walk.len());
-        for &v in walk {
-            if keep(v) && seen.insert(v) {
-                nodes.push(v);
-            }
-        }
-        Self { nodes }
-    }
-
     /// Visiting order (closing edge implicit).
     #[inline]
     pub fn nodes(&self) -> &[usize] {
@@ -103,18 +89,6 @@ impl Tour {
         }
         let open: f64 = dist.walk_len(&self.nodes);
         open + dist.get(self.nodes[self.nodes.len() - 1], self.nodes[0])
-    }
-
-    /// Rotates the tour so it starts at `node`. No-op when absent.
-    pub fn rotate_to(&mut self, node: usize) {
-        if let Some(pos) = self.nodes.iter().position(|&v| v == node) {
-            self.nodes.rotate_left(pos);
-        }
-    }
-
-    /// Consumes the tour, returning the node order.
-    pub fn into_nodes(self) -> Vec<usize> {
-        self.nodes
     }
 }
 
@@ -161,24 +135,6 @@ mod tests {
         let walk_len: f64 = d.walk_len(&walk);
         let t = Tour::shortcut(&walk);
         assert!(t.length(&d) <= walk_len + 1e-12);
-    }
-
-    #[test]
-    fn shortcut_filtered_drops_nodes() {
-        let t = Tour::shortcut_filtered(&[0, 1, 2, 3, 0], |v| v != 2);
-        assert_eq!(t.nodes(), &[0, 1, 3]);
-    }
-
-    #[test]
-    fn rotate_to_reorders_cyclically() {
-        let d = unit_square();
-        let mut t = Tour::new(vec![0, 1, 2, 3]);
-        let before = t.length(&d);
-        t.rotate_to(2);
-        assert_eq!(t.nodes(), &[2, 3, 0, 1]);
-        assert!((t.length(&d) - before).abs() < 1e-12);
-        t.rotate_to(99); // absent: unchanged
-        assert_eq!(t.nodes(), &[2, 3, 0, 1]);
     }
 
     #[test]

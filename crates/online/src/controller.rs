@@ -1025,7 +1025,7 @@ impl OnlineController {
     }
 
     /// Deterministic JSON view of the current plan and counters.
-    pub fn plan_value(&self) -> Value {
+    pub(crate) fn plan_value(&self) -> Value {
         Value::Obj(vec![
             ("revision".to_string(), Value::Num(self.revision as f64)),
             ("now".to_string(), Value::Num(self.now)),
@@ -1046,8 +1046,9 @@ impl OnlineController {
         ])
     }
 
-    /// [`Self::plan_value`] rendered to a string; byte-identical across
-    /// runs fed the same construction arguments and telemetry stream.
+    /// Deterministic JSON view of the current plan and counters, rendered
+    /// to a string; byte-identical across runs fed the same construction
+    /// arguments and telemetry stream.
     pub fn plan_json(&self) -> String {
         serde_json::to_string(&self.plan_value()).unwrap_or_else(|_| "{}".to_string())
     }

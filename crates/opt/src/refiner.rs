@@ -138,11 +138,6 @@ impl<M: Metric> Refiner<M> {
         &self.lens
     }
 
-    /// Raw node lists of the incumbent (depot first in each).
-    pub fn tour_nodes(&self) -> &[Vec<usize>] {
-        &self.tours
-    }
-
     /// Snapshot the incumbent as closed [`Tour`]s.
     pub fn best(&self) -> Vec<Tour> {
         self.tours.iter().map(|t| Tour::new(t.clone())).collect()
@@ -480,8 +475,8 @@ mod tests {
         let mut r = Refiner::new(vec![vec![0, 2], vec![1]], &dist, 0);
         let out = r.run(&Budget::steps(10_000));
         assert!(out.gain > 0.0);
-        assert_eq!(r.tour_nodes()[0], vec![0]);
-        assert_eq!(r.tour_nodes()[1], vec![1, 2]);
+        assert_eq!(r.tours[0], vec![0]);
+        assert_eq!(r.tours[1], vec![1, 2]);
         assert!((r.cost() - 1.0).abs() < 1e-9);
     }
 
@@ -498,8 +493,8 @@ mod tests {
         let mut r = Refiner::new(vec![vec![0, 2], vec![1, 3]], &dist, 0);
         let out = r.run(&Budget::steps(10_000));
         assert!(out.gain > 0.0);
-        assert_eq!(r.tour_nodes()[0], vec![0, 3]);
-        assert_eq!(r.tour_nodes()[1], vec![1, 2]);
+        assert_eq!(r.tours[0], vec![0, 3]);
+        assert_eq!(r.tours[1], vec![1, 2]);
     }
 
     #[test]
@@ -512,7 +507,7 @@ mod tests {
         assert_eq!(out.steps, 0);
         assert_eq!(out.accepted, 0);
         assert_eq!(r.cost(), before);
-        assert_eq!(r.tour_nodes()[0], vec![0, 2, 1, 3]);
+        assert_eq!(r.tours[0], vec![0, 2, 1, 3]);
     }
 
     /// A metric that counts its distance lookups.
@@ -599,7 +594,7 @@ mod tests {
         let tours = vec![(0..20).collect::<Vec<_>>(), (20..40).collect::<Vec<_>>()];
         let mut r = Refiner::new(tours, &dist, 3);
         r.run(&Budget::steps(200_000));
-        for (t, nodes) in r.tour_nodes().iter().enumerate() {
+        for (t, nodes) in r.tours.iter().enumerate() {
             let exact = cycle_len(&&dist, nodes);
             assert!(
                 (r.tour_lengths()[t] - exact).abs() < 1e-6,

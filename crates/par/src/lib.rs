@@ -81,16 +81,6 @@ where
     par_map_indexed(items, default_workers(items), f)
 }
 
-/// Applies `f` to every element of `inputs` in parallel, preserving order.
-pub fn par_map_slice<I, T, F>(inputs: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_map(inputs.len(), |i| f(&inputs[i]))
-}
-
 /// Mean of a slice; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -153,13 +143,6 @@ mod tests {
         for (i, item) in out.iter().enumerate() {
             assert_eq!(item.0, i);
         }
-    }
-
-    #[test]
-    fn par_map_slice_borrows() {
-        let inputs = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
-        let out = par_map_slice(&inputs, |s| s.len());
-        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! is the cache key, so the cache is consulted *before* any scenario
 //! validation or topology construction — a hit costs one hash and one
 //! shard lookup. All scenario parsing goes through
-//! [`perpetuum_exp::scenario`]'s typed [`ScenarioError`] surface: the CLI
+//! [`perpetuum_sim::scenario`]'s typed [`ScenarioError`] surface: the CLI
 //! and the daemon reject exactly the same inputs with the same messages.
 
 use crate::cache::{canonical_hash, PlanCache};
@@ -18,11 +18,11 @@ use crate::wire;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::refine::{refine, Budget, RefineReport};
 use perpetuum_core::ScheduleSeries;
-use perpetuum_exp::scenario::{world_from_value, Algo, ScenarioError};
 use perpetuum_online::{
     ClassEvent, ControllerSeed, EventBatch, IngestReport, OnlineConfig, OnlineError,
     TelemetryBatch, TelemetryRecord,
 };
+use perpetuum_sim::scenario::{world_from_value, Algo, ScenarioError};
 use perpetuum_sim::FaultModel;
 use serde::{Deserialize, Serialize as _};
 use serde_json::Value;
@@ -34,7 +34,7 @@ use std::time::Instant;
 
 /// Default number of live telemetry sessions the daemon holds before
 /// evicting the least-recently-used one.
-pub const DEFAULT_SESSION_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_SESSION_CAPACITY: usize = 64;
 
 /// Everything the handlers share: the plan cache, the session store, the
 /// metric set, and (when `--data-dir` is set) the write-ahead journal.
@@ -69,12 +69,6 @@ impl AppState {
             journal: None,
             refine_queue: RefineQueue::default(),
         }
-    }
-
-    /// Overrides the session-store capacity, keeping the default shard
-    /// count. Builder-style.
-    pub fn with_session_capacity(self, capacity: usize) -> Self {
-        self.with_sessions(capacity, 0)
     }
 
     /// Overrides both session-store capacity and shard count (`0` shards
@@ -1042,7 +1036,7 @@ pub fn session_plan(state: &AppState, id: u64, req: &Request) -> Response {
 
 /// `DELETE /session/{id}` — drop a session (journaled, so a restart does
 /// not resurrect it).
-pub fn session_delete(state: &AppState, id: u64) -> Response {
+pub(crate) fn session_delete(state: &AppState, id: u64) -> Response {
     if state.sessions.remove(id) {
         if let Some(journal) = &state.journal {
             journal.append_end(id, EndReason::Deleted);

@@ -12,17 +12,17 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Upper bound on the request line plus all headers.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Most bytes of an oversized body the server drains before answering
 /// `413`. Draining lets the client's in-flight writes complete so it
 /// reads the response instead of a connection reset; the cap keeps a
 /// hostile multi-gigabyte declaration from tying a worker up.
-pub const MAX_DRAIN_BYTES: usize = 1024 * 1024;
+pub(crate) const MAX_DRAIN_BYTES: usize = 1024 * 1024;
 
 /// Why a request could not be read.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Malformed request line, header, or body framing — maps to `400`.
     Bad(String),
     /// Declared body exceeds the configured cap — maps to `413`.
@@ -80,7 +80,7 @@ impl Request {
 
     /// True when the request body declares the given media type (matched
     /// against the `Content-Type` value up to any `;` parameter).
-    pub fn body_is(&self, media_type: &str) -> bool {
+    pub(crate) fn body_is(&self, media_type: &str) -> bool {
         self.content_type
             .as_deref()
             .map(|v| v.split(';').next().unwrap_or(v).trim() == media_type)
@@ -90,7 +90,7 @@ impl Request {
     /// True when the client's `Accept` header asks for the given media
     /// type (simple containment — the daemon only negotiates between
     /// JSON and one binary type, so q-values are not needed).
-    pub fn accepts(&self, media_type: &str) -> bool {
+    pub(crate) fn accepts(&self, media_type: &str) -> bool {
         self.accept.as_deref().map(|v| v.contains(media_type)).unwrap_or(false)
     }
 }
@@ -169,7 +169,7 @@ fn read_line_capped<R: Read>(
 /// every read syscall is clamped to the time remaining, so even a client
 /// trickling one byte per socket-timeout interval gets its `408` at the
 /// deadline instead of holding the worker indefinitely.
-pub fn read_request(
+pub(crate) fn read_request(
     stream: &TcpStream,
     max_body: usize,
     deadline: Option<Instant>,
@@ -282,14 +282,14 @@ impl Response {
     }
 
     /// Adds a header. Builder-style.
-    pub fn with_header(mut self, name: &'static str, value: String) -> Self {
+    pub(crate) fn with_header(mut self, name: &'static str, value: String) -> Self {
         self.extra_headers.push((name, value));
         self
     }
 
     /// Serializes the response to the stream (status line, headers, body)
     /// and flushes it.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
             self.status,
@@ -312,7 +312,7 @@ impl Response {
 
 /// Converts a read failure into the response to send (when one can be
 /// sent at all).
-pub fn error_response(err: &HttpError) -> Option<Response> {
+pub(crate) fn error_response(err: &HttpError) -> Option<Response> {
     match err {
         HttpError::Bad(m) => Some(Response::error(400, "bad_request", m)),
         HttpError::TooLarge { limit, declared } => Some(

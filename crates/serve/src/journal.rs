@@ -49,7 +49,7 @@
 //! `--fsync-policy` trades durability for throughput: `always` fsyncs
 //! every append inline (power-loss safe), `batch` hands fsync to a
 //! background flusher thread — kicked once a shard accumulates
-//! [`BATCH_FSYNC_RECORDS`] unsynced appends, sweeping at least every
+//! `BATCH_FSYNC_RECORDS` unsynced appends, sweeping at least every
 //! `FLUSH_INTERVAL` while anything is dirty — so the request path never
 //! waits on the disk; `never` only fsyncs on drain. Appends are *group
 //! committed*: they stage encoded records in a per-shard buffer, and
@@ -72,18 +72,18 @@ use std::time::Duration;
 
 /// Unsynced appends that make a shard kick the background flusher under
 /// [`FsyncPolicy::Batch`].
-pub const BATCH_FSYNC_RECORDS: u64 = 64;
+pub(crate) const BATCH_FSYNC_RECORDS: u64 = 64;
 
 /// How long the batch flusher sleeps between sweeps when nobody kicks it.
 const FLUSH_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Minimum spacing between flusher sweeps, kicks included: under a hot
-/// ingest load, shards cross [`BATCH_FSYNC_RECORDS`] constantly, and
+/// ingest load, shards cross `BATCH_FSYNC_RECORDS` constantly, and
 /// fsync storms stall the appenders' `write()`s on the same inodes.
 const FLUSH_MIN_SPACING: Duration = Duration::from_millis(10);
 
 /// Default WAL records per shard before an automatic compaction.
-pub const DEFAULT_COMPACT_EVERY: u64 = 4096;
+pub(crate) const DEFAULT_COMPACT_EVERY: u64 = 4096;
 
 /// Bytes of record framing before the body: length, CRC, tag.
 const HEADER_BYTES: usize = 4 + 4 + 1;
@@ -109,7 +109,7 @@ pub enum FsyncPolicy {
     /// loss.
     Always,
     /// A background thread fsyncs dirty shards — kicked every
-    /// [`BATCH_FSYNC_RECORDS`] appends, sweeping at least every
+    /// `BATCH_FSYNC_RECORDS` appends, sweeping at least every
     /// `FLUSH_INTERVAL` — and drain fsyncs everything: an acknowledged
     /// frame survives any daemon crash; power loss can cost the unsynced
     /// tail (bounded by the kick threshold plus one sweep interval).
@@ -163,7 +163,7 @@ static CRC_TABLE: [u32; 256] = crc_table();
 
 /// CRC-32 (IEEE 802.3) over `bytes` — guards every journal record against
 /// torn writes and bit rot without any new dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
@@ -723,7 +723,7 @@ impl JournalSet {
     }
 
     /// The shard whose files own session `id` (same hash as the store).
-    pub fn shard_of(&self, id: u64) -> usize {
+    pub(crate) fn shard_of(&self, id: u64) -> usize {
         shard_index(id, self.shard_count)
     }
 
@@ -755,7 +755,7 @@ impl JournalSet {
     /// staging order per shard is append order, so the ack invariant
     /// holds no matter which thread's flush lands first. Under `always`
     /// the flush also fsyncs; under `batch` it kicks the background
-    /// flusher once a shard crosses [`BATCH_FSYNC_RECORDS`].
+    /// flusher once a shard crosses `BATCH_FSYNC_RECORDS`.
     pub fn flush(&self) -> std::io::Result<()> {
         #[cfg(test)]
         if self.fail_flush.load(Relaxed) {
@@ -1116,7 +1116,8 @@ impl JournalSet {
     }
 
     /// Current WAL size in bytes of every shard (test/ops visibility).
-    pub fn wal_bytes(&self) -> std::io::Result<Vec<u64>> {
+    #[cfg(test)]
+    pub(crate) fn wal_bytes(&self) -> std::io::Result<Vec<u64>> {
         self.flush()?;
         (0..self.shard_count)
             .map(|i| Ok(fs::metadata(wal_path(&self.dir, i)).map(|m| m.len()).unwrap_or(0)))

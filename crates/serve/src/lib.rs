@@ -29,8 +29,6 @@
 //!   appended before the ack, so a `kill -9` loses nothing a client was
 //!   told succeeded; restart replays snapshot + WAL into a byte-identical
 //!   session store;
-//! * [`chaos`] — a seeded socket-level fault proxy (drops, truncation,
-//!   stalls, corruption) for crash/recovery testing;
 //! * [`metrics`] — Prometheus text exposition of request counts, latency
 //!   histograms, cache hit rates, session/shard/eviction gauges, journal
 //!   and recovery counters, and queue gauges.
@@ -38,7 +36,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cache;
-pub mod chaos;
 pub mod handlers;
 pub mod http;
 pub mod journal;
@@ -51,10 +48,9 @@ pub mod shutdown;
 pub mod wire;
 
 pub use cache::{canonical_hash, PlanCache};
-pub use chaos::{FaultKind, FaultProxy};
-pub use handlers::{AppState, DEFAULT_SESSION_CAPACITY};
-pub use journal::{EndReason, FsyncPolicy, JournalSet, RecoveryStats};
+pub use handlers::AppState;
+pub use journal::{EndReason, FsyncPolicy, JournalSet};
 pub use metrics::Metrics;
 pub use server::{start, ServerConfig, ServerHandle};
-pub use session::{SessionSlot, SessionStore, DEFAULT_SHARDS, MAX_SHARDS};
-pub use shutdown::{install_signal_forwarder, ShutdownSignal};
+pub use session::{SessionSlot, SessionStore, MAX_SHARDS};
+pub use shutdown::install_signal_forwarder;

@@ -161,7 +161,7 @@ impl Metrics {
     /// Records one session telemetry ingest: the replan kind it resolved
     /// to, the rescued-sensor count, and the end-to-end ingest latency
     /// under that replan path.
-    pub fn record_ingest(
+    pub(crate) fn record_ingest(
         &self,
         kind: perpetuum_online::ReplanKind,
         emergencies: u64,
@@ -185,7 +185,7 @@ impl Metrics {
     /// Records one accepted suppressed-event batch and its delta counters
     /// (observations made vs frames actually sent since the client's last
     /// accepted batch).
-    pub fn record_events(&self, observed: u64, sent: u64) {
+    pub(crate) fn record_events(&self, observed: u64, sent: u64) {
         self.events_ingested.fetch_add(1, Relaxed);
         self.client_frames_observed.fetch_add(observed, Relaxed);
         self.client_frames_sent.fetch_add(sent, Relaxed);
@@ -194,7 +194,7 @@ impl Metrics {
     /// Records one completed refinement pass: the service cost before and
     /// after, and the wall-clock time it took. Feeds the pass counter,
     /// the improvement-ratio gauge and the latency histogram.
-    pub fn record_refine(&self, constructive_cost: f64, refined_cost: f64, seconds: f64) {
+    pub(crate) fn record_refine(&self, constructive_cost: f64, refined_cost: f64, seconds: f64) {
         self.refine_passes.fetch_add(1, Relaxed);
         self.refine_constructive_millicost
             .fetch_add((constructive_cost.max(0.0) * 1e3) as u64, Relaxed);
@@ -203,7 +203,7 @@ impl Metrics {
     }
 
     /// Records a finished response's status class.
-    pub fn record_status(&self, status: u16) {
+    pub(crate) fn record_status(&self, status: u16) {
         let idx = match status {
             200..=299 => 0,
             400..=499 => 1,

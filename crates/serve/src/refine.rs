@@ -30,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Most background jobs allowed to wait; beyond this, new jobs drop.
-pub const QUEUE_CAPACITY: usize = 256;
+pub(crate) const QUEUE_CAPACITY: usize = 256;
 
 /// One pending background refinement.
 #[derive(Debug)]
@@ -100,13 +100,13 @@ impl RefineQueue {
     }
 
     /// Non-blocking pop for synchronous draining (tests, shutdown).
-    pub fn try_pop(&self) -> Option<RefineJob> {
+    pub(crate) fn try_pop(&self) -> Option<RefineJob> {
         self.inner.lock().ok()?.jobs.pop_front()
     }
 
     /// Close the queue: wakes every waiting worker so the pool can exit.
     /// Jobs still queued are abandoned (the daemon is going down); the
-    /// non-blocking [`RefineQueue::try_pop`] can still drain them.
+    /// non-blocking `try_pop` can still drain them.
     pub fn close(&self) {
         if let Ok(mut inner) = self.inner.lock() {
             inner.closed = true;
@@ -167,7 +167,7 @@ pub fn drain(state: &AppState) -> usize {
 
 /// Worker-thread body: drain jobs until the queue closes or shutdown
 /// triggers.
-pub fn worker_loop(state: &Arc<AppState>, shutdown: &ShutdownSignal) {
+pub(crate) fn worker_loop(state: &Arc<AppState>, shutdown: &ShutdownSignal) {
     while let Some(job) = state.refine_queue.pop() {
         process(state, job);
         if shutdown.is_triggered() {

@@ -133,13 +133,8 @@ impl ServerHandle {
         Arc::clone(&self.shutdown)
     }
 
-    /// Requests shutdown without waiting for the drain.
-    pub fn trigger_shutdown(&self) {
-        self.shutdown.trigger();
-    }
-
-    /// Blocks until shutdown is requested (by signal, admin endpoint, or
-    /// [`ServerHandle::trigger_shutdown`]), then drains and joins every
+    /// Blocks until shutdown is requested (by signal or admin endpoint),
+    /// then drains and joins every
     /// thread. In-flight and queued requests complete first.
     pub fn wait(self) {
         self.shutdown.wait();
@@ -159,7 +154,7 @@ impl ServerHandle {
         }
     }
 
-    /// [`ServerHandle::trigger_shutdown`] + [`ServerHandle::wait`].
+    /// Requests shutdown, then [`ServerHandle::wait`]s for the drain.
     pub fn shutdown(self) {
         self.shutdown.trigger();
         self.wait();

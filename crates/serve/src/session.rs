@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 
 /// Default shard count when the caller passes `0` (auto) and no worker
 /// count is known.
-pub const DEFAULT_SHARDS: usize = 8;
+pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 /// Hard ceiling on the shard count (`--shards` validation re-checks this
 /// at the CLI boundary; the constructor clamps as a safety net).
@@ -120,7 +120,7 @@ fn mix(id: u64) -> u64 {
 /// ownership mapping — a session's journal records and its live slot
 /// always agree on the shard index.
 #[inline]
-pub fn shard_index(id: u64, shard_count: usize) -> usize {
+pub(crate) fn shard_index(id: u64, shard_count: usize) -> usize {
     if shard_count <= 1 {
         return 0; // a 64-bit shift would overflow
     }
@@ -130,7 +130,7 @@ pub fn shard_index(id: u64, shard_count: usize) -> usize {
 impl SessionStore {
     /// A store holding at most `capacity` live sessions split over
     /// `shards` shards (rounded up to a power of two, clamped to
-    /// `1..=`[`MAX_SHARDS`]; `0` means [`DEFAULT_SHARDS`]).
+    /// `1..=`[`MAX_SHARDS`]; `0` means `DEFAULT_SHARDS`).
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = if shards == 0 { DEFAULT_SHARDS } else { shards }
             .clamp(1, MAX_SHARDS)
@@ -152,7 +152,7 @@ impl SessionStore {
     }
 
     /// Index of the shard owning `id`.
-    pub fn shard_of(&self, id: u64) -> usize {
+    pub(crate) fn shard_of(&self, id: u64) -> usize {
         if self.shards.len() == 1 {
             return 0; // a 64-bit shift would overflow
         }
@@ -172,7 +172,7 @@ impl SessionStore {
     /// strictly greater than `floor` — recovery calls this with the
     /// highest id seen in the journal so restored and new sessions never
     /// collide (ids stay never-reused across restarts).
-    pub fn bump_next_id(&self, floor: u64) {
+    pub(crate) fn bump_next_id(&self, floor: u64) {
         self.next_id.fetch_max(floor, Relaxed);
     }
 
@@ -255,7 +255,7 @@ impl SessionStore {
     }
 
     /// Per-shard live-session gauges — atomic loads, no locks.
-    pub fn shard_lens(&self) -> Vec<u64> {
+    pub(crate) fn shard_lens(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.live.load(Relaxed)).collect()
     }
 }

@@ -39,13 +39,13 @@ impl ShutdownSignal {
 
     /// True once shutdown has been requested. Accept loops check this
     /// immediately after every `accept` return.
-    pub fn is_triggered(&self) -> bool {
+    pub(crate) fn is_triggered(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
     }
 
     /// Registers a listener address to poke on trigger so its blocked
     /// `accept` returns.
-    pub fn register_waker(&self, addr: SocketAddr) {
+    pub(crate) fn register_waker(&self, addr: SocketAddr) {
         if let Ok(mut w) = self.wakers.lock() {
             w.push(addr);
         }

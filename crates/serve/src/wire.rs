@@ -61,11 +61,11 @@ use std::fmt;
 pub const CONTENT_TYPE: &str = "application/x-perpetuum";
 
 /// Magic prefix of a frame-batch request body.
-pub const MAGIC_FRAMES: [u8; 4] = *b"PBT1";
+pub(crate) const MAGIC_FRAMES: [u8; 4] = *b"PBT1";
 /// Magic prefix of a report-batch response body.
-pub const MAGIC_REPORTS: [u8; 4] = *b"PRP1";
+pub(crate) const MAGIC_REPORTS: [u8; 4] = *b"PRP1";
 /// Magic prefix of a plan-summary response body.
-pub const MAGIC_PLAN: [u8; 4] = *b"PPL1";
+pub(crate) const MAGIC_PLAN: [u8; 4] = *b"PPL1";
 
 /// Why a buffer failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +132,7 @@ impl std::error::Error for WireError {}
 
 /// Growable little-endian write buffer.
 #[derive(Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
@@ -148,38 +148,38 @@ impl Writer {
     }
 
     /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its little-endian IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// Appends raw bytes verbatim.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 }
 
 /// Cursor over a byte slice with typed, bounds-checked reads.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -205,35 +205,35 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
+    pub(crate) fn get_u16(&mut self) -> Result<u16, WireError> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn get_u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
     /// Reads an `f64` from its little-endian bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads and checks a 4-byte magic prefix.
-    pub fn expect_magic(&mut self, expected: [u8; 4]) -> Result<(), WireError> {
+    pub(crate) fn expect_magic(&mut self, expected: [u8; 4]) -> Result<(), WireError> {
         let b = self.take(4)?;
         let found = [b[0], b[1], b[2], b[3]];
         if found != expected {
@@ -246,7 +246,11 @@ impl<'a> Reader<'a> {
     /// buffer assuming each element costs at least `min_bytes` — a
     /// hostile count can never drive an allocation past the body it
     /// arrived in.
-    pub fn get_count(&mut self, field: &'static str, min_bytes: usize) -> Result<usize, WireError> {
+    pub(crate) fn get_count(
+        &mut self,
+        field: &'static str,
+        min_bytes: usize,
+    ) -> Result<usize, WireError> {
         let count = self.get_u32()? as u64;
         if count.saturating_mul(min_bytes as u64) > self.remaining() as u64 {
             return Err(WireError::BadCount { field, count });
@@ -286,12 +290,12 @@ pub enum FramePayload {
 }
 
 impl Frame {
-    /// A telemetry frame (wire tag [`TAG_TELEMETRY`]).
+    /// A telemetry frame (wire tag `TAG_TELEMETRY`).
     pub fn telemetry(session: u64, batch: TelemetryBatch) -> Self {
         Self { session, payload: FramePayload::Telemetry(batch) }
     }
 
-    /// A suppressed-event frame (wire tag [`TAG_EVENTS`]).
+    /// A suppressed-event frame (wire tag `TAG_EVENTS`).
     pub fn events(session: u64, batch: EventBatch) -> Self {
         Self { session, payload: FramePayload::Events(batch) }
     }
@@ -306,9 +310,9 @@ impl Frame {
 }
 
 /// Frame tag for a telemetry payload.
-pub const TAG_TELEMETRY: u8 = 0;
+pub(crate) const TAG_TELEMETRY: u8 = 0;
 /// Frame tag for a suppressed-event payload.
-pub const TAG_EVENTS: u8 = 1;
+pub(crate) const TAG_EVENTS: u8 = 1;
 
 const RATE_FLAG: u8 = 1;
 const LEVEL_FLAG: u8 = 2;

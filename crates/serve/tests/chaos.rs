@@ -5,7 +5,9 @@
 //! in `/metrics` and serve **byte-identical** plans to the pre-kill
 //! state — every frame a client saw acknowledged survives the crash.
 
-use perpetuum_serve::chaos::{FaultProxy, FaultRates};
+mod fault_proxy;
+
+use fault_proxy::{FaultProxy, FaultRates};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};

@@ -16,10 +16,10 @@
 //! `cargo test --release -p perpetuum-serve --test controller_ingest_log -- --ignored --nocapture`
 //! prints the current values in the fixture's format.
 
-use perpetuum_exp::scenario::{realise_world, Scenario};
 use perpetuum_online::{
     ControllerSeed, IngestReport, OnlineConfig, TelemetryBatch, TelemetryRecord,
 };
+use perpetuum_sim::scenario::{realise_world, Scenario};
 
 const FIXTURE: &str = include_str!("../../../scenarios/regressions/controller_ingest_log.json");
 const MASTER_SEED: u64 = 2014;

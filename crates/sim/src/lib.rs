@@ -25,32 +25,29 @@
 //!   deaths, per-charger distances, replans, degraded-mode fault stats,
 //! * [`faults`] — deterministic seeded fault injection: charger
 //!   breakdown/repair processes, consumption-rate shocks, travel-speed
-//!   jitter, and the degraded-mode recovery planner's policy knobs.
+//!   jitter, and the degraded-mode recovery planner's policy knobs,
+//! * [`scenario`] — the Section VII.A workload generator: typed scenario
+//!   descriptions, their validation, and the seeded topology and world
+//!   each one realises (shared by the experiment CLI and the daemon).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod closed_loop;
 mod energy_core;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
 pub mod policy;
 pub mod reference;
+pub mod scenario;
 pub mod trace;
 pub mod world;
 
-pub use closed_loop::{
-    compare_refined, compare_suppressed, compare_under_drift, ArmOutcome, ClosedLoopComparison,
-    OnlinePolicy, OraclePolicy, RefinedComparison, SuppressedPolicy, SuppressionComparison,
-    SuppressionTraffic,
-};
 pub use engine::{run, run_traced, run_with_faults, run_with_faults_traced, SimConfig};
-pub use faults::{ChargerFaults, FaultModel, RateShock, RecoveryConfig, SpeedFaults};
-pub use metrics::{DeathEvent, FaultStats, SimResult};
+pub use faults::{FaultModel, RateShock, RecoveryConfig};
+pub use metrics::SimResult;
 pub use policy::{
-    ChargingPolicy, CheckContext, GreedyPolicy, MtdPolicy, Observation, PeriodicPolicy, PlanUpdate,
-    VarPolicy,
+    ChargingPolicy, CheckContext, GreedyPolicy, MtdPolicy, Observation, PlanUpdate, VarPolicy,
 };
 pub use reference::{run_fixed_step, run_reference};
-pub use trace::{SimTrace, TraceEvent};
-pub use world::{RateProcess, World, WorldError};
+pub use trace::TraceEvent;
+pub use world::World;

@@ -64,15 +64,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Mean orphaned-to-rescue latency (0 when nothing was recovered).
-    pub fn mean_recovery_latency(&self) -> f64 {
-        if self.recovered_orphans == 0 {
-            0.0
-        } else {
-            self.total_recovery_latency / self.recovered_orphans as f64
-        }
-    }
-
     /// Summed downtime across all chargers.
     pub fn total_downtime(&self) -> f64 {
         // fold, not sum(): the float Sum identity is -0.0, which would leak
@@ -124,22 +115,6 @@ impl SimResult {
     pub fn is_perpetual(&self) -> bool {
         self.deaths.is_empty()
     }
-
-    /// Upper bound on any charging task's duration, given a charger speed
-    /// (m per time unit): the longest tour divided by the speed.
-    pub fn max_task_duration(&self, speed: f64) -> f64 {
-        assert!(speed > 0.0, "speed must be positive");
-        self.max_tour_length / speed
-    }
-
-    /// Mean charges per sensor.
-    pub fn mean_charges_per_sensor(&self) -> f64 {
-        if self.charge_log.is_empty() {
-            0.0
-        } else {
-            self.charges as f64 / self.charge_log.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -155,16 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn max_task_duration_scales_with_speed() {
-        let r = SimResult { max_tour_length: 3000.0, ..Default::default() };
-        assert_eq!(r.max_task_duration(1000.0), 3.0);
-    }
-
-    #[test]
     fn fault_stats_default_is_all_zero() {
         let s = FaultStats::default();
         assert_eq!(s, FaultStats::default());
-        assert_eq!(s.mean_recovery_latency(), 0.0);
         assert_eq!(s.total_downtime(), 0.0);
     }
 
@@ -176,14 +144,6 @@ mod tests {
             per_charger_downtime: vec![1.5, 0.0, 2.5],
             ..Default::default()
         };
-        assert!((s.mean_recovery_latency() - 1.5).abs() < 1e-12);
         assert!((s.total_downtime() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_charges() {
-        let r = SimResult { charges: 10, charge_log: vec![vec![]; 4], ..Default::default() };
-        assert_eq!(r.mean_charges_per_sensor(), 2.5);
-        assert_eq!(SimResult::default().mean_charges_per_sensor(), 0.0);
     }
 }

@@ -56,29 +56,30 @@ impl<'a> Observation<'a> {
     }
 
     /// Estimated residual lifetime `l̂_i = re_i / max(ρ̂_i, ρ_i(now))`.
-    pub fn residual_hat(&self, i: usize) -> f64 {
+    pub(crate) fn residual_hat(&self, i: usize) -> f64 {
         self.levels[i] / self.rate_safe(i)
     }
 
     /// Estimated maximum charging cycle `τ̂_i = B_i / max(ρ̂_i, ρ_i(now))`.
-    pub fn max_cycle_hat(&self, i: usize) -> f64 {
+    pub(crate) fn max_cycle_hat(&self, i: usize) -> f64 {
         self.capacities[i] / self.rate_safe(i)
     }
 
     /// The paper's un-guarded cycle estimate `B_i / ρ̂_i` (EWMA only).
-    pub fn max_cycle_pred(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_cycle_pred(&self, i: usize) -> f64 {
         self.capacities[i] / self.rho_hat[i]
     }
 
     /// All estimated maximum cycles.
-    pub fn max_cycles_hat(&self) -> Vec<f64> {
+    pub(crate) fn max_cycles_hat(&self) -> Vec<f64> {
         (0..self.levels.len()).map(|i| self.max_cycle_hat(i)).collect()
     }
 
     /// All estimated residual lifetimes, clamped to the estimated cycle
     /// (level ≤ capacity already guarantees this; the clamp absorbs
     /// floating-point noise).
-    pub fn residuals_hat(&self) -> Vec<f64> {
+    pub(crate) fn residuals_hat(&self) -> Vec<f64> {
         (0..self.levels.len()).map(|i| self.residual_hat(i).min(self.max_cycle_hat(i))).collect()
     }
 }
@@ -88,7 +89,7 @@ impl<'a> Observation<'a> {
 /// Polling checks fire every [`ChargingPolicy::check_interval`] — far more
 /// often than slot boundaries — so the event-driven engine hands policies
 /// this lazy view instead of a materialised [`Observation`]. A policy that
-/// only asks [`CheckContext::urgent_within`] costs O(log n + answer) per
+/// only asks `urgent_within` costs O(log n + answer) per
 /// check (the engine answers from its urgency-prediction heap); calling
 /// [`CheckContext::observation`] falls back to the full O(n) snapshot.
 pub struct CheckContext<'a> {
@@ -107,7 +108,7 @@ enum Source<'a> {
 
 impl<'a> CheckContext<'a> {
     /// Wraps a full observation; answers are computed by dense scans.
-    pub fn from_observation(obs: Observation<'a>) -> Self {
+    pub(crate) fn from_observation(obs: Observation<'a>) -> Self {
         Self {
             time: obs.time,
             horizon: obs.horizon,
@@ -138,7 +139,7 @@ impl<'a> CheckContext<'a> {
     /// Ascending indices of the sensors whose estimated residual lifetime
     /// `re_i / max(ρ̂_i, ρ_i(now))` is at most `dt` (plus the engine's
     /// 1e-9 float slack) — the urgency test of the greedy baseline.
-    pub fn urgent_within(&mut self, dt: f64) -> Vec<usize> {
+    pub(crate) fn urgent_within(&mut self, dt: f64) -> Vec<usize> {
         match &mut self.source {
             Source::Full(obs) => {
                 (0..obs.levels.len()).filter(|&i| obs.residual_hat(i) <= dt + 1e-9).collect()
@@ -149,7 +150,7 @@ impl<'a> CheckContext<'a> {
 
     /// The full observation at the check time. On the event-driven engine
     /// this settles every battery (O(n)); prefer
-    /// [`Self::urgent_within`] when the urgent set is all you need.
+    /// `urgent_within` when the urgent set is all you need.
     pub fn observation(&mut self) -> Observation<'_> {
         match &mut self.source {
             Source::Full(obs) => *obs,
@@ -540,49 +541,6 @@ impl ChargingPolicy for VarPolicy<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-
-/// The naive strategy Section III.C dismisses, as a policy: dispatch the
-/// full-network tour set at every multiple of a fixed period. Used as the
-/// upper-anchor baseline in tests and cost comparisons.
-#[derive(Debug)]
-pub struct PeriodicPolicy<'a> {
-    network: &'a Network,
-    /// Dispatch period (the paper's strawman uses `τ_min`).
-    pub period: f64,
-}
-
-impl<'a> PeriodicPolicy<'a> {
-    /// Charges everyone every `period`.
-    pub fn new(network: &'a Network, period: f64) -> Self {
-        assert!(period > 0.0, "period must be positive");
-        Self { network, period }
-    }
-}
-
-impl ChargingPolicy for PeriodicPolicy<'_> {
-    fn name(&self) -> &'static str {
-        "Periodic"
-    }
-
-    fn initialize(&mut self, obs: &Observation) -> PlanUpdate {
-        let n = obs.levels.len();
-        if n == 0 {
-            return PlanUpdate::Keep;
-        }
-        let all: Vec<usize> = (0..n).collect();
-        let set = greedy_batch(self.network, &all);
-        let mut series = ScheduleSeries::new();
-        let id = series.add_set(set);
-        let mut t = self.period;
-        while t < obs.horizon {
-            series.push_dispatch(t, id);
-            t += self.period;
-        }
-        PlanUpdate::Replace(series)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,25 +681,6 @@ mod tests {
         let o_out = obs(20.0, 64.0, &levels_mid, &rho_out, &caps);
         assert!(matches!(p.on_slot_boundary(&o_out), PlanUpdate::Replace(_)));
         assert_eq!(p.replans(), 1);
-    }
-
-    #[test]
-    fn periodic_policy_plans_full_network_rounds() {
-        let network = net();
-        let mut p = PeriodicPolicy::new(&network, 2.0);
-        let levels = [1.0, 1.0, 1.0];
-        let rho = [0.5, 0.5, 0.5];
-        let caps = [1.0; 3];
-        let o = obs(0.0, 10.0, &levels, &rho, &caps);
-        match p.initialize(&o) {
-            PlanUpdate::Replace(series) => {
-                assert_eq!(series.dispatch_count(), 4); // 2, 4, 6, 8
-                for d in series.dispatches() {
-                    assert_eq!(series.set_of(d).sensors().len(), 3);
-                }
-            }
-            _ => panic!("expected a plan"),
-        }
     }
 
     #[test]

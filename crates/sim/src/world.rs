@@ -39,84 +39,6 @@ impl RateProcess {
     }
 }
 
-/// Why a world (or the scenario describing it) is malformed.
-///
-/// [`World::try_new`] and the experiment crate's scenario loader return
-/// these instead of panicking, so a bad JSON scenario surfaces as a
-/// readable diagnostic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorldError {
-    /// The depot set is empty — no charger can ever be dispatched.
-    EmptyDepots,
-    /// The sensor set is empty.
-    NoSensors,
-    /// A coordinate is NaN, infinite or negative. `kind` is `"sensor"` or
-    /// `"depot"`.
-    BadCoordinate {
-        /// `"sensor"` or `"depot"`.
-        kind: &'static str,
-        /// Index within its position list.
-        index: usize,
-        /// The offending x coordinate.
-        x: f64,
-        /// The offending y coordinate.
-        y: f64,
-    },
-    /// A sensor's charging cycle (and therefore its rate) is non-positive
-    /// or non-finite.
-    BadCycle {
-        /// The offending sensor.
-        sensor: usize,
-        /// The cycle value.
-        cycle: f64,
-    },
-    /// A battery capacity is non-positive or non-finite.
-    BadCapacity {
-        /// The offending sensor.
-        sensor: usize,
-        /// The capacity value.
-        capacity: f64,
-    },
-    /// Not exactly one rate process per sensor.
-    ProcessCountMismatch {
-        /// Supplied processes.
-        processes: usize,
-        /// Sensors in the network.
-        sensors: usize,
-    },
-    /// The EWMA weight is outside `(0, 1]`.
-    BadGamma {
-        /// The offending value.
-        gamma: f64,
-    },
-}
-
-impl std::fmt::Display for WorldError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorldError::EmptyDepots => write!(f, "the depot set is empty"),
-            WorldError::NoSensors => write!(f, "the sensor set is empty"),
-            WorldError::BadCoordinate { kind, index, x, y } => {
-                write!(f, "{kind} {index} has invalid coordinates ({x}, {y})")
-            }
-            WorldError::BadCycle { sensor, cycle } => {
-                write!(f, "sensor {sensor} has non-positive cycle {cycle}")
-            }
-            WorldError::BadCapacity { sensor, capacity } => {
-                write!(f, "sensor {sensor} has non-positive capacity {capacity}")
-            }
-            WorldError::ProcessCountMismatch { processes, sensors } => {
-                write!(f, "{processes} rate processes for {sensors} sensors")
-            }
-            WorldError::BadGamma { gamma } => {
-                write!(f, "EWMA weight {gamma} outside (0, 1]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WorldError {}
-
 /// The simulated WSN: geometry, batteries, rate processes and the
 /// predictors the base station sees.
 #[derive(Debug, Clone)]
@@ -167,47 +89,6 @@ impl World {
         assert!((0.0..1.0).contains(&noise), "noise must be in [0, 1)");
         self.measurement_noise = noise;
         self
-    }
-
-    /// Validating constructor: like [`World::new`] but every structural
-    /// defect — empty depot set, NaN/negative coordinates, process-count
-    /// mismatch, bad `γ` — comes back as a typed [`WorldError`] instead of
-    /// a panic. The batteries it creates are additionally checked by
-    /// construction (unit capacity).
-    pub fn try_new(
-        network: Network,
-        processes: Vec<RateProcess>,
-        gamma: f64,
-    ) -> Result<Self, WorldError> {
-        validate_network(&network)?;
-        if processes.len() != network.n() {
-            return Err(WorldError::ProcessCountMismatch {
-                processes: processes.len(),
-                sensors: network.n(),
-            });
-        }
-        if !(gamma.is_finite() && gamma > 0.0 && gamma <= 1.0) {
-            return Err(WorldError::BadGamma { gamma });
-        }
-        Ok(Self::new(network, processes, gamma))
-    }
-
-    /// Validating fixed-cycle constructor: [`World::fixed`] returning a
-    /// typed [`WorldError`] for malformed geometry or non-positive cycles.
-    pub fn try_fixed(network: Network, cycles: &[f64]) -> Result<Self, WorldError> {
-        validate_network(&network)?;
-        if cycles.len() != network.n() {
-            return Err(WorldError::ProcessCountMismatch {
-                processes: cycles.len(),
-                sensors: network.n(),
-            });
-        }
-        for (i, &tau) in cycles.iter().enumerate() {
-            if !(tau.is_finite() && tau > 0.0) {
-                return Err(WorldError::BadCycle { sensor: i, cycle: tau });
-            }
-        }
-        Ok(Self::fixed(network, cycles))
     }
 
     /// Fixed-cycle world: sensor `i` drains its unit battery in exactly
@@ -287,32 +168,6 @@ impl World {
     }
 }
 
-/// Shared geometry validation for the `try_*` constructors: non-empty
-/// sensor and depot sets, all coordinates finite and non-negative.
-fn validate_network(network: &Network) -> Result<(), WorldError> {
-    if network.q() == 0 {
-        return Err(WorldError::EmptyDepots);
-    }
-    if network.n() == 0 {
-        return Err(WorldError::NoSensors);
-    }
-    let bad = |p: perpetuum_geom::Point2| {
-        !(p.x.is_finite() && p.y.is_finite() && p.x >= 0.0 && p.y >= 0.0)
-    };
-    for (i, &p) in network.sensor_positions().iter().enumerate() {
-        if bad(p) {
-            return Err(WorldError::BadCoordinate { kind: "sensor", index: i, x: p.x, y: p.y });
-        }
-    }
-    for l in 0..network.q() {
-        let p = network.depot_pos(l);
-        if bad(p) {
-            return Err(WorldError::BadCoordinate { kind: "depot", index: l, x: p.x, y: p.y });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,54 +224,5 @@ mod tests {
     #[should_panic(expected = "noise must be in")]
     fn noise_bounds_checked() {
         World::fixed(net(), &[1.0, 2.0]).with_measurement_noise(1.0);
-    }
-
-    #[test]
-    fn try_constructors_accept_valid_input() {
-        let w = World::try_fixed(net(), &[2.0, 5.0]).unwrap();
-        assert_eq!(w.n(), 2);
-        let procs = vec![RateProcess::Fixed(FixedRate::from_cycle(1.0, 2.0)); 2];
-        assert!(World::try_new(net(), procs, 0.5).is_ok());
-    }
-
-    #[test]
-    fn try_constructors_reject_malformed_input() {
-        // Non-positive and non-finite cycles.
-        assert_eq!(
-            World::try_fixed(net(), &[2.0, 0.0]).unwrap_err(),
-            WorldError::BadCycle { sensor: 1, cycle: 0.0 }
-        );
-        assert!(matches!(
-            World::try_fixed(net(), &[f64::NAN, 1.0]),
-            Err(WorldError::BadCycle { sensor: 0, .. })
-        ));
-        // Count mismatch instead of a panic.
-        assert_eq!(
-            World::try_fixed(net(), &[2.0]).unwrap_err(),
-            WorldError::ProcessCountMismatch { processes: 1, sensors: 2 }
-        );
-        assert!(matches!(
-            World::try_new(net(), vec![], 0.5),
-            Err(WorldError::ProcessCountMismatch { .. })
-        ));
-        // Negative coordinates (finite, so Network::new accepts them).
-        let neg = Network::new(vec![Point2::new(-1.0, 0.0)], vec![Point2::ORIGIN]);
-        assert!(matches!(
-            World::try_fixed(neg, &[1.0]),
-            Err(WorldError::BadCoordinate { kind: "sensor", index: 0, .. })
-        ));
-        // Empty sensor set.
-        let empty = Network::new(vec![], vec![Point2::ORIGIN]);
-        assert_eq!(World::try_fixed(empty, &[]).unwrap_err(), WorldError::NoSensors);
-        // Bad EWMA weight.
-        let procs = vec![RateProcess::Fixed(FixedRate::from_cycle(1.0, 2.0)); 2];
-        assert_eq!(
-            World::try_new(net(), procs, 0.0).unwrap_err(),
-            WorldError::BadGamma { gamma: 0.0 }
-        );
-        // Errors render readable diagnostics.
-        let msg = WorldError::BadCycle { sensor: 3, cycle: -1.0 }.to_string();
-        assert!(msg.contains("sensor 3"), "{msg}");
-        assert!(msg.contains("-1"), "{msg}");
     }
 }

@@ -11,8 +11,8 @@
 //! cargo run --release --example flood_monitoring
 //! ```
 
-use perpetuum::exp::scenario::{Algo, Scenario};
 use perpetuum::par::{mean, par_map};
+use perpetuum::sim::scenario::{Algo, Scenario};
 
 fn main() {
     let topologies = 10usize;

@@ -13,8 +13,8 @@
 //! cargo run --release --example precision_agriculture
 //! ```
 
-use perpetuum::core::split::split_tour_set;
 use perpetuum::energy::CycleDistribution;
+use perpetuum::exp::split::split_tour_set;
 use perpetuum::geom::{deploy, derived_rng, Field};
 use perpetuum::prelude::*;
 

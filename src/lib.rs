@@ -15,10 +15,14 @@
 //! | [`geom`] | `perpetuum-geom` | points, fields, deployments, seeded RNG streams |
 //! | [`graph`] | `perpetuum-graph` | distance matrices, MST, Euler circuits, exact & heuristic TSP |
 //! | [`energy`] | `perpetuum-energy` | batteries, consumption processes, cycle distributions, EWMA predictor |
+//! | [`client`] | `perpetuum-client` | the `no_std` sensor-side telemetry client (edge suppression) |
+//! | [`opt`] | `perpetuum-opt` | the anytime tour-improvement refiner (Or-opt, 2-opt) |
 //! | [`core`] | `perpetuum-core` | Algorithms 1–3, `MinTotalDistance-var`, Greedy, feasibility checking |
-//! | [`sim`] | `perpetuum-sim` | the discrete-event charging simulator and policies |
+//! | [`sim`] | `perpetuum-sim` | the discrete-event charging simulator, its policies, and scenarios |
+//! | [`online`] | `perpetuum-online` | the telemetry-driven online controller |
+//! | [`serve`] | `perpetuum-serve` | the planning daemon: HTTP API, sessions, journal, plan cache |
 //! | [`par`] | `perpetuum-par` | scoped-thread parallel sweeps |
-//! | [`exp`] | `perpetuum-exp` | figure-reproduction harness and CLI |
+//! | [`exp`] | `perpetuum-exp` | figure-reproduction harness, ablations, extensions and CLI |
 //!
 //! # Quickstart
 //!
@@ -45,11 +49,14 @@
 //!          plan.service_cost(), plan.dispatch_count());
 //! ```
 
+pub use perpetuum_client as client;
 pub use perpetuum_core as core;
 pub use perpetuum_energy as energy;
 pub use perpetuum_exp as exp;
 pub use perpetuum_geom as geom;
 pub use perpetuum_graph as graph;
+pub use perpetuum_online as online;
+pub use perpetuum_opt as opt;
 pub use perpetuum_par as par;
 pub use perpetuum_serve as serve;
 pub use perpetuum_sim as sim;
@@ -74,17 +81,17 @@ pub mod prelude {
     pub use perpetuum_core::bounds::lemma3_lower_bound;
     pub use perpetuum_core::feasibility::check_series;
     pub use perpetuum_core::greedy::{plan_greedy_fixed, GreedyConfig};
-    pub use perpetuum_core::minmax::min_max_cover;
     pub use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
     pub use perpetuum_core::network::{Instance, Network};
     pub use perpetuum_core::qmsf::q_rooted_msf_src;
     pub use perpetuum_core::qtsp::q_rooted_tsp_src;
     pub use perpetuum_core::rounding::partition_cycles;
     pub use perpetuum_core::schedule::ScheduleSeries;
-    pub use perpetuum_core::split::{split_tour, split_tour_set};
     pub use perpetuum_core::stats::analyze;
     pub use perpetuum_core::var::{replan_variable, VarInput};
     pub use perpetuum_energy::CycleDistribution;
+    pub use perpetuum_exp::minmax::min_max_cover;
+    pub use perpetuum_exp::split::{split_tour, split_tour_set};
     pub use perpetuum_geom::{Field, Point2};
     pub use perpetuum_sim::{
         run, run_traced, GreedyPolicy, MtdPolicy, SimConfig, SimResult, VarPolicy, World,

@@ -10,9 +10,9 @@ use perpetuum::core::network::{Instance, Network};
 use perpetuum::core::qtsp::q_rooted_tsp_src;
 use perpetuum::core::rounding::partition_cycles;
 use perpetuum::core::schedule::TourSet;
-use perpetuum::exp::scenario::{realise_world, Deployment, Scenario};
 use perpetuum::exp::CustomExperiment;
 use perpetuum::geom::{deploy, Field, Point2};
+use perpetuum::sim::scenario::{realise_world, Deployment, Scenario};
 
 fn assert_sets_match_independent_builds(instance: &Instance, what: &str) {
     let plan = plan_min_total_distance(instance, &MtdConfig::default());

@@ -7,7 +7,7 @@ use perpetuum::core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum::core::network::Instance;
 use perpetuum::core::qtsp::q_rooted_tsp_src;
 use perpetuum::core::schedule::{ScheduleSeries, TourSet};
-use perpetuum::exp::scenario::{Algo, Scenario};
+use perpetuum::sim::scenario::{Algo, Scenario};
 
 fn small_fixed_scenario(n: usize) -> Scenario {
     Scenario { n, horizon: 120.0, ..Scenario::paper_fixed() }

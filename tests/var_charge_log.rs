@@ -13,7 +13,7 @@
 //! `cargo test --release --test var_charge_log -- --ignored --nocapture`
 //! prints the current values in the fixture's format.
 
-use perpetuum::exp::scenario::{realise_world, Scenario};
+use perpetuum::sim::scenario::{realise_world, Scenario};
 use perpetuum::sim::{run, SimConfig, SimResult, VarPolicy};
 use serde_json::Value;
 
