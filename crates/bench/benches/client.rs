@@ -120,8 +120,8 @@ fn bench_client(c: &mut Criterion) {
     .expect("paper-scale controller builds");
     let mut clients: Vec<SensorClient> =
         rates.iter().map(|&r| SensorClient::new(0.5, 0.0, s.horizon, 1.0, r)).collect();
-    for (i, cl) in clients.iter_mut().enumerate() {
-        cl.plan_update(ctl.tau1(), ctl.assigned_cycles()[i]);
+    for (cl, a) in clients.iter_mut().zip(ctl.assigned_cycles()) {
+        cl.plan_update(ctl.tau1(), a);
     }
     let mut t = 0.5;
     group.bench_with_input(BenchmarkId::new("observe", n), &n, |b, _| {

@@ -59,20 +59,10 @@ use crate::var::{replan_variable_detailed, RepairStrategy, VarDetailed, VarInput
 use perpetuum_geom::Point2;
 use perpetuum_graph::{Metric, Tour};
 
-/// Tuning knobs of the incremental planner.
-#[derive(Debug, Clone, Copy)]
-pub struct IncrementalConfig {
-    /// When more than this fraction of the sensors migrate class in one
-    /// replan, surgery would touch most of the forest anyway — fall back
-    /// to a full replan instead.
-    pub migration_fallback_fraction: f64,
-}
-
-impl Default for IncrementalConfig {
-    fn default() -> Self {
-        Self { migration_fallback_fraction: 0.25 }
-    }
-}
+/// When more than this fraction of the sensors migrate class in one
+/// replan, surgery would touch most of the forest anyway — fall back to a
+/// full replan instead.
+const MIGRATION_FALLBACK_FRACTION: f64 = 0.25;
 
 /// Why an incremental replan refused and a full re-seed is required.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +74,7 @@ pub enum FullReason {
     /// it on the cached grid would waste tours, and the class set itself
     /// must be re-derived.
     ClassOverflow,
-    /// More sensors migrated than
-    /// [`IncrementalConfig::migration_fallback_fraction`] allows.
+    /// More than a quarter of the sensors migrated class.
     TooManyMigrations,
 }
 
@@ -358,7 +347,6 @@ fn local_two_opt<M: Metric>(nodes: &mut [usize], dist: &M, touched: &[usize]) {
 /// `DynamicSet`s, and the anchor grid they are dispatched on.
 #[derive(Debug)]
 pub struct IncrementalPlanner {
-    cfg: IncrementalConfig,
     /// Base interval `τ̂₁` of the cached partition.
     tau1: f64,
     /// Largest class `K` of the cached partition.
@@ -398,26 +386,8 @@ impl IncrementalPlanner {
     /// from its builds. The returned plan is bit-identical to
     /// [`crate::var::replan_variable_with`] on the same input.
     pub fn seed(input: &VarInput, repair: RepairStrategy) -> (VarPlan, Self) {
-        Self::seed_with(input, repair, IncrementalConfig::default())
-    }
-
-    /// [`Self::seed`] with explicit tuning knobs.
-    pub(crate) fn seed_with(
-        input: &VarInput,
-        repair: RepairStrategy,
-        cfg: IncrementalConfig,
-    ) -> (VarPlan, Self) {
-        let detailed = replan_variable_detailed(input, repair);
-        Self::from_detailed(input, detailed, cfg)
-    }
-
-    /// Seeds the planner from an already-computed detailed replan.
-    pub fn from_detailed(
-        input: &VarInput,
-        detailed: VarDetailed,
-        cfg: IncrementalConfig,
-    ) -> (VarPlan, Self) {
-        let VarDetailed { plan, partition, base_builds, all_sensors } = detailed;
+        let VarDetailed { plan, partition, base_builds, all_sensors } =
+            replan_variable_detailed(input, repair);
         let network = input.network;
         let n = network.n();
         assert!(n > 0, "seeding needs at least one sensor");
@@ -444,7 +414,6 @@ impl IncrementalPlanner {
             })
             .collect();
         let planner = Self {
-            cfg,
             tau1: partition.tau1,
             k_max,
             anchor: input.now,
@@ -520,7 +489,7 @@ impl IncrementalPlanner {
                 changes.push((i, class));
             }
         }
-        if changes.len() as f64 > self.cfg.migration_fallback_fraction * n as f64 {
+        if changes.len() as f64 > MIGRATION_FALLBACK_FRACTION * n as f64 {
             return Err(FullReason::TooManyMigrations);
         }
         self.migrate(&changes);
@@ -777,11 +746,7 @@ mod tests {
         cycles
     }
 
-    fn seed_planner(
-        network: &Network,
-        cycles: &[f64],
-        cfg: IncrementalConfig,
-    ) -> (VarPlan, IncrementalPlanner) {
+    fn seed_planner(network: &Network, cycles: &[f64]) -> (VarPlan, IncrementalPlanner) {
         let residuals = cycles.to_vec();
         let input = VarInput {
             network,
@@ -790,7 +755,7 @@ mod tests {
             now: 0.0,
             horizon: 200.0,
         };
-        IncrementalPlanner::seed_with(&input, RepairStrategy::NearestScheduling, cfg)
+        IncrementalPlanner::seed(&input, RepairStrategy::NearestScheduling)
     }
 
     /// Random ±1 class migrations, clamped to the cached band.
@@ -859,7 +824,7 @@ mod tests {
             let network = sparse_network(n, 3, seed + 100);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 7);
             let cycles = spread_cycles(n, &mut rng);
-            let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let (_, mut planner) = seed_planner(&network, &cycles);
             for round in 0..3 {
                 let changes = random_migrations(&planner, 10, &mut rng);
                 planner.apply_migrations(&network, &changes);
@@ -896,7 +861,7 @@ mod tests {
             let network = sparse_network(n, 3, seed + 600);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 3);
             let cycles = spread_cycles(n, &mut rng);
-            let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let (_, mut planner) = seed_planner(&network, &cycles);
             let unseeded = |sensors: &[usize]| {
                 let tpts: Vec<Point2> = sensors.iter().map(|&s| network.sensor_pos(s)).collect();
                 let root_dist: Vec<Vec<f64>> = (0..network.q())
@@ -938,7 +903,7 @@ mod tests {
             let network = sparse_network(n, 4, seed + 300);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 31);
             let cycles = spread_cycles(n, &mut rng);
-            let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let (_, mut planner) = seed_planner(&network, &cycles);
             for _ in 0..3 {
                 let changes = random_migrations(&planner, 12, &mut rng);
                 planner.apply_migrations(&network, &changes);
@@ -982,7 +947,7 @@ mod tests {
             let network = sparse_network(n, 3, seed + 500);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 13);
             let mut cycles = spread_cycles(n, &mut rng);
-            let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let (_, mut planner) = seed_planner(&network, &cycles);
             let mut now = 0.0;
             for round in 0..4 {
                 now += rng.gen_range(3.0..9.0);
@@ -1030,7 +995,7 @@ mod tests {
         let mut cycles = vec![16.0; n];
         cycles[0] = 4.0;
         cycles[1] = 8.0;
-        let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+        let (_, mut planner) = seed_planner(&network, &cycles);
         assert_eq!(planner.set_members(0), &[0]);
         cycles[0] = 8.5; // class 0 → 1: D_0 empties
         let residuals: Vec<f64> = cycles.iter().map(|&c| 0.9 * c).collect();
@@ -1063,7 +1028,7 @@ mod tests {
         }
 
         // τ̂₁ undercut.
-        let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+        let (_, mut planner) = seed_planner(&network, &cycles);
         let mut under = cycles.clone();
         under[3] = 2.0; // < τ̂₁ = 4
         assert!(matches!(
@@ -1079,16 +1044,14 @@ mod tests {
             ReplanOutcome::NeedsFull(FullReason::ClassOverflow)
         ));
 
-        // Migration budget.
-        let cfg = IncrementalConfig { migration_fallback_fraction: 0.0 };
-        let (_, mut strict) = seed_planner(&network, &cycles, cfg);
+        // Migration budget: 8 of the 30 sensors change class, more than a
+        // quarter. Sensors 0 and n − 1 pin τ̂₁ and K and stay put.
         let mut drift = cycles.clone();
-        drift[5] = (drift[5] * 2.0).min(31.9);
-        if power_class(4.0, drift[5]) == power_class(4.0, cycles[5]) {
-            drift[5] = 17.0; // guarantee a class change from [4,8) or [8,16)
+        for c in &mut drift[1..=8] {
+            *c = if power_class(4.0, *c) == 0 { 12.0 } else { 5.0 };
         }
         assert!(matches!(
-            strict.replan(&at(&network, &drift, &residuals)),
+            planner.replan(&at(&network, &drift, &residuals)),
             ReplanOutcome::NeedsFull(FullReason::TooManyMigrations)
         ));
     }
@@ -1099,7 +1062,7 @@ mod tests {
         let network = sparse_network(n, 2, 42);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let cycles = spread_cycles(n, &mut rng);
-        let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+        let (_, mut planner) = seed_planner(&network, &cycles);
         assert_eq!(planner.migrated_sensors(), 0);
         assert_eq!(planner.set_splices(), 0);
         // One sensor hops two classes: both D_min..D_max sets get spliced.
@@ -1133,8 +1096,8 @@ mod tests {
             let network = sparse_network(n, 3, seed + 700);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 17);
             let mut cycles = spread_cycles(n, &mut rng);
-            let (_, mut eager) = seed_planner(&network, &cycles, IncrementalConfig::default());
-            let (_, mut lazy) = seed_planner(&network, &cycles, IncrementalConfig::default());
+            let (_, mut eager) = seed_planner(&network, &cycles);
+            let (_, mut lazy) = seed_planner(&network, &cycles);
             let horizon = 200.0;
             let window = 2.5;
             let rounds = 6;
@@ -1203,7 +1166,7 @@ mod tests {
         let network = sparse_network(n, 2, 42);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let mut cycles = spread_cycles(n, &mut rng);
-        let (_, mut planner) = seed_planner(&network, &cycles, IncrementalConfig::default());
+        let (_, mut planner) = seed_planner(&network, &cycles);
         let s = (1..n - 1).find(|&i| planner.class_of()[i] == 0).expect("a class-0 sensor");
         let residuals = cycles.clone();
         fn at<'a>(

@@ -60,7 +60,7 @@ pub mod var;
 pub use bounds::lemma3_lower_bound;
 pub use feasibility::check_series;
 pub use greedy::{plan_greedy_fixed, GreedyConfig};
-pub use incremental::{IncrementalConfig, IncrementalPlanner};
+pub use incremental::IncrementalPlanner;
 pub use mtd::{plan_min_total_distance, MtdConfig};
 pub use network::{Instance, Network};
 pub use qmsf::{q_rooted_msf_src, rooted_msf_general, rooted_msf_points, RootedForest};
@@ -70,6 +70,4 @@ pub use refine::{refine, refine_tour_set, Budget, RefineReport, CONVERGENCE_STEP
 pub use rounding::{partition_cycles, power_class, CyclePartition};
 pub use schedule::{Dispatch, ScheduleSeries, TourSet};
 pub use stats::analyze;
-pub use var::{
-    replan_variable, replan_variable_detailed, replan_variable_with, RepairStrategy, VarInput,
-};
+pub use var::{replan_variable, replan_variable_with, RepairStrategy, VarInput};

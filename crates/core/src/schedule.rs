@@ -214,6 +214,34 @@ impl ScheduleSeries {
         times
     }
 
+    /// Time of the first dispatch at index `from` or later whose set covers
+    /// each of the distinct `sensors`, in a vector of length `n` indexed by
+    /// sensor (`INFINITY`: no such dispatch, or not asked). In a
+    /// time-sorted series the first found is the earliest. One pass visits
+    /// each set once and stops as soon as every asked sensor has its time.
+    pub fn next_charge_times(&self, from: usize, sensors: &[usize], n: usize) -> Vec<f64> {
+        let mut next = vec![f64::INFINITY; n];
+        let mut wanted = vec![false; n];
+        sensors.iter().for_each(|&i| wanted[i] = true);
+        let mut missing = sensors.len();
+        let mut seen = vec![false; self.sets.len()];
+        for d in &self.dispatches[from..] {
+            if missing == 0 {
+                break;
+            }
+            if std::mem::replace(&mut seen[d.set], true) {
+                continue;
+            }
+            for &i in self.sets[d.set].sensors() {
+                if std::mem::take(&mut wanted[i]) {
+                    next[i] = d.time;
+                    missing -= 1;
+                }
+            }
+        }
+        next
+    }
+
     /// Charge times of every sensor node in `0..n` at once, each ascending
     /// — one inverted pass over the dispatches (`O(D log D + total
     /// charges)`) instead of an `O(n · D)` membership scan per sensor.
@@ -386,6 +414,56 @@ mod tests {
         }
         assert_eq!(all[0], vec![0.5, 1.0, 2.0, 3.0]);
         assert_eq!(all[1], vec![2.0, 3.0]);
+    }
+
+    proptest::proptest! {
+        /// The one-pass walk equals a linear scan on sorted series with
+        /// repeated sets and a rescue dispatch sorted in among them.
+        #[test]
+        fn next_charge_times_match_a_linear_scan(
+            members in proptest::prop::collection::vec(proptest::prop::collection::vec(0usize..8, 0..5), 1..5),
+            grid in proptest::prop::collection::vec((0.0f64..20.0, 0usize..4), 0..24),
+            rescue in (0.0f64..20.0, proptest::prop::collection::vec(0usize..8, 1..4)),
+            from in 0usize..26,
+            asked in proptest::prop::collection::vec(0usize..8, 0..8),
+        ) {
+            let points: Vec<Point2> =
+                (0..9).map(|i| Point2::new(f64::from(i), f64::from(i * i % 5))).collect();
+            let d = DistMatrix::from_points(&points);
+            let set_of = |sensors: &[usize]| {
+                let mut nodes = sensors.to_vec();
+                nodes.sort_unstable();
+                nodes.dedup();
+                nodes.insert(0, 8);
+                TourSet::new(vec![Tour::new(nodes)], &d, |v| v == 8)
+            };
+            let mut s = ScheduleSeries::new();
+            for m in &members {
+                s.add_set(set_of(m));
+            }
+            let mut grid = grid;
+            grid.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for (t, k) in grid {
+                s.push_dispatch(t, k % members.len());
+            }
+            let id = s.add_set(set_of(&rescue.1));
+            s.push_dispatch(rescue.0, id);
+            s.sort_by_time();
+            let from = from.min(s.dispatch_count());
+            let mut asked = asked;
+            asked.sort_unstable();
+            asked.dedup();
+
+            let next = s.next_charge_times(from, &asked, 8);
+            for (i, &got) in next.iter().enumerate() {
+                let scan = s.dispatches()[from..]
+                    .iter()
+                    .find(|d| s.set_of(d).contains_sensor(i))
+                    .map_or(f64::INFINITY, |d| d.time);
+                let expected = if asked.contains(&i) { scan } else { f64::INFINITY };
+                proptest::prop_assert_eq!(got, expected, "sensor {}", i);
+            }
+        }
     }
 
     #[test]

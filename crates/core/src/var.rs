@@ -101,13 +101,13 @@ pub fn replan_variable_with(input: &VarInput, repair: RepairStrategy) -> VarPlan
 /// seeds its persistent per-class state from these instead of rebuilding
 /// them from scratch.
 #[derive(Debug)]
-pub struct VarDetailed {
+pub(crate) struct VarDetailed {
     /// The plan, bit-identical to [`replan_variable_with`].
-    pub plan: VarPlan,
+    pub(crate) plan: VarPlan,
     /// The power-of-two cycle partition behind the plan.
-    pub partition: CyclePartition,
+    pub(crate) partition: CyclePartition,
     /// `(forest, tours)` of the base set `D_k`, indexed by class `k`.
-    pub base_builds: Vec<(RootedForest, QTours)>,
+    pub(crate) base_builds: Vec<(RootedForest, QTours)>,
     /// The forest of `D_K`, the set of all sensors, as the tree every
     /// nearest-depot forest over a subset of the sensors can start from.
     pub(crate) all_sensors: SupersetTree,
@@ -115,7 +115,7 @@ pub struct VarDetailed {
 
 /// Like [`replan_variable_with`], but keeps the intermediate per-class
 /// builds (see [`VarDetailed`]). Requires a non-empty network.
-pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> VarDetailed {
+pub(crate) fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> VarDetailed {
     let network = input.network;
     let n = network.n();
     assert!(n > 0, "detailed replanning needs at least one sensor");

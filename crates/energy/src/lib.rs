@@ -13,8 +13,9 @@
 //! * [`cycles`] — the *linear* and *random* cycle distributions,
 //! * [`consumption`] — fixed and per-slot-resampled consumption processes,
 //! * [`predictor`] — the paper's EWMA rate predictor
-//!   (`ρ̂(t+1) = γ·ρ(t) + (1−γ)·ρ̂(t)`) and the derived residual-lifetime /
-//!   maximum-cycle estimators,
+//!   (`ρ̂(t+1) = γ·ρ(t) + (1−γ)·ρ̂(t)`) and [`SensorEstimator`], the
+//!   per-sensor loop (settled level, `τ̂`, predicted death, drift verdict)
+//!   the online controller and the edge client share,
 //! * [`shock`] — adverse rate dynamics (shocks and drift) layered on any
 //!   rate process by the fault-injection subsystem.
 //!
@@ -46,6 +47,6 @@ pub use battery::Battery;
 pub use consumption::{ConsumptionProcess, FixedRate, MarkovBurst, SlottedResample};
 #[cfg(feature = "std")]
 pub use cycles::CycleDistribution;
-pub use predictor::{EwmaPredictor, HoltPredictor};
+pub use predictor::{EwmaPredictor, SensorEstimator};
 #[cfg(feature = "std")]
 pub use shock::{RateShock, ShockState};

@@ -9,6 +9,11 @@
 //!
 //! from which the estimated residual lifetime `l̂_i(t) = re_i(t) / ρ̂_i(t+1)`
 //! and maximum charging cycle `τ̂_i(t) = B_i / ρ̂_i(t+1)` follow.
+//!
+//! [`SensorEstimator`] is the whole per-sensor loop built on that
+//! predictor — the one implementation the online controller runs for every
+//! sensor and `perpetuum-client` runs on the sensor itself, so the two
+//! drift verdicts agree bit for bit.
 
 /// EWMA consumption-rate predictor for one sensor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,8 +45,7 @@ impl EwmaPredictor {
     /// Reconstructs a predictor from previously captured state — the exact
     /// `ρ̂` an identical predictor holds after some observation sequence.
     /// Unlike [`EwmaPredictor::new`], the state may be zero or negative
-    /// (a run of idle/harvesting observations can drive `ρ̂` through zero);
-    /// the derived lifetimes already saturate at `∞` there.
+    /// (a run of idle/harvesting observations can drive `ρ̂` through zero).
     ///
     /// # Panics
     /// Panics unless `0 < gamma < 1` and `rho_hat` is finite.
@@ -60,8 +64,7 @@ impl EwmaPredictor {
     /// Feeds the rate `rho` observed for the slot that just ended and
     /// returns the updated prediction for the next slot. Non-positive
     /// observations are admissible (an idle or energy-harvesting slot can
-    /// report zero or even negative net drain); the derived lifetimes
-    /// saturate at `∞` once the prediction itself drops to `≤ 0`.
+    /// report zero or even negative net drain).
     pub fn observe(&mut self, rho: f64) -> f64 {
         debug_assert!(rho.is_finite());
         self.rho_hat = self.gamma * rho + (1.0 - self.gamma) * self.rho_hat;
@@ -73,37 +76,24 @@ impl EwmaPredictor {
     pub fn predicted_rate(&self) -> f64 {
         self.rho_hat
     }
-
-    /// Predicted maximum charging cycle `τ̂ = B / ρ̂`, or `∞` when the
-    /// predicted rate is non-positive (the battery never drains).
-    #[inline]
-    pub fn max_cycle(&self, capacity: f64) -> f64 {
-        if self.rho_hat <= 0.0 {
-            return f64::INFINITY;
-        }
-        capacity / self.rho_hat
-    }
-
-    /// Predicted residual lifetime `l̂ = re / ρ̂`, or `∞` when the predicted
-    /// rate is non-positive (never `NaN`, even at `re = 0`).
-    #[inline]
-    pub fn residual_lifetime(&self, residual_energy: f64) -> f64 {
-        if self.rho_hat <= 0.0 {
-            return f64::INFINITY;
-        }
-        residual_energy / self.rho_hat
-    }
 }
 
 /// Variation test used by the base station (Section VI.B): given the cycle
 /// `tau_scheduled` a sensor is currently charged at and its newly estimated
 /// maximum cycle `tau_new`, the previous schedulings remain *applicable and
-/// efficient* iff `tau_scheduled ≤ tau_new < 2·tau_scheduled`. Outside that
-/// band the base station must recompute (either infeasible — the sensor
-/// would die — or wasteful — it could be charged half as often).
+/// efficient* iff `tau_scheduled·(1 − margin) ≤ tau_new < 2·tau_scheduled`.
+/// Outside that band the base station must recompute (either infeasible —
+/// the sensor would die — or wasteful — it could be charged half as often).
+///
+/// `margin = 0` is the paper's band exactly. A positive margin relaxes the
+/// low edge into hysteresis — safe when `tau_new` is itself the
+/// `(1 − margin)`-shrunk cycle, because the *true* achievable cycle is then
+/// still at least `tau_scheduled`. Without that slack the `τ₁`-anchor
+/// sensor (whose scheduled cycle equals its planned `τ̂` exactly) would
+/// leave the band on every infinitesimal rate increase.
 #[inline]
-pub fn schedule_still_applicable(tau_scheduled: f64, tau_new: f64) -> bool {
-    tau_scheduled <= tau_new && tau_new < 2.0 * tau_scheduled
+pub fn schedule_still_applicable(tau_scheduled: f64, tau_new: f64, margin: f64) -> bool {
+    tau_new >= tau_scheduled * (1.0 - margin) && tau_new < 2.0 * tau_scheduled
 }
 
 /// Largest `k ≥ 0` such that `2^k · tau1 ≤ tau` — the power-of-two
@@ -125,74 +115,187 @@ pub fn power_class(tau1: f64, tau: f64) -> usize {
     k
 }
 
-/// Double-exponential (Holt) smoothing: tracks both a level and a trend,
-/// so steadily drifting consumption (battery aging, seasonally rising
-/// sampling rates) is extrapolated instead of lagged. An extension beyond
-/// the paper's trend-blind EWMA; `HoltPredictor` with `beta = 0`
-/// degenerates to it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "std", derive(serde::Serialize, serde::Deserialize))]
-pub struct HoltPredictor {
-    alpha: f64,
-    beta: f64,
-    level: f64,
-    trend: f64,
+/// Where a sensor's estimated cycle `τ̂` stands against its scheduled one
+/// ([`SensorEstimator::drift`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drift {
+    /// `τ̂` is inside the applicability band: the schedule stands.
+    InBand,
+    /// `τ̂` left the band into power-of-two class `k` over the current `τ₁`.
+    Class(usize),
+    /// `τ̂ < τ₁`: the base interval itself must shrink (a full replan).
+    Undercut,
 }
 
-impl HoltPredictor {
-    /// Creates a predictor initialised at `initial_rate` with zero trend.
+/// One sensor's estimator: the EWMA predictor, the last observed rate and
+/// the energy level settled at `level_time`, with the sensor's capacity and
+/// the planning margin and horizon.
+///
+/// The working rate is the pessimistic `max(ρ̂, last observed)`, so a
+/// sudden spike takes effect at once. The level drains linearly at that
+/// rate and is settled with the *old* rate before a new observation is
+/// folded in, so a rate change never applies retroactively. Every float
+/// expression the drift verdict depends on lives here, so two copies fed
+/// the same inputs — one at the base station, one on the sensor — reach
+/// the same verdicts bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SensorEstimator {
+    margin: f64,
+    horizon: f64,
+    capacity: f64,
+    predictor: EwmaPredictor,
+    last_rate: f64,
+    level: f64,
+    level_time: f64,
+}
+
+impl SensorEstimator {
+    /// A sensor at deployment: predictor initialised at `initial_rate`,
+    /// battery full, clock at 0.
     ///
     /// # Panics
-    /// Panics unless `0 < alpha < 1` and `0 ≤ beta < 1` and the initial
-    /// rate is positive.
-    pub fn new(alpha: f64, beta: f64, initial_rate: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-        assert!((0.0..1.0).contains(&beta), "beta must be in [0, 1)");
-        assert!(initial_rate > 0.0 && initial_rate.is_finite());
-        Self { alpha, beta, level: initial_rate, trend: 0.0 }
+    /// Panics unless `0 < gamma < 1`, `0 ≤ margin < 1`, and `horizon`,
+    /// `capacity` and `initial_rate` are positive and finite.
+    pub fn new(gamma: f64, margin: f64, horizon: f64, capacity: f64, initial_rate: f64) -> Self {
+        assert!((0.0..1.0).contains(&margin), "margin must be in [0, 1), got {margin}");
+        assert!(horizon > 0.0 && horizon.is_finite(), "horizon must be positive and finite");
+        assert!(capacity > 0.0 && capacity.is_finite(), "capacity must be positive and finite");
+        Self {
+            margin,
+            horizon,
+            capacity,
+            predictor: EwmaPredictor::new(gamma, initial_rate),
+            last_rate: initial_rate,
+            level: capacity,
+            level_time: 0.0,
+        }
     }
 
-    /// Feeds an observed rate; returns the one-step-ahead prediction.
-    /// Non-positive observations are admissible, like
-    /// [`EwmaPredictor::observe`].
-    pub fn observe(&mut self, rho: f64) -> f64 {
-        debug_assert!(rho.is_finite());
-        let prev_level = self.level;
-        self.level = self.alpha * rho + (1.0 - self.alpha) * (self.level + self.trend);
-        self.trend = self.beta * (self.level - prev_level) + (1.0 - self.beta) * self.trend;
-        self.predicted_rate()
+    /// Pessimistic working rate `max(ρ̂, last observed)`.
+    #[inline]
+    pub fn rate_estimate(&self) -> f64 {
+        self.predictor.predicted_rate().max(self.last_rate)
     }
 
-    /// One-step-ahead rate prediction `level + trend`, floored at a tiny
-    /// positive value so it can be fed back into rate formulas directly.
-    pub fn predicted_rate(&self) -> f64 {
-        (self.level + self.trend).max(f64::MIN_POSITIVE)
+    /// EWMA prediction `ρ̂(t+1)`.
+    #[inline]
+    pub fn rho_hat(&self) -> f64 {
+        self.predictor.predicted_rate()
     }
 
-    /// Predicted maximum charging cycle `B / ρ̂`, or `∞` when the raw
-    /// (unfloored) prediction `level + trend` has gone non-positive after a
-    /// negative-trend observation — a battery that never drains, not a
-    /// huge-but-finite `B / MIN_POSITIVE` artifact.
-    pub fn max_cycle(&self, capacity: f64) -> f64 {
-        if self.level + self.trend <= 0.0 {
+    /// The raw rate of the latest observation.
+    #[inline]
+    pub fn last_rate(&self) -> f64 {
+        self.last_rate
+    }
+
+    /// Energy level settled to the last observation, report or charge.
+    #[inline]
+    pub fn level(&self) -> f64 {
+        self.level
+    }
+
+    /// Estimated residual energy at time `t` under linear drain.
+    #[inline]
+    pub fn level_at(&self, t: f64) -> f64 {
+        (self.level - self.rate_estimate() * (t - self.level_time)).max(0.0)
+    }
+
+    /// Achievable charging cycle `τ̂`: the full-battery lifetime shrunk by
+    /// the margin and capped at the horizon (which keeps it finite when
+    /// the working rate is ~0).
+    #[inline]
+    pub fn tau_hat(&self) -> f64 {
+        let rate = self.rate_estimate();
+        if rate <= 0.0 {
+            return self.horizon;
+        }
+        (self.capacity / rate * (1.0 - self.margin)).min(self.horizon)
+    }
+
+    /// Residual lifetime at time `t`, shrunk by the margin and capped at
+    /// [`Self::tau_hat`].
+    pub fn residual_hat(&self, t: f64) -> f64 {
+        let rate = self.rate_estimate();
+        if rate <= 0.0 {
+            return self.tau_hat();
+        }
+        (self.level_at(t) / rate * (1.0 - self.margin)).min(self.tau_hat())
+    }
+
+    /// Predicted absolute death time under the working rate (`∞` when the
+    /// battery does not drain).
+    pub fn death_time(&self) -> f64 {
+        let rate = self.rate_estimate();
+        if rate <= 0.0 {
             return f64::INFINITY;
         }
-        capacity / self.predicted_rate()
+        self.level_time + self.level / rate
     }
 
-    /// Predicted residual lifetime `re / ρ̂`, with the same `∞` saturation
-    /// as [`HoltPredictor::max_cycle`] (never `NaN`, even at `re = 0`).
-    pub fn residual_lifetime(&self, residual_energy: f64) -> f64 {
-        if self.level + self.trend <= 0.0 {
-            return f64::INFINITY;
+    /// Settles the level to `t` under the current working rate.
+    pub fn settle(&mut self, t: f64) {
+        self.level = self.level_at(t);
+        self.level_time = t;
+    }
+
+    /// Folds in the rate observed for the slot ending at `t`: settle with
+    /// the *old* estimate, then update the predictor.
+    pub fn observe(&mut self, t: f64, rate: f64) {
+        self.settle(t);
+        self.predictor.observe(rate);
+        self.last_rate = rate;
+    }
+
+    /// Adopts a measured level at `t`, clamped to the capacity.
+    pub fn set_level(&mut self, t: f64, level: f64) {
+        self.level = level.min(self.capacity);
+        self.level_time = t;
+    }
+
+    /// A completed charge at `t`: the battery is full again.
+    pub fn recharged(&mut self, t: f64) {
+        self.set_level(t, self.capacity);
+    }
+
+    /// Adopts another copy's post-observation state verbatim — `ρ̂` via
+    /// [`EwmaPredictor::from_state`], not a re-observation — with the level
+    /// settled at `t`.
+    ///
+    /// # Panics
+    /// Panics unless `rho_hat` is finite.
+    pub fn adopt(&mut self, t: f64, rho_hat: f64, last_rate: f64, level: f64) {
+        self.predictor = EwmaPredictor::from_state(self.predictor.gamma(), rho_hat);
+        self.last_rate = last_rate;
+        self.set_level(t, level);
+    }
+
+    /// The power-of-two class `τ̂` falls in over `tau1`, or `None` when
+    /// `τ̂ < tau1`.
+    pub fn class(&self, tau1: f64) -> Option<usize> {
+        let tau = self.tau_hat();
+        (tau >= tau1).then(|| power_class(tau1, tau))
+    }
+
+    /// The drift verdict against the plan `(tau1, assigned)`: in band
+    /// ([`schedule_still_applicable`] at this estimator's margin), else the
+    /// class `τ̂` moved to, or a `τ₁` undercut.
+    pub fn drift(&self, tau1: f64, assigned: f64) -> Drift {
+        if schedule_still_applicable(assigned, self.tau_hat(), self.margin) {
+            return Drift::InBand;
         }
-        residual_energy / self.predicted_rate()
+        self.class(tau1).map_or(Drift::Undercut, Drift::Class)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Capacity 1, margin 0, a horizon far beyond every cycle below.
+    fn estimator(initial_rate: f64) -> SensorEstimator {
+        SensorEstimator::new(0.5, 0.0, 1e9, 1.0, initial_rate)
+    }
 
     #[test]
     fn observe_matches_formula() {
@@ -222,130 +325,103 @@ mod tests {
 
     #[test]
     fn derived_quantities() {
-        let p = EwmaPredictor::new(0.5, 0.2);
-        assert!((p.max_cycle(1.0) - 5.0).abs() < 1e-12);
-        assert!((p.residual_lifetime(0.5) - 2.5).abs() < 1e-12);
+        let mut e = estimator(0.2);
+        assert!((e.tau_hat() - 5.0).abs() < 1e-12);
+        e.settle(2.5);
+        assert!((e.level() - 0.5).abs() < 1e-12);
+        assert!((e.residual_hat(2.5) - 2.5).abs() < 1e-12);
+        assert!((e.death_time() - 5.0).abs() < 1e-12);
+        // The margin shrinks both cycle and residual; the horizon caps them.
+        let shrunk = SensorEstimator::new(0.5, 0.5, 4.0, 1.0, 0.2);
+        assert!((shrunk.tau_hat() - 2.5).abs() < 1e-12);
+        assert!((shrunk.residual_hat(0.0) - 2.5).abs() < 1e-12);
+        assert_eq!(SensorEstimator::new(0.5, 0.0, 4.0, 1.0, 0.2).tau_hat(), 4.0);
     }
 
     #[test]
     fn applicability_band() {
-        assert!(schedule_still_applicable(4.0, 4.0));
-        assert!(schedule_still_applicable(4.0, 7.9));
-        assert!(!schedule_still_applicable(4.0, 8.0)); // could halve frequency
-        assert!(!schedule_still_applicable(4.0, 3.9)); // would die
+        assert!(schedule_still_applicable(4.0, 4.0, 0.0));
+        assert!(schedule_still_applicable(4.0, 7.9, 0.0));
+        assert!(!schedule_still_applicable(4.0, 8.0, 0.0)); // could halve frequency
+        assert!(!schedule_still_applicable(4.0, 3.9, 0.0)); // would die
+
+        // Hysteresis: the low edge relaxes to 4·(1 − 0.25) = 3, closed.
+        assert!(schedule_still_applicable(4.0, 3.0, 0.25));
+        assert!(!schedule_still_applicable(4.0, f64::from_bits(3.0f64.to_bits() - 1), 0.25));
+        assert!(!schedule_still_applicable(4.0, 8.0, 0.25));
     }
 
     #[test]
-    fn holt_tracks_linear_drift_better_than_ewma() {
-        // Rate rising 1% per slot (battery aging seen from the rate side):
-        // after a burn-in, Holt's one-step prediction error is far below
-        // the EWMA's systematic lag.
-        let mut ewma = EwmaPredictor::new(0.5, 1.0);
-        let mut holt = HoltPredictor::new(0.5, 0.3, 1.0);
-        let mut ewma_err = 0.0;
-        let mut holt_err = 0.0;
-        let mut rate = 1.0;
-        for step in 0..200 {
-            rate *= 1.01;
-            if step >= 50 {
-                ewma_err += (ewma.predicted_rate() - rate).abs();
-                holt_err += (holt.predicted_rate() - rate).abs();
-            }
-            ewma.observe(rate);
-            holt.observe(rate);
-        }
-        assert!(holt_err < ewma_err / 3.0, "holt {holt_err} should beat ewma {ewma_err} by 3x+");
+    fn drift_verdicts() {
+        // τ̂ = 1 / 0.125 = 8 over τ₁ = 2: class 2.
+        let e = estimator(0.125);
+        assert_eq!(e.drift(2.0, 8.0), Drift::InBand);
+        assert_eq!(e.drift(2.0, 4.0), Drift::Class(2), "τ̂ = 2·assigned leaves the band");
+        assert_eq!(e.drift(2.0, 16.0), Drift::Class(2));
+        assert_eq!(e.drift(16.0, 16.0), Drift::Undercut);
+        assert_eq!(e.class(2.0), Some(2));
+        assert_eq!(e.class(16.0), None);
     }
 
     #[test]
-    fn holt_with_zero_beta_matches_ewma() {
-        let mut ewma = EwmaPredictor::new(0.4, 2.0);
-        let mut holt = HoltPredictor::new(0.4, 0.0, 2.0);
-        for rho in [2.5, 1.8, 3.0, 2.2, 2.9] {
-            let a = ewma.observe(rho);
-            let b = holt.observe(rho);
-            assert!((a - b).abs() < 1e-12);
-        }
+    fn settles_with_the_old_rate_before_observing() {
+        let mut e = estimator(0.1);
+        e.observe(2.0, 0.3);
+        assert!((e.level() - 0.8).abs() < 1e-12, "two time units at the old rate 0.1");
+        assert_eq!(e.rate_estimate(), 0.3, "the raw spike floors the EWMA's 0.2");
+        assert!((e.level_at(3.0) - 0.5).abs() < 1e-12);
+        e.recharged(3.0);
+        assert_eq!(e.level(), 1.0);
+        e.set_level(4.0, 7.0);
+        assert_eq!(e.level(), 1.0, "a report above capacity is clamped");
     }
 
     #[test]
-    fn holt_converges_on_constant_signal() {
-        let mut holt = HoltPredictor::new(0.5, 0.3, 10.0);
-        for _ in 0..100 {
-            holt.observe(2.0);
-        }
-        assert!((holt.predicted_rate() - 2.0).abs() < 1e-6);
-        assert!((holt.max_cycle(1.0) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn holt_prediction_stays_positive() {
-        // A falling rate with strong trend could extrapolate below zero;
-        // the floor keeps cycle estimates finite.
-        let mut holt = HoltPredictor::new(0.9, 0.9, 10.0);
-        for step in 0..50 {
-            holt.observe((10.0 - step as f64 * 0.2).max(0.01));
-        }
-        assert!(holt.predicted_rate() > 0.0);
+    fn adopted_state_evolves_like_the_observed_one() {
+        let mut live = estimator(0.1);
+        live.observe(1.0, 0.3);
+        live.observe(2.5, 0.05);
+        let mut copy = estimator(0.1);
+        copy.adopt(2.5, live.rho_hat(), live.last_rate(), live.level());
+        assert_eq!(copy, live, "adoption reproduces the observed state bit for bit");
+        live.observe(4.0, 0.2);
+        copy.observe(4.0, 0.2);
+        assert_eq!(copy, live);
     }
 
     #[test]
     fn ewma_non_positive_prediction_saturates_lifetimes_at_infinity() {
         // One negative observation cancels the history exactly: ρ̂ = 0.
-        let mut p = EwmaPredictor::new(0.5, 1.0);
-        p.observe(-1.0);
-        assert_eq!(p.predicted_rate(), 0.0);
-        assert_eq!(p.max_cycle(1.0), f64::INFINITY);
-        assert_eq!(p.residual_lifetime(0.5), f64::INFINITY);
-        // The 0/0 corner must be ∞, not NaN.
-        assert_eq!(p.residual_lifetime(0.0), f64::INFINITY);
-        // Push strictly below zero: still ∞, never negative lifetimes.
-        p.observe(-1.0);
-        assert!(p.predicted_rate() < 0.0);
-        assert_eq!(p.max_cycle(1.0), f64::INFINITY);
-        assert_eq!(p.residual_lifetime(0.5), f64::INFINITY);
+        let mut e = estimator(1.0);
+        e.observe(0.0, -1.0);
+        assert_eq!(e.rho_hat(), 0.0);
+        assert_eq!(e.rate_estimate(), 0.0);
+        assert_eq!(e.tau_hat(), 1e9, "τ̂ saturates at the horizon");
+        assert_eq!(e.residual_hat(0.0), 1e9);
+        assert_eq!(e.death_time(), f64::INFINITY);
+        // Push strictly below zero: still saturated, never negative.
+        e.observe(0.0, -1.0);
+        assert!(e.rate_estimate() < 0.0);
+        assert_eq!(e.tau_hat(), 1e9);
+        assert_eq!(e.death_time(), f64::INFINITY);
         // Fresh positive observations recover a finite cycle.
         for _ in 0..20 {
-            p.observe(2.0);
+            e.observe(0.0, 2.0);
         }
-        assert!((p.max_cycle(1.0) - 0.5).abs() < 1e-6);
+        assert!((e.tau_hat() - 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn ewma_boundary_exactly_zero_rate_observation() {
         // Zero observations decay ρ̂ geometrically but never through zero,
         // so lifetimes stay finite until the prediction actually crosses.
-        let mut p = EwmaPredictor::new(0.5, 1.0);
+        let mut e = estimator(1.0);
         for _ in 0..50 {
-            p.observe(0.0);
+            e.observe(0.0, 0.0);
         }
-        assert!(p.predicted_rate() > 0.0);
-        assert!(p.max_cycle(1.0).is_finite());
-    }
-
-    #[test]
-    fn holt_negative_trend_saturates_lifetimes_at_infinity() {
-        // A crashing rate with aggressive trend tracking extrapolates the
-        // raw level + trend below zero; the derived lifetimes must report
-        // ∞ instead of the huge-but-finite B / MIN_POSITIVE artifact.
-        let mut holt = HoltPredictor::new(0.9, 0.9, 10.0);
-        holt.observe(0.1);
-        holt.observe(0.001);
-        assert!(holt.predicted_rate() > 0.0, "floored rate stays positive");
-        assert_eq!(holt.max_cycle(1.0), f64::INFINITY);
-        assert_eq!(holt.residual_lifetime(0.5), f64::INFINITY);
-        assert_eq!(holt.residual_lifetime(0.0), f64::INFINITY);
-        // Recovery: once observations rise again the cycle comes back down.
-        for _ in 0..50 {
-            holt.observe(2.0);
-        }
-        assert!((holt.max_cycle(1.0) - 0.5).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn holt_alpha_bounds() {
-        HoltPredictor::new(1.0, 0.1, 1.0);
+        assert!(e.rho_hat() > 0.0);
+        assert!(e.rate_estimate() > 0.0);
+        assert!(e.death_time().is_finite());
     }
 
     #[test]
@@ -374,12 +450,13 @@ mod tests {
 
     #[test]
     fn from_state_admits_non_positive_state() {
-        // A restored ρ̂ may have been driven to or below zero by idle
-        // slots; lifetimes saturate exactly as on the live predictor.
-        let p = EwmaPredictor::from_state(0.5, 0.0);
-        assert_eq!(p.max_cycle(1.0), f64::INFINITY);
-        let p = EwmaPredictor::from_state(0.5, -0.25);
-        assert_eq!(p.residual_lifetime(0.5), f64::INFINITY);
+        // An adopted ρ̂ may have been driven to or below zero by idle
+        // slots; lifetimes saturate exactly as on the live estimator.
+        let mut e = estimator(1.0);
+        e.adopt(1.0, 0.0, 0.0, 0.5);
+        assert_eq!(e.death_time(), f64::INFINITY);
+        e.adopt(1.0, -0.25, 0.0, 0.5);
+        assert_eq!(e.tau_hat(), 1e9);
     }
 
     #[test]

@@ -333,8 +333,8 @@ fn apply_charges(
 /// Downlink: push the current `(τ₁, assigned)` to every client.
 fn refresh_plans(ctl: &OnlineController, clients: &mut [SensorClient]) {
     let tau1 = ctl.tau1();
-    for (i, c) in clients.iter_mut().enumerate() {
-        c.plan_update(tau1, ctl.assigned_cycles()[i]);
+    for (c, a) in clients.iter_mut().zip(ctl.assigned_cycles()) {
+        c.plan_update(tau1, a);
     }
 }
 

@@ -3,14 +3,16 @@
 //! [`OnlineController`] wraps a variable-cycle charging plan (paper §V,
 //! Algorithm 3 + the `V^a` repair) with a streaming telemetry loop:
 //!
-//! 1. **Rate tracking** — every reported rate sample feeds a per-sensor
-//!    [`EwmaPredictor`]; the working estimate is the pessimistic
-//!    `max(predicted, last observed)` so the controller never plans a longer
-//!    cycle than the freshest sample justifies.
+//! 1. **Rate tracking** — every sensor runs a [`SensorEstimator`], the
+//!    same type the edge client runs: an EWMA predictor whose working
+//!    estimate is the pessimistic `max(predicted, last observed)`, so the
+//!    controller never plans a longer cycle than the freshest sample
+//!    justifies.
 //! 2. **Drift detection** — a batch invalidates the running plan only if a
 //!    *touched* sensor's achievable cycle `τ̂_i` leaves the power-of-two
-//!    applicability band `[τ'_i, 2·τ'_i)` of its scheduled cycle. In-band
-//!    wobble is absorbed with **zero planner invocations**.
+//!    applicability band `[τ'_i, 2·τ'_i)` of its scheduled cycle
+//!    ([`SensorEstimator::drift`]). In-band wobble is absorbed with **zero
+//!    planner invocations**.
 //! 3. **Incremental replanning** — when only rounding classes shift (and
 //!    `τ₁`/`K` survive), the affected cumulative sets `D_k` are *spliced*
 //!    by the persistent [`IncrementalPlanner`] (bounded candidate-edge
@@ -25,7 +27,7 @@
 //!    while the revision stands a batch examines only the sensors it
 //!    re-pushed (touched or charged); after a bump it examines all `n`.
 //!    Their next visits come from one walk over the pending dispatches
-//!    that stops once every examined sensor is found.
+//!    ([`ScheduleSeries::next_charge_times`]).
 //!
 //! The controller is pure state-machine: no clocks, no RNG, no I/O. The
 //! same construction arguments and telemetry stream therefore produce a
@@ -38,14 +40,13 @@
 
 use std::fmt;
 
-use perpetuum_core::incremental::{IncrementalConfig, IncrementalPlanner};
+use perpetuum_core::incremental::IncrementalPlanner;
 use perpetuum_core::network::Network;
 use perpetuum_core::recovery::degraded_tour_set;
 use perpetuum_core::refine::{refine, Budget};
-use perpetuum_core::rounding::power_class;
 use perpetuum_core::schedule::ScheduleSeries;
-use perpetuum_core::var::{replan_variable_detailed, RepairStrategy, VarInput};
-use perpetuum_energy::predictor::{schedule_still_applicable, EwmaPredictor};
+use perpetuum_core::var::{RepairStrategy, VarInput, VarPlan};
+use perpetuum_energy::predictor::{Drift, EwmaPredictor, SensorEstimator};
 use serde::{Serialize, Value};
 
 use crate::events::EventBatch;
@@ -267,27 +268,20 @@ impl IngestReport {
 pub struct OnlineController {
     network: Network,
     cfg: OnlineConfig,
-    capacities: Vec<f64>,
-
-    // --- per-sensor estimator state -----------------------------------
-    predictors: Vec<EwmaPredictor>,
-    last_rate: Vec<f64>,
-    level: Vec<f64>,
-    level_time: Vec<f64>,
+    /// One estimator per sensor: the type the edge client runs too.
+    sensors: Vec<SensorEstimator>,
 
     // --- plan state ----------------------------------------------------
     now: f64,
-    tau1: f64,
-    class_of: Vec<usize>,
-    assigned: Vec<f64>,
     series: ScheduleSeries,
     /// `base_ids[k]` = current set index serving cumulative class `D_k`.
     base_ids: Vec<usize>,
     /// Dispatches `< next_dispatch` have been executed (charges applied).
     next_dispatch: usize,
-    /// Persistent forest/tour state backing the incremental tier; re-seeded
-    /// by every full replan.
-    planner: Option<IncrementalPlanner>,
+    /// The cycle partition (`τ₁`, every sensor's class) and the persistent
+    /// forest/tour state backing the incremental tier; re-seeded by every
+    /// full replan.
+    planner: IncrementalPlanner,
 
     // --- emergency check ----------------------------------------------
     /// Predicted death of each sensor as of its last re-push; live only
@@ -299,12 +293,6 @@ pub struct OnlineController {
     checked_revision: u64,
     /// Live deadlines examined by all checks so far.
     examined: u64,
-
-    // --- charge log (for edge-client mirroring) ------------------------
-    /// When enabled, every applied charge is appended as `(time, sensor)`
-    /// so a harness can forward completed charges to `SensorClient`s.
-    log_charges: bool,
-    charged: Vec<(f64, usize)>,
 
     // --- counters ------------------------------------------------------
     revision: u64,
@@ -362,25 +350,23 @@ impl OnlineController {
             }
         }
 
+        let sensors: Vec<SensorEstimator> = capacities
+            .iter()
+            .zip(&initial_rates)
+            .map(|(&c, &r)| SensorEstimator::new(cfg.gamma, cfg.margin, cfg.horizon, c, r))
+            .collect();
+        let (plan, planner) = plan_from_scratch(&network, &sensors, 0.0, cfg.horizon);
         let mut ctl = Self {
-            predictors: initial_rates.iter().map(|&r| EwmaPredictor::new(cfg.gamma, r)).collect(),
-            last_rate: initial_rates,
-            level: capacities.clone(),
-            level_time: vec![0.0; n],
+            sensors,
             now: 0.0,
-            tau1: 1.0,
-            class_of: vec![0; n],
-            assigned: vec![1.0; n],
             series: ScheduleSeries::new(),
             base_ids: Vec::new(),
             next_dispatch: 0,
-            planner: None,
+            planner,
             deadline: vec![f64::INFINITY; n],
             dirty: Vec::new(),
             checked_revision: 0,
             examined: 0,
-            log_charges: false,
-            charged: Vec::new(),
             revision: 0,
             planner_calls: 0,
             full_replans: 0,
@@ -388,9 +374,8 @@ impl OnlineController {
             emergency_dispatches: 0,
             network,
             cfg,
-            capacities,
         };
-        ctl.full_replan();
+        ctl.adopt_plan(plan);
         Ok(ctl)
     }
 
@@ -399,54 +384,12 @@ impl OnlineController {
     /// Pessimistic working rate: the EWMA prediction, floored by the most
     /// recent raw sample so a sudden rate spike takes effect immediately.
     pub fn rate_estimate(&self, sensor: usize) -> f64 {
-        self.predictors[sensor].predicted_rate().max(self.last_rate[sensor])
-    }
-
-    /// Estimated residual energy at time `t` under linear drain.
-    fn level_at(&self, sensor: usize, t: f64) -> f64 {
-        let drained = self.rate_estimate(sensor) * (t - self.level_time[sensor]);
-        (self.level[sensor] - drained).max(0.0)
+        self.sensors[sensor].rate_estimate()
     }
 
     /// Current residual-energy estimate.
     pub fn level_estimate(&self, sensor: usize) -> f64 {
-        self.level_at(sensor, self.now)
-    }
-
-    /// Achievable charging cycle `τ̂_i`: full-battery lifetime shrunk by the
-    /// safety margin, clamped to the horizon (keeps the partition finite
-    /// when a sensor's working rate is ~0).
-    fn tau_hat(&self, sensor: usize) -> f64 {
-        let rate = self.rate_estimate(sensor);
-        if rate <= 0.0 {
-            return self.cfg.horizon;
-        }
-        (self.capacities[sensor] / rate * (1.0 - self.cfg.margin)).min(self.cfg.horizon)
-    }
-
-    /// The applicability band test with margin hysteresis. With zero
-    /// margin this is exactly [`schedule_still_applicable`]:
-    /// `τ'_i <= τ̂ < 2·τ'_i`. With a positive margin the low edge relaxes
-    /// to `τ'_i·(1 − margin)` — safe, because `τ̂` is itself the
-    /// `(1 − margin)`-shrunk cycle, so the *true* achievable cycle is
-    /// still at least `τ'_i` there. Without this slack the `τ₁`-anchor
-    /// sensor (whose assigned cycle equals its planned `τ̂` exactly) would
-    /// trigger a full replan on every infinitesimal rate increase.
-    fn still_applicable(&self, sensor: usize, tau: f64) -> bool {
-        let assigned = self.assigned[sensor];
-        if self.cfg.margin == 0.0 {
-            return schedule_still_applicable(assigned, tau);
-        }
-        tau >= assigned * (1.0 - self.cfg.margin) && tau < 2.0 * assigned
-    }
-
-    /// Predicted absolute death time under the working rate.
-    fn death_time(&self, sensor: usize) -> f64 {
-        let rate = self.rate_estimate(sensor);
-        if rate <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.level_time[sensor] + self.level[sensor] / rate
+        self.sensors[sensor].level_at(self.now)
     }
 
     // --- accessors ------------------------------------------------------
@@ -468,7 +411,7 @@ impl OnlineController {
 
     /// Current base cycle `τ₁`.
     pub fn tau1(&self) -> f64 {
-        self.tau1
+        self.planner.tau1()
     }
 
     /// Monitoring-period horizon the controller was configured with.
@@ -483,8 +426,8 @@ impl OnlineController {
     }
 
     /// Currently assigned (rounded) cycles `τ'_i`.
-    pub fn assigned_cycles(&self) -> &[f64] {
-        &self.assigned
+    pub fn assigned_cycles(&self) -> Vec<f64> {
+        (0..self.network.n()).map(|i| self.planner.assigned_cycle(i)).collect()
     }
 
     /// The full schedule series (executed + pending dispatches).
@@ -512,59 +455,17 @@ impl OnlineController {
         self.emergency_dispatches
     }
 
-    /// Enable (or disable) the charge log. Off by default — long-lived
-    /// serve sessions must not accumulate an unbounded log; a closed-loop
-    /// harness that mirrors charges into edge clients turns it on.
-    pub fn set_charge_log(&mut self, enabled: bool) {
-        self.log_charges = enabled;
-        if !enabled {
-            self.charged.clear();
-        }
-    }
-
-    /// Drain the charge log: every `(time, sensor)` charge applied since
-    /// the last drain, in application order. Always empty unless
-    /// [`Self::set_charge_log`] enabled logging.
-    pub fn take_charges(&mut self) -> Vec<(f64, usize)> {
-        std::mem::take(&mut self.charged)
-    }
-
     // --- ingest ---------------------------------------------------------
 
     /// Ingest one telemetry batch: advance the clock (executing due
     /// dispatches), update estimators, detect class drift, replan at the
     /// cheapest sufficient tier and run the emergency check.
     pub fn ingest(&mut self, batch: &TelemetryBatch) -> Result<IngestReport, OnlineError> {
-        if !batch.time.is_finite() {
-            return Err(OnlineError::NonFinite { field: "time", value: batch.time });
-        }
-        if batch.time < self.now - EPS {
-            return Err(OnlineError::TimeNotMonotone { time: batch.time, now: self.now });
-        }
-        let n = self.network.n();
+        let t = self.check_time(batch.time)?;
         for r in &batch.records {
-            if r.sensor >= n {
-                return Err(OnlineError::UnknownSensor { sensor: r.sensor, n });
-            }
-            if let Some(rate) = r.rate {
-                if !rate.is_finite() {
-                    return Err(OnlineError::NonFinite { field: "rate", value: rate });
-                }
-                if rate < 0.0 {
-                    return Err(OnlineError::NotPositive { field: "rate", value: rate });
-                }
-            }
-            if let Some(level) = r.level {
-                if !level.is_finite() {
-                    return Err(OnlineError::NonFinite { field: "level", value: level });
-                }
-                if level < 0.0 {
-                    return Err(OnlineError::NotPositive { field: "level", value: level });
-                }
-            }
+            self.check_record(r.sensor, &[("rate", r.rate, false), ("level", r.level, false)])?;
         }
 
-        let t = batch.time.max(self.now);
         // Dispatches strictly before the batch time are already reflected
         // in the reported levels; dispatches scheduled at exactly `t` are
         // not (the report is read first, then the fleet goes out) and are
@@ -573,109 +474,80 @@ impl OnlineController {
         self.execute_due(t - EPS);
         self.now = t;
 
-        // Apply the measurements. Settle each touched sensor's drain
-        // estimate to `now` under the old rate *before* swapping rates, so
-        // a rate change is not applied retroactively.
+        // Apply the measurements in order; the estimator settles each
+        // level under the old rate before folding a new one in.
         let mut touched: Vec<usize> = Vec::with_capacity(batch.records.len());
         for r in &batch.records {
-            let i = r.sensor;
-            self.level[i] = self.level_at(i, t);
-            self.level_time[i] = t;
-            if let Some(rate) = r.rate {
-                self.predictors[i].observe(rate);
-                self.last_rate[i] = rate;
+            let est = &mut self.sensors[r.sensor];
+            match r.rate {
+                Some(rate) => est.observe(t, rate),
+                None => est.settle(t),
             }
             if let Some(level) = r.level {
-                self.level[i] = level.min(self.capacities[i]);
+                est.set_level(t, level);
             }
-            touched.push(i);
+            touched.push(r.sensor);
         }
         touched.sort_unstable();
         touched.dedup();
         self.execute_due(t + EPS);
 
-        // Drift detection: only touched sensors can have left their bands.
-        let mut need_full = false;
-        let mut changes: Vec<(usize, usize)> = Vec::new();
-        for &i in &touched {
-            let tau = self.tau_hat(i);
-            if self.still_applicable(i, tau) {
-                continue;
-            }
-            if tau < self.tau1 {
-                // τ₁ undercut: the whole power-of-two grid shifts.
-                need_full = true;
-                changes.push((i, 0));
-            } else {
-                changes.push((i, power_class(self.tau1, tau)));
-            }
-        }
-        Ok(self.settle(&touched, &changes, need_full))
+        let (changes, need_full) = self.drift(touched.iter().map(|&i| (i, &self.sensors[i])));
+        Ok(self.finish_batch(&touched, &changes, need_full))
     }
 
-    /// Ingest a suppressed-event batch from edge clients: reconstruct the
+    /// Ingest a suppressed-event batch from edge clients: adopt the
     /// per-sensor estimator state carried by each [`crate::ClassEvent`]
-    /// verbatim
-    /// (`EwmaPredictor::from_state` — *not* a re-observation), then run the
-    /// same drift/replan/emergency machinery as [`Self::ingest`].
+    /// verbatim ([`SensorEstimator::adopt`] — *not* a re-observation),
+    /// then run the same drift/replan/emergency machinery as
+    /// [`Self::ingest`].
     ///
     /// Because every event carries the exact post-observation state the
     /// full per-slot stream would have produced, the resulting plan
-    /// sequence is byte-identical to streaming — provided the clients'
-    /// drift tests mirror this controller's (they share the float
-    /// expressions via `perpetuum-client`) and their plan/charge pictures
-    /// are kept fresh.
+    /// sequence is byte-identical to streaming — provided the clients run
+    /// the same estimator (`perpetuum-client` wraps this very
+    /// [`SensorEstimator`]) and their plan/charge pictures are kept fresh.
     ///
     /// A batch that needs a **full** replan is refused with
     /// [`OnlineError::SyncRequired`] *before any state is mutated* unless
     /// [`EventBatch::sync`] is set: the new `τ₁` grid depends on every
     /// sensor's current estimate, so the fleet must report everyone. The
-    /// tier decision is dry-run on the event payloads — valid because
-    /// `τ̂` depends only on the event state and clock advancement never
-    /// touches `assigned`/`τ₁`. A sync batch must carry one event per
-    /// sensor (duplicates are tolerated; the last wins).
+    /// tier decision is dry-run on copies of the adopted estimators —
+    /// valid because `τ̂` depends only on the event state and clock
+    /// advancement never touches the plan's classes. A sync batch must
+    /// carry one event per sensor (duplicates are tolerated; the last
+    /// wins).
     pub fn ingest_events(&mut self, batch: &EventBatch) -> Result<IngestReport, OnlineError> {
-        if !batch.time.is_finite() {
-            return Err(OnlineError::NonFinite { field: "time", value: batch.time });
-        }
-        if batch.time < self.now - EPS {
-            return Err(OnlineError::TimeNotMonotone { time: batch.time, now: self.now });
-        }
-        let n = self.network.n();
+        let t = self.check_time(batch.time)?;
         for e in &batch.events {
-            if e.sensor >= n {
-                return Err(OnlineError::UnknownSensor { sensor: e.sensor, n });
-            }
-            if !e.rho_hat.is_finite() {
-                return Err(OnlineError::NonFinite { field: "rho_hat", value: e.rho_hat });
-            }
-            if !e.last_rate.is_finite() {
-                return Err(OnlineError::NonFinite { field: "last_rate", value: e.last_rate });
-            }
-            if e.last_rate < 0.0 {
-                return Err(OnlineError::NotPositive { field: "last_rate", value: e.last_rate });
-            }
-            if !e.level.is_finite() {
-                return Err(OnlineError::NonFinite { field: "level", value: e.level });
-            }
-            if e.level < 0.0 {
-                return Err(OnlineError::NotPositive { field: "level", value: e.level });
-            }
+            let values = [
+                ("rho_hat", Some(e.rho_hat), true),
+                ("last_rate", Some(e.last_rate), false),
+                ("level", Some(e.level), false),
+            ];
+            self.check_record(e.sensor, &values)?;
         }
 
-        // Last event per sensor wins; `touched` in sorted order matches
-        // `ingest`'s sort+dedup, so the change list (and therefore every
-        // planner call) comes out in the identical order.
-        let mut last_event: Vec<Option<&crate::events::ClassEvent>> = vec![None; n];
-        let mut touched: Vec<usize> = Vec::with_capacity(batch.events.len());
-        for e in &batch.events {
-            if last_event[e.sensor].is_none() {
-                touched.push(e.sensor);
-            }
-            last_event[e.sensor] = Some(e);
-        }
-        touched.sort_unstable();
-        if batch.sync && touched.len() != n {
+        // Adopt each event on a copy of its sensor's estimator. Adoption
+        // overwrites the whole state, so the last event per sensor wins:
+        // stable-sorting the reversed batch puts it first in its sensor's
+        // run, which the dedup keeps. Sorted by sensor is the order
+        // `ingest`'s sort+dedup gives, so the change list (and therefore
+        // every planner call) comes out identical.
+        let mut adopted: Vec<(usize, SensorEstimator)> = batch
+            .events
+            .iter()
+            .rev()
+            .map(|e| {
+                let mut est = self.sensors[e.sensor];
+                est.adopt(t, e.rho_hat, e.last_rate, e.level);
+                (e.sensor, est)
+            })
+            .collect();
+        adopted.sort_by_key(|&(i, _)| i);
+        adopted.dedup_by_key(|&mut (i, _)| i);
+        let n = self.network.n();
+        if batch.sync && adopted.len() != n {
             return Err(OnlineError::LengthMismatch {
                 field: "sync_events",
                 expected: n,
@@ -683,54 +555,90 @@ impl OnlineController {
             });
         }
 
-        // Dry-run the drift decision on the post-event state, before any
-        // mutation, so a refused batch leaves the controller untouched.
-        let t = batch.time.max(self.now);
-        let mut need_full = false;
-        let mut changes: Vec<(usize, usize)> = Vec::new();
-        for &i in &touched {
-            let e = last_event[i].expect("touched implies an event");
-            let rate = e.rho_hat.max(e.last_rate);
-            let tau = if rate <= 0.0 {
-                self.cfg.horizon
-            } else {
-                (self.capacities[i] / rate * (1.0 - self.cfg.margin)).min(self.cfg.horizon)
-            };
-            if self.still_applicable(i, tau) {
-                continue;
-            }
-            if tau < self.tau1 {
-                need_full = true;
-                changes.push((i, 0));
-            } else {
-                changes.push((i, power_class(self.tau1, tau)));
-            }
-        }
+        // Dry-run the drift decision before any mutation, so a refused
+        // batch leaves the controller untouched.
+        let (changes, need_full) = self.drift(adopted.iter().map(|(i, est)| (*i, est)));
         let will_replan = !changes.is_empty() && t < self.cfg.horizon;
         if will_replan && (need_full || !self.incremental_feasible(&changes)) && !batch.sync {
             return Err(OnlineError::SyncRequired);
         }
 
-        // Commit: same clock/charge choreography as `ingest`, but the
-        // estimator state is *adopted*, not re-derived.
+        // Commit: same clock/charge choreography as `ingest`; adoption
+        // overwrites the whole estimator, so the copies are the result.
         self.execute_due(t - EPS);
         self.now = t;
-        for &i in &touched {
-            let e = last_event[i].expect("touched implies an event");
-            self.predictors[i] = EwmaPredictor::from_state(self.cfg.gamma, e.rho_hat);
-            self.last_rate[i] = e.last_rate;
-            self.level[i] = e.level.min(self.capacities[i]);
-            self.level_time[i] = t;
+        for &(i, est) in &adopted {
+            self.sensors[i] = est;
         }
         self.execute_due(t + EPS);
 
-        Ok(self.settle(&touched, &changes, need_full))
+        let touched: Vec<usize> = adopted.iter().map(|&(i, _)| i).collect();
+        Ok(self.finish_batch(&touched, &changes, need_full))
+    }
+
+    /// The clock a batch at `time` moves to, or why the batch is refused.
+    fn check_time(&self, time: f64) -> Result<f64, OnlineError> {
+        if !time.is_finite() {
+            return Err(OnlineError::NonFinite { field: "time", value: time });
+        }
+        if time < self.now - EPS {
+            return Err(OnlineError::TimeNotMonotone { time, now: self.now });
+        }
+        Ok(time.max(self.now))
+    }
+
+    /// Rejects a record for an unknown sensor, or with a reported
+    /// `(field, value, signed)` that is non-finite, or negative where not
+    /// `signed`.
+    fn check_record(
+        &self,
+        sensor: usize,
+        values: &[(&'static str, Option<f64>, bool)],
+    ) -> Result<(), OnlineError> {
+        let n = self.network.n();
+        if sensor >= n {
+            return Err(OnlineError::UnknownSensor { sensor, n });
+        }
+        for &(field, value, signed) in values {
+            let Some(value) = value else { continue };
+            if !value.is_finite() {
+                return Err(OnlineError::NonFinite { field, value });
+            }
+            if value < 0.0 && !signed {
+                return Err(OnlineError::NotPositive { field, value });
+            }
+        }
+        Ok(())
+    }
+
+    /// Drift detection over the given sensors' estimators, in order: the
+    /// `(sensor, new class)` changes of those out of band, and whether any
+    /// undercuts `τ₁` (recorded as class 0; the whole power-of-two grid
+    /// shifts, so a full replan follows).
+    fn drift<'a>(
+        &self,
+        sensors: impl Iterator<Item = (usize, &'a SensorEstimator)>,
+    ) -> (Vec<(usize, usize)>, bool) {
+        let tau1 = self.planner.tau1();
+        let mut need_full = false;
+        let mut changes = Vec::new();
+        for (i, est) in sensors {
+            match est.drift(tau1, self.planner.assigned_cycle(i)) {
+                Drift::InBand => {}
+                Drift::Class(k) => changes.push((i, k)),
+                Drift::Undercut => {
+                    need_full = true;
+                    changes.push((i, 0));
+                }
+            }
+        }
+        (changes, need_full)
     }
 
     /// Shared tail of both ingest paths, once the batch's measurements are
     /// in: replan at the cheapest sufficient tier, re-push the touched
     /// sensors and run the emergency check.
-    fn settle(
+    fn finish_batch(
         &mut self,
         touched: &[usize],
         changes: &[(usize, usize)],
@@ -772,12 +680,8 @@ impl OnlineController {
             }
             let covered: Vec<usize> = self.series.sets()[d.set].sensors().to_vec();
             for i in covered {
-                self.level[i] = self.capacities[i];
-                self.level_time[i] = d.time;
+                self.sensors[i].recharged(d.time);
                 self.push_deadline(i);
-                if self.log_charges {
-                    self.charged.push((d.time, i));
-                }
             }
             self.next_dispatch += 1;
         }
@@ -793,35 +697,8 @@ impl OnlineController {
     /// next check. Every change to a sensor's estimate or charge state
     /// must come through here.
     fn push_deadline(&mut self, sensor: usize) {
-        self.deadline[sensor] = self.death_time(sensor);
+        self.deadline[sensor] = self.sensors[sensor].death_time();
         self.dirty.push(sensor);
-    }
-
-    /// Time of the first pending dispatch that covers each of the distinct
-    /// `sensors`, indexed by sensor (`INFINITY`: none does, or not asked).
-    /// One walk over the pending dispatches visits each distinct set once
-    /// and stops as soon as every asked sensor has its time.
-    fn next_charge_times(&self, sensors: &[usize]) -> Vec<f64> {
-        let mut next = vec![f64::INFINITY; self.network.n()];
-        let mut wanted = vec![false; next.len()];
-        sensors.iter().for_each(|&i| wanted[i] = true);
-        let mut missing = sensors.len();
-        let mut seen = vec![false; self.series.sets().len()];
-        for d in &self.series.dispatches()[self.next_dispatch..] {
-            if missing == 0 {
-                break;
-            }
-            if std::mem::replace(&mut seen[d.set], true) {
-                continue;
-            }
-            for &i in self.series.sets()[d.set].sensors() {
-                if std::mem::take(&mut wanted[i]) {
-                    next[i] = d.time;
-                    missing -= 1;
-                }
-            }
-        }
-        next
     }
 
     /// Incremental tier: splice only the cumulative sets whose membership
@@ -835,20 +712,14 @@ impl OnlineController {
         if !self.incremental_feasible(changes) {
             return false;
         }
-        let Some(planner) = self.planner.as_mut() else {
-            return false; // unreachable: feasibility already checked
-        };
 
-        // Commit: splice the affected forests and swap the rebuilt sets in.
-        for k in planner.apply_migrations(&self.network, changes) {
+        // Commit: migrate the classes, splice the affected forests and
+        // swap the rebuilt sets in.
+        for k in self.planner.apply_migrations(&self.network, changes) {
             self.planner_calls += 1;
-            let id = self.series.add_set(planner.tour_set(k).clone());
+            let id = self.series.add_set(self.planner.tour_set(k).clone());
             self.series.retarget_dispatches(self.base_ids[k], id, self.now);
             self.base_ids[k] = id;
-        }
-        for &(i, k) in changes {
-            self.class_of[i] = k;
-            self.assigned[i] = self.tau1 * f64::powi(2.0, k as i32);
         }
         self.incremental_replans += 1;
         self.revision += 1;
@@ -858,13 +729,14 @@ impl OnlineController {
     /// Read-only feasibility half of [`Self::try_incremental`]: `true` iff
     /// the change set is non-structural and the persistent planner can
     /// splice it. Used both as the commit guard and as the *dry-run* tier
-    /// decision of [`Self::ingest_events`] — the inputs (`changes`,
-    /// `class_of`, `base_ids`) are untouched by clock advancement, so the
+    /// decision of [`Self::ingest_events`] — the inputs (`changes` and the
+    /// planner's classes) are untouched by clock advancement, so the
     /// pre-mutation answer is the post-mutation answer.
     fn incremental_feasible(&self, changes: &[(usize, usize)]) -> bool {
         let n = self.network.n();
-        let k_max = self.base_ids.len() - 1;
-        let mut new_class = self.class_of.clone();
+        let k_max = self.planner.k_max();
+        let class_of = self.planner.class_of();
+        let mut new_class = class_of.to_vec();
         for &(i, k) in changes {
             if k > k_max {
                 return false;
@@ -881,43 +753,24 @@ impl OnlineController {
         // tours), so it falls through to the full tier like before.
         let mut affected = vec![false; k_max + 1];
         for &(i, k) in changes {
-            let old = self.class_of[i];
+            let old = class_of[i];
             affected[old.min(k)..old.max(k)].fill(true);
         }
-        for (k, _) in affected.iter().enumerate().filter(|(_, &a)| a) {
-            if !(0..n).any(|i| new_class[i] <= k) {
-                return false;
-            }
-        }
-        self.planner.is_some()
+        (0..=k_max).filter(|&k| affected[k]).all(|k| (0..n).any(|i| new_class[i] <= k))
     }
 
     /// Full tier: rebuild the plan from scratch with Algorithm 3 + the
-    /// nearest-scheduling `V^a` repair, then execute any immediate repair
-    /// dispatch the planner scheduled at `now`.
+    /// nearest-scheduling `V^a` repair, re-seeding the planner.
     fn full_replan(&mut self) {
-        let n = self.network.n();
-        let taus: Vec<f64> = (0..n).map(|i| self.tau_hat(i)).collect();
-        let residuals: Vec<f64> = (0..n)
-            .map(|i| {
-                let rate = self.rate_estimate(i);
-                if rate <= 0.0 {
-                    return taus[i];
-                }
-                (self.level_at(i, self.now) / rate * (1.0 - self.cfg.margin)).min(taus[i])
-            })
-            .collect();
-        let input = VarInput {
-            network: &self.network,
-            max_cycles: &taus,
-            residuals: &residuals,
-            now: self.now,
-            horizon: self.cfg.horizon,
-        };
-        let detailed = replan_variable_detailed(&input, RepairStrategy::NearestScheduling);
         let (plan, planner) =
-            IncrementalPlanner::from_detailed(&input, detailed, IncrementalConfig::default());
-        self.planner = Some(planner);
+            plan_from_scratch(&self.network, &self.sensors, self.now, self.cfg.horizon);
+        self.planner = planner;
+        self.adopt_plan(plan);
+    }
+
+    /// Installs a from-scratch plan (refined when configured), then
+    /// executes any immediate repair dispatch it scheduled at `now`.
+    fn adopt_plan(&mut self, plan: VarPlan) {
         self.planner_calls += 1;
         self.full_replans += 1;
         self.series = plan.series;
@@ -939,9 +792,6 @@ impl OnlineController {
             self.series = refined;
         }
         self.base_ids = plan.base_set_ids;
-        self.assigned = plan.assigned_cycles;
-        self.tau1 = self.assigned.iter().copied().fold(f64::INFINITY, f64::min);
-        self.class_of = self.assigned.iter().map(|&a| power_class(self.tau1, a)).collect();
         self.next_dispatch = 0;
         self.revision += 1;
         // The repair tier may have scheduled `(C'_0, now)` — execute it.
@@ -966,7 +816,7 @@ impl OnlineController {
         examine.dedup();
         examine.retain(|&i| self.deadline[i] < self.cfg.horizon);
         self.examined += examine.len() as u64;
-        let next = self.next_charge_times(&examine);
+        let next = self.series.next_charge_times(self.next_dispatch, &examine, self.network.n());
         // A sensor no pending dispatch covers (`INFINITY`) is urgent.
         examine.retain(|&i| next[i] > self.deadline[i] - self.cfg.emergency_slack + EPS);
         let urgent = examine;
@@ -985,11 +835,7 @@ impl OnlineController {
         self.series.push_dispatch(self.now, id);
         self.series.sort_by_time();
         for &i in &urgent {
-            self.level[i] = self.capacities[i];
-            self.level_time[i] = self.now;
-            if self.log_charges {
-                self.charged.push((self.now, i));
-            }
+            self.sensors[i].recharged(self.now);
         }
         // The sort may have interleaved the rescue with executed history;
         // re-derive the executed prefix (everything due by `now` has been
@@ -1030,14 +876,14 @@ impl OnlineController {
             ("revision".to_string(), Value::Num(self.revision as f64)),
             ("now".to_string(), Value::Num(self.now)),
             ("horizon".to_string(), Value::Num(self.cfg.horizon)),
-            ("tau1".to_string(), Value::Num(self.tau1)),
+            ("tau1".to_string(), Value::Num(self.planner.tau1())),
             ("planner_calls".to_string(), Value::Num(self.planner_calls as f64)),
             ("full_replans".to_string(), Value::Num(self.full_replans as f64)),
             ("incremental_replans".to_string(), Value::Num(self.incremental_replans as f64)),
             ("emergency_dispatches".to_string(), Value::Num(self.emergency_dispatches as f64)),
             (
                 "assigned_cycles".to_string(),
-                Value::Arr(self.assigned.iter().map(|&c| Value::Num(c)).collect()),
+                Value::Arr(self.assigned_cycles().into_iter().map(Value::Num).collect()),
             ),
             ("service_cost".to_string(), Value::Num(self.series.service_cost())),
             ("dispatches".to_string(), Value::Num(self.series.dispatch_count() as f64)),
@@ -1052,6 +898,20 @@ impl OnlineController {
     pub fn plan_json(&self) -> String {
         serde_json::to_string(&self.plan_value()).unwrap_or_else(|_| "{}".to_string())
     }
+}
+
+/// Algorithm 3 + the nearest-scheduling `V^a` repair over the sensors'
+/// current estimates at `now`, with the incremental planner seeded from it.
+fn plan_from_scratch(
+    network: &Network,
+    sensors: &[SensorEstimator],
+    now: f64,
+    horizon: f64,
+) -> (VarPlan, IncrementalPlanner) {
+    let taus: Vec<f64> = sensors.iter().map(SensorEstimator::tau_hat).collect();
+    let residuals: Vec<f64> = sensors.iter().map(|s| s.residual_hat(now)).collect();
+    let input = VarInput { network, max_cycles: &taus, residuals: &residuals, now, horizon };
+    IncrementalPlanner::seed(&input, RepairStrategy::NearestScheduling)
 }
 
 #[cfg(test)]
@@ -1075,7 +935,8 @@ mod tests {
                     if death == f64::INFINITY {
                         return false; // never re-pushed
                     }
-                    assert_eq!(death.to_bits(), self.death_time(i).to_bits(), "stale deadline {i}");
+                    let current = self.sensors[i].death_time();
+                    assert_eq!(death.to_bits(), current.to_bits(), "stale deadline {i}");
                     if death >= self.cfg.horizon {
                         return false;
                     }
@@ -1272,7 +1133,7 @@ mod tests {
         assert_eq!(report.replan, ReplanKind::None);
         assert!(ctl.next_dispatch >= 1, "dispatch at τ₁ = 4 must have executed");
         // Class-0 sensors were recharged at t = 4.
-        assert!((ctl.level_at(0, 4.0) - 1.0).abs() < 1e-12);
+        assert!((ctl.sensors[0].level_at(4.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1334,6 +1195,18 @@ mod tests {
             Err(OnlineError::NotPositive { field: "horizon", .. })
         ));
     }
+    #[test]
+    fn the_last_event_per_sensor_wins() {
+        let (mut twice, mut once) = (controller(), controller());
+        let first = ClassEvent::new(3, 0.2, 0.2, 0.5);
+        let last = ClassEvent::new(3, 0.1, 0.09, 0.7);
+        let a = twice.ingest_events(&EventBatch::new(1.0, vec![first, last])).expect("ingest");
+        let b = once.ingest_events(&EventBatch::new(1.0, vec![last])).expect("ingest");
+        assert_eq!(a, b);
+        assert_eq!(twice.sensors, once.sensors);
+        assert_eq!(twice.plan_json(), once.plan_json());
+    }
+
     /// Examined deadlines per frame: a sweep after construction, then only
     /// the sensors a frame touches or charges while the revision stands.
     #[test]
@@ -1404,7 +1277,7 @@ mod tests {
         }
         let event = |ctl: &OnlineController, i: usize, f: f64, drop: Option<f64>| {
             let rate = f * prop_rate(i);
-            ClassEvent::new(i, rate, rate, drop.unwrap_or_else(|| ctl.level_at(i, t)))
+            ClassEvent::new(i, rate, rate, drop.unwrap_or_else(|| ctl.sensors[i].level_at(t)))
         };
         let evs: Vec<ClassEvent> = records.iter().map(|&(i, f, d)| event(ctl, i, f, d)).collect();
         match ctl.ingest_events(&EventBatch::new(t, evs.clone())) {
@@ -1412,7 +1285,7 @@ mod tests {
                 let mut all: Vec<ClassEvent> = (0..PROP_N)
                     .map(|i| {
                         let rate = ctl.rate_estimate(i);
-                        ClassEvent::new(i, rate, rate, ctl.level_at(i, t))
+                        ClassEvent::new(i, rate, rate, ctl.sensors[i].level_at(t))
                     })
                     .collect();
                 for e in evs {
@@ -1437,13 +1310,12 @@ mod tests {
         #[test]
         fn incremental_check_matches_brute_force(stream in frames(), slack in 0u8..2) {
             let mut ctl = prop_controller(1.5 * f64::from(slack));
-            ctl.set_charge_log(true);
             let mut t = 0.0;
             let mut standing = false;
             for frame in &stream {
                 t += frame.0;
                 let (examined, revision) = (ctl.examined, ctl.revision());
-                let rescues = ctl.emergency_dispatches();
+                let (rescues, executed) = (ctl.emergency_dispatches(), ctl.executed_dispatches());
                 let (report, mut touched) = feed(&mut ctl, t, frame);
                 if report.emergency_sensors > 0 {
                     prop_assert!(t < PROP_HORIZON);
@@ -1451,11 +1323,18 @@ mod tests {
                     let rescue = ctl.series().sets().last().expect("rescue set");
                     prop_assert_eq!(rescue.sensors().len(), report.emergency_sensors);
                 }
-                touched.extend(ctl.take_charges().into_iter().map(|(_, i)| i));
-                touched.sort_unstable();
-                touched.dedup();
                 let delta = (ctl.examined - examined) as usize;
                 let unchanged = report.revision == revision;
+                if unchanged {
+                    // The series stood, so the frame charged exactly the
+                    // sensors of the dispatches it executed.
+                    let series = ctl.series();
+                    for d in &series.dispatches()[executed..ctl.executed_dispatches()] {
+                        touched.extend_from_slice(series.set_of(d).sensors());
+                    }
+                }
+                touched.sort_unstable();
+                touched.dedup();
                 if standing && unchanged {
                     prop_assert!(delta <= touched.len(), "examined {} of {:?}", delta, touched);
                 }

@@ -1,14 +1,15 @@
 //! Suppressed-telemetry event batches.
 //!
-//! The `perpetuum-client` crate runs the controller's drift test on the
+//! The `perpetuum-client` crate runs the controller's own per-sensor
+//! estimator (`perpetuum_energy::predictor::SensorEstimator`) on the
 //! sensor itself; slots whose achievable cycle stays inside the
 //! applicability band are never transmitted. When the band *is* left, the
 //! sensor sends a [`ClassEvent`] carrying its exact post-observation
 //! estimator state — the EWMA prediction `ρ̂`, the raw slot observation and
 //! the settled energy level. The controller adopts that state verbatim
-//! (`EwmaPredictor::from_state`) instead of re-observing, which is what
-//! makes suppression lossless: the reconstructed estimator is bit-identical
-//! to the one the full per-slot stream would have produced, so the plan
+//! (`SensorEstimator::adopt`) instead of re-observing, which is what makes
+//! suppression lossless: the reconstructed estimator is bit-identical to
+//! the one the full per-slot stream would have produced, so the plan
 //! sequence is too (pinned by the serve-level suppression property test).
 //!
 //! A batch with [`EventBatch::sync`] set must carry one event per sensor —

@@ -1020,7 +1020,7 @@ pub fn session_plan(state: &AppState, id: u64, req: &Request) -> Response {
             tau1: controller.tau1(),
             service_cost: controller.series().service_cost(),
             executed: controller.executed_dispatches() as u64,
-            assigned: controller.assigned_cycles().to_vec(),
+            assigned: controller.assigned_cycles(),
             dispatches: controller
                 .series()
                 .dispatches()

@@ -85,8 +85,8 @@ fn apply_charges(
 fn refresh_plans(state: &AppState, id: u64, clients: &mut [SensorClient]) {
     with_controller(state, id, |ctl| {
         let tau1 = ctl.tau1();
-        for (i, c) in clients.iter_mut().enumerate() {
-            c.plan_update(tau1, ctl.assigned_cycles()[i]);
+        for (c, a) in clients.iter_mut().zip(ctl.assigned_cycles()) {
+            c.plan_update(tau1, a);
         }
     });
 }

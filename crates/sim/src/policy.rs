@@ -462,25 +462,16 @@ impl<'a> VarPolicy<'a> {
 
     /// Per sensor, the first prefix charge strictly after `time` (with the
     /// plan's 1e-9 slack), `INFINITY` where none — or `None` when no
-    /// prefix dispatch is left. One walk over the remaining dispatches
-    /// that visits each distinct tour set once.
+    /// prefix dispatch is left.
     fn prefix_next_charges(&self, time: f64) -> Option<Vec<f64>> {
         let dispatches = self.prefix.dispatches();
         let from = dispatches.partition_point(|d| d.time <= time + 1e-9);
         if from == dispatches.len() {
             return None;
         }
-        let mut next = vec![f64::INFINITY; self.network.n()];
-        let mut seen = vec![false; self.prefix.sets().len()];
-        for d in &dispatches[from..] {
-            if std::mem::replace(&mut seen[d.set], true) {
-                continue;
-            }
-            for &s in self.prefix.set_of(d).sensors() {
-                next[s] = next[s].min(d.time);
-            }
-        }
-        Some(next)
+        let n = self.network.n();
+        let all: Vec<usize> = (0..n).collect();
+        Some(self.prefix.next_charge_times(from, &all, n))
     }
 
     /// True when `sensor`'s estimated residual lifetime reaches its next
@@ -529,7 +520,7 @@ impl ChargingPolicy for VarPolicy<'_> {
         let shrink = 1.0 - self.cycle_margin;
         let prefix_next = self.prefix_next_charges(obs.time);
         let applicable = (0..obs.levels.len()).all(|i| {
-            schedule_still_applicable(self.assigned[i], obs.max_cycle_hat(i) * shrink)
+            schedule_still_applicable(self.assigned[i], obs.max_cycle_hat(i) * shrink, 0.0)
                 && self.residual_reaches_next_charge(obs, i, prefix_next.as_deref())
         });
         if applicable {
