@@ -612,15 +612,14 @@ impl IncrementalPlanner {
     }
 
     /// The immediate batch at `input.now`: sensors whose residual cannot
-    /// reach their next grid service, freshly routed by Algorithm 2 over a
-    /// forest started from the all-sensor forest.
+    /// reach their next grid charge (or the horizon), freshly routed by
+    /// Algorithm 2 over a forest started from the all-sensor forest.
     fn urgent_batch(&self, input: &VarInput) -> Option<TourSet> {
         let network = input.network;
         let n = network.n();
         let urgent: Vec<usize> = (0..n)
             .filter(|&i| {
-                let step = self.tau1 * (1u64 << self.class_of[i]) as f64;
-                let required = self.next_grid_service(input.now, step).min(input.horizon);
+                let required = self.next_grid_charge(i, input.now).unwrap_or(input.horizon);
                 input.now + input.residuals[i] + 1e-9 < required
             })
             .collect();
@@ -631,17 +630,6 @@ impl IncrementalPlanner {
         let forest = members_forest(network, &urgent, &self.best_depot, &self.all_sensors);
         let qt = tours_for_forest(&network.dist_source(), &forest, &nodes, &network.depot_nodes());
         Some(TourSet::from_qtours(qt, |v| v >= n))
-    }
-
-    /// First grid service of a class with period `step` strictly after
-    /// `now`.
-    fn next_grid_service(&self, now: f64, step: f64) -> f64 {
-        let laps = ((now - self.anchor) / step).floor().max(0.0);
-        let mut t = self.anchor + (laps + 1.0) * step;
-        while t <= now + 1e-9 {
-            t += step;
-        }
-        t
     }
 
     /// Base interval `τ̂₁` of the cached partition.

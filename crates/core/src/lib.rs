@@ -54,7 +54,6 @@ pub mod recovery;
 pub mod refine;
 pub mod rounding;
 pub mod schedule;
-pub mod stats;
 pub mod var;
 
 pub use bounds::lemma3_lower_bound;
@@ -69,5 +68,4 @@ pub use recovery::degraded_tour_set;
 pub use refine::{refine, refine_tour_set, Budget, RefineReport, CONVERGENCE_STEPS};
 pub use rounding::{partition_cycles, power_class, CyclePartition};
 pub use schedule::{Dispatch, ScheduleSeries, TourSet};
-pub use stats::analyze;
 pub use var::{replan_variable, replan_variable_with, RepairStrategy, VarInput};

@@ -24,7 +24,7 @@ use perpetuum_online::{
 };
 use perpetuum_sim::{
     run_with_faults, ChargingPolicy, FaultModel, MtdPolicy, Observation, PlanUpdate, RateShock,
-    SimConfig, SimResult, World,
+    SimConfig, World,
 };
 use std::collections::HashSet;
 
@@ -43,9 +43,6 @@ pub struct OnlinePolicy {
     pub margin: f64,
     /// Emergency head-start slack, forwarded to [`OnlineConfig`].
     pub emergency_slack: f64,
-    /// Anytime-refinement budget for every full replan, forwarded to
-    /// [`OnlineConfig::refine_steps`] (0 = constructive plans only).
-    pub refine_steps: u64,
     controller: Option<OnlineController>,
     last_revision: u64,
 }
@@ -62,7 +59,6 @@ impl OnlinePolicy {
             network: network.clone(),
             margin: Self::DEFAULT_MARGIN,
             emergency_slack: 0.0,
-            refine_steps: 0,
             controller: None,
             last_revision: 0,
         }
@@ -125,8 +121,7 @@ impl ChargingPolicy for OnlinePolicy {
         let rates: Vec<f64> = (0..obs.levels.len()).map(|i| obs.rate_safe(i)).collect();
         let cfg = OnlineConfig::new(obs.horizon)
             .with_margin(self.margin)
-            .with_emergency_slack(self.emergency_slack)
-            .with_refine_steps(self.refine_steps);
+            .with_emergency_slack(self.emergency_slack);
         match OnlineController::new(self.network.clone(), obs.capacities.to_vec(), rates, cfg) {
             Ok(ctl) => {
                 let series = ctl.pending_series(obs.time);
@@ -591,67 +586,6 @@ pub fn compare_under_drift(world: &World, cfg: &SimConfig, drift: f64) -> Closed
     }
 }
 
-/// Outcome of [`compare_refined`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefinedComparison {
-    /// Per-slot compounding drift factor applied to every true rate.
-    pub drift: f64,
-    /// Refinement budget of the refined arm.
-    pub refine_steps: u64,
-    /// Telemetry-driven [`OnlinePolicy`] with constructive full replans.
-    pub constructive_arm: ArmOutcome,
-    /// The same policy with every full replan refined under the budget.
-    pub refined_arm: ArmOutcome,
-}
-
-/// Race the constructive and refined online arms over identical worlds,
-/// seeds and drift realizations. Both arms ingest the same telemetry and
-/// make identical replan *decisions* (refinement changes tour geometry,
-/// never the controller's estimator or class state), so the comparison
-/// isolates what the anytime optimizer buys in executed travel. With
-/// `drift = 0` neither arm replans and the refined arm's service cost is
-/// provably ≤ the constructive arm's; under drift, travel-resolved
-/// arrival times may shift emergency timing slightly, so treat the
-/// outcome as a measurement, not an invariant.
-pub fn compare_refined(
-    world: &World,
-    cfg: &SimConfig,
-    drift: f64,
-    refine_steps: u64,
-) -> RefinedComparison {
-    let faults = if drift == 0.0 {
-        FaultModel::none()
-    } else {
-        FaultModel::none().with_rate_shocks(RateShock::drift(drift)).with_seed(cfg.seed)
-    };
-    let network = world.network.clone();
-
-    let mut constructive_policy = OnlinePolicy::new(&network);
-    let constructive_result =
-        run_with_faults(world.clone(), cfg, &mut constructive_policy, &faults);
-
-    let mut refined_policy = OnlinePolicy::new(&network);
-    refined_policy.refine_steps = refine_steps;
-    let refined_result = run_with_faults(world.clone(), cfg, &mut refined_policy, &faults);
-
-    let arm = |name: &'static str, result: &SimResult, policy: &OnlinePolicy| ArmOutcome {
-        name,
-        deaths: result.deaths.len(),
-        service_cost: result.service_cost,
-        replans: policy.replans(),
-        incremental_replans: policy.incremental_replans(),
-        full_replans: policy.full_replans(),
-        emergency_dispatches: policy.emergency_dispatches(),
-        planner_calls: policy.planner_calls(),
-    };
-    RefinedComparison {
-        drift,
-        refine_steps,
-        constructive_arm: arm("online", &constructive_result, &constructive_policy),
-        refined_arm: arm("online-refined", &refined_result, &refined_policy),
-    }
-}
-
 /// Outcome of [`compare_suppressed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuppressionComparison {
@@ -743,37 +677,6 @@ mod tests {
         );
         assert_eq!(outcome.online_arm.planner_calls, 1, "only the initial plan is ever computed");
         assert_eq!(outcome.static_arm.deaths, 0);
-    }
-
-    /// Drift-free race: neither arm ever replans, so both execute their
-    /// initial plan verbatim and the refined arm's bill is the refined
-    /// plan's cost — provably ≤ the constructive one, with identical
-    /// control quality.
-    #[test]
-    fn refined_arm_never_travels_farther_without_drift() {
-        let outcome = compare_refined(&world(), &cfg(), 0.0, 300_000);
-        assert_eq!(outcome.refined_arm.deaths, outcome.constructive_arm.deaths);
-        assert_eq!(outcome.refined_arm.replans, 0);
-        assert_eq!(outcome.constructive_arm.replans, 0);
-        assert!(
-            outcome.refined_arm.service_cost <= outcome.constructive_arm.service_cost + 1e-9,
-            "refined {} vs constructive {}",
-            outcome.refined_arm.service_cost,
-            outcome.constructive_arm.service_cost
-        );
-    }
-
-    /// Under drift both arms make the same replan decisions (refinement
-    /// never touches the estimator or class state), so the planning
-    /// cadence is identical even though tour geometry differs.
-    #[test]
-    fn refined_arm_keeps_the_constructive_replan_cadence_under_drift() {
-        let outcome = compare_refined(&world(), &cfg(), 0.015, 100_000);
-        assert_eq!(outcome.refined_arm.full_replans, outcome.constructive_arm.full_replans);
-        assert_eq!(
-            outcome.refined_arm.incremental_replans,
-            outcome.constructive_arm.incremental_replans
-        );
     }
 
     #[test]

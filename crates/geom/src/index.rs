@@ -1,16 +1,16 @@
-//! Spatial indexes over point sets: a uniform grid and a kd-tree.
+//! The spatial index over point sets: a kd-tree.
 //!
-//! Both structures answer **exact** k-nearest-neighbour and radius queries —
-//! they are accelerators, not approximations, so planner output built on
-//! them is identical to what brute force would produce. Ties in distance are
-//! broken by the lower point index, which makes every query deterministic
-//! and lets the two indexes (and a brute-force scan) agree bit-for-bit.
+//! Its queries are **exact**: it is an accelerator, not an approximation,
+//! so planner output built on it is identical to what brute force would
+//! produce. Ties in distance are broken by the lower point index, which
+//! makes every query deterministic and lets the tree and the brute-force
+//! oracle [`BruteForceIndex`] agree bit-for-bit.
 //!
-//! The planning pipeline uses the kd-tree's [`KdTree::nearest_foreign`]
-//! query for its exact Borůvka minimum spanning forest, and k-NN candidate
-//! lists for local search, instead of sorting dense O(n²) distance rows.
+//! The planning pipeline uses [`KdTree::nearest_foreign`] for its exact
+//! Borůvka minimum spanning forest (Algorithm 1), and [`knn_lists`] for the
+//! local search's candidate lists, instead of sorting dense O(n²) distance
+//! rows.
 
-use crate::aabb::Aabb;
 use crate::point::Point2;
 use std::collections::BinaryHeap;
 
@@ -78,36 +78,8 @@ impl KBest {
     }
 }
 
-/// Common interface of the spatial indexes (and of brute force, for tests).
-pub trait SpatialIndex {
-    /// Number of indexed points.
-    fn len(&self) -> usize;
-
-    /// True when the index holds no points.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The indexed point `i`.
-    fn point(&self, i: usize) -> Point2;
-
-    /// The `min(k, len)` points nearest to `query`, as `(index, distance)`
-    /// sorted by ascending `(distance, index)`. Exact; a point at the query
-    /// location is returned like any other (callers filter self-matches).
-    fn knn(&self, query: Point2, k: usize) -> Vec<(usize, f64)>;
-
-    /// All points within `radius` of `center` (closed ball), sorted by
-    /// ascending `(distance, index)`.
-    fn in_radius(&self, center: Point2, radius: f64) -> Vec<(usize, f64)>;
-
-    /// The single nearest point, or `None` on an empty index.
-    fn nearest(&self, query: Point2) -> Option<(usize, f64)> {
-        self.knn(query, 1).into_iter().next()
-    }
-}
-
-/// Reference implementation: exhaustive scan. O(n) per query — used as the
-/// parity oracle in tests and as the fallback for tiny point sets.
+/// Reference implementation: exhaustive scan, O(n) per query. The parity
+/// oracle the kd-tree is tested against.
 pub struct BruteForceIndex {
     points: Vec<Point2>,
 }
@@ -117,229 +89,15 @@ impl BruteForceIndex {
     pub fn new(points: &[Point2]) -> Self {
         Self { points: points.to_vec() }
     }
-}
 
-impl SpatialIndex for BruteForceIndex {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn point(&self, i: usize) -> Point2 {
-        self.points[i]
-    }
-
-    fn knn(&self, query: Point2, k: usize) -> Vec<(usize, f64)> {
+    /// The `min(k, n)` points nearest to `query`, as `(index, distance)`
+    /// sorted by ascending `(distance, index)`.
+    pub fn knn(&self, query: Point2, k: usize) -> Vec<(usize, f64)> {
         let mut best = KBest::new(k.min(self.points.len()));
         for (i, p) in self.points.iter().enumerate() {
             best.offer(p.dist(query), i);
         }
         best.into_sorted()
-    }
-
-    fn in_radius(&self, center: Point2, radius: f64) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = self
-            .points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i, p.dist(center)))
-            .filter(|&(_, d)| d <= radius)
-            .collect();
-        out.sort_unstable_by_key(|&(i, d)| (Nf64(d), i));
-        out
-    }
-}
-
-// ---- uniform grid ----------------------------------------------------------
-
-/// A uniform bucket grid over the points' bounding box.
-///
-/// Cell counts are chosen so the average occupancy is ~1 point per cell;
-/// k-NN queries expand outward ring by ring and stop once the ring's
-/// lower-bound distance exceeds the current k-th best, which keeps them
-/// exact. Near-O(1) per query for uniformly deployed fields (the paper's
-/// evaluation setting); worst case degrades gracefully to O(n).
-pub struct UniformGrid {
-    points: Vec<Point2>,
-    bounds: Aabb,
-    cols: usize,
-    rows: usize,
-    cell_w: f64,
-    cell_h: f64,
-    /// CSR cell layout: points of cell `c` are `order[start[c]..start[c+1]]`.
-    start: Vec<u32>,
-    order: Vec<u32>,
-}
-
-impl UniformGrid {
-    /// Builds the grid in O(n).
-    pub fn new(points: &[Point2]) -> Self {
-        let n = points.len();
-        let bounds =
-            Aabb::containing(points).unwrap_or(Aabb::new(Point2::ORIGIN, Point2::new(1.0, 1.0)));
-        // ~1 point per cell on average; degenerate (zero-extent) axes get a
-        // single row/column.
-        let side = (n as f64).sqrt().ceil().max(1.0) as usize;
-        let cols = if bounds.width() > 0.0 { side } else { 1 };
-        let rows = if bounds.height() > 0.0 { side } else { 1 };
-        let cell_w = if cols > 1 { bounds.width() / cols as f64 } else { f64::INFINITY };
-        let cell_h = if rows > 1 { bounds.height() / rows as f64 } else { f64::INFINITY };
-
-        let mut grid = Self {
-            points: points.to_vec(),
-            bounds,
-            cols,
-            rows,
-            cell_w,
-            cell_h,
-            start: vec![0; cols * rows + 1],
-            order: vec![0; n],
-        };
-        // Counting sort of point indices into CSR cell buckets.
-        let cells: Vec<u32> = points
-            .iter()
-            .map(|&p| {
-                let (cx, cy) = grid.cell_of(p);
-                (cy * grid.cols + cx) as u32
-            })
-            .collect();
-        for &c in &cells {
-            grid.start[c as usize + 1] += 1;
-        }
-        for c in 0..cols * rows {
-            grid.start[c + 1] += grid.start[c];
-        }
-        let mut cursor: Vec<u32> = grid.start[..cols * rows].to_vec();
-        for (i, &c) in cells.iter().enumerate() {
-            grid.order[cursor[c as usize] as usize] = i as u32;
-            cursor[c as usize] += 1;
-        }
-        grid
-    }
-
-    /// Cell coordinates of `p`, clamped into the grid.
-    #[inline]
-    fn cell_of(&self, p: Point2) -> (usize, usize) {
-        let fx = if self.cell_w.is_finite() {
-            ((p.x - self.bounds.min.x) / self.cell_w).floor()
-        } else {
-            0.0
-        };
-        let fy = if self.cell_h.is_finite() {
-            ((p.y - self.bounds.min.y) / self.cell_h).floor()
-        } else {
-            0.0
-        };
-        let cx = (fx.max(0.0) as usize).min(self.cols - 1);
-        let cy = (fy.max(0.0) as usize).min(self.rows - 1);
-        (cx, cy)
-    }
-
-    #[inline]
-    fn scan_cell(&self, cx: usize, cy: usize, query: Point2, best: &mut KBest) {
-        let c = cy * self.cols + cx;
-        for &i in &self.order[self.start[c] as usize..self.start[c + 1] as usize] {
-            best.offer(self.points[i as usize].dist(query), i as usize);
-        }
-    }
-
-    /// Lower bound on the distance from `q` (in cell `(cx, cy)`) to any
-    /// point in a cell at Chebyshev ring `r` or beyond; ∞ when no such cell
-    /// exists.
-    fn ring_lower_bound(&self, q: Point2, cx: usize, cy: usize, r: usize) -> f64 {
-        let mut lb = f64::INFINITY;
-        if cx >= r {
-            lb = lb.min(q.x - (self.bounds.min.x + (cx - r + 1) as f64 * self.cell_w));
-        }
-        if cx + r < self.cols {
-            lb = lb.min(self.bounds.min.x + (cx + r) as f64 * self.cell_w - q.x);
-        }
-        if cy >= r {
-            lb = lb.min(q.y - (self.bounds.min.y + (cy - r + 1) as f64 * self.cell_h));
-        }
-        if cy + r < self.rows {
-            lb = lb.min(self.bounds.min.y + (cy + r) as f64 * self.cell_h - q.y);
-        }
-        // A query outside the bounding box can make the gap negative; zero
-        // keeps the bound valid (it only ever stops the search early).
-        lb.max(0.0)
-    }
-}
-
-impl SpatialIndex for UniformGrid {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn point(&self, i: usize) -> Point2 {
-        self.points[i]
-    }
-
-    fn knn(&self, query: Point2, k: usize) -> Vec<(usize, f64)> {
-        let k = k.min(self.points.len());
-        let mut best = KBest::new(k);
-        if k == 0 {
-            return Vec::new();
-        }
-        let (cx, cy) = self.cell_of(query);
-        let max_ring = cx.max(self.cols - 1 - cx).max(cy).max(self.rows - 1 - cy);
-        for r in 0..=max_ring {
-            if best.full() && self.ring_lower_bound(query, cx, cy, r) > best.threshold() {
-                break;
-            }
-            if r == 0 {
-                self.scan_cell(cx, cy, query, &mut best);
-                continue;
-            }
-            // Top and bottom rows of the ring.
-            let x_lo = cx.saturating_sub(r);
-            let x_hi = (cx + r).min(self.cols - 1);
-            if cy >= r {
-                for x in x_lo..=x_hi {
-                    self.scan_cell(x, cy - r, query, &mut best);
-                }
-            }
-            if cy + r < self.rows {
-                for x in x_lo..=x_hi {
-                    self.scan_cell(x, cy + r, query, &mut best);
-                }
-            }
-            // Left and right columns (excluding the corners already done).
-            let y_lo = cy.saturating_sub(r - 1);
-            let y_hi = (cy + r - 1).min(self.rows - 1);
-            if cx >= r {
-                for y in y_lo..=y_hi {
-                    self.scan_cell(cx - r, y, query, &mut best);
-                }
-            }
-            if cx + r < self.cols {
-                for y in y_lo..=y_hi {
-                    self.scan_cell(cx + r, y, query, &mut best);
-                }
-            }
-        }
-        best.into_sorted()
-    }
-
-    fn in_radius(&self, center: Point2, radius: f64) -> Vec<(usize, f64)> {
-        if self.points.is_empty() || radius < 0.0 {
-            return Vec::new();
-        }
-        let (lo_x, lo_y) = self.cell_of(Point2::new(center.x - radius, center.y - radius));
-        let (hi_x, hi_y) = self.cell_of(Point2::new(center.x + radius, center.y + radius));
-        let mut out = Vec::new();
-        for cy in lo_y..=hi_y {
-            for cx in lo_x..=hi_x {
-                let c = cy * self.cols + cx;
-                for &i in &self.order[self.start[c] as usize..self.start[c + 1] as usize] {
-                    let d = self.points[i as usize].dist(center);
-                    if d <= radius {
-                        out.push((i as usize, d));
-                    }
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(i, d)| (Nf64(d), i));
-        out
     }
 }
 
@@ -354,10 +112,9 @@ pub const MIXED: u32 = u32::MAX;
 
 /// A balanced, implicitly laid-out 2-d tree.
 ///
-/// Built in O(n log n) with median splits (`select_nth_unstable`); k-NN and
-/// radius queries prune subtrees by splitting-plane distance and are exact.
-/// Robust to any point distribution, including the clustered deployments of
-/// Section VII.A where a uniform grid's occupancy degrades.
+/// Built in O(n log n) with median splits (`select_nth_unstable`); queries
+/// prune subtrees by splitting-plane distance and are exact. Robust to any
+/// point distribution, including the clustered deployments of Section VII.A.
 pub struct KdTree {
     points: Vec<Point2>,
     /// Permutation of point indices; subranges form the tree, each split at
@@ -529,51 +286,10 @@ impl KdTree {
         (best.1 != usize::MAX).then_some((best.1, best.0))
     }
 
-    fn radius_rec(
-        &self,
-        lo: usize,
-        hi: usize,
-        axis: usize,
-        c: Point2,
-        radius: f64,
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        if hi - lo <= KD_LEAF {
-            for &i in &self.order[lo..hi] {
-                let d = self.points[i as usize].dist(c);
-                if d <= radius {
-                    out.push((i as usize, d));
-                }
-            }
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        let pivot = self.order[mid];
-        let d = self.points[pivot as usize].dist(c);
-        if d <= radius {
-            out.push((pivot as usize, d));
-        }
-        let split = self.coord(pivot, axis);
-        let qc = if axis == 0 { c.x } else { c.y };
-        if qc - radius < split {
-            self.radius_rec(lo, mid, axis ^ 1, c, radius, out);
-        }
-        if qc + radius >= split {
-            self.radius_rec(mid + 1, hi, axis ^ 1, c, radius, out);
-        }
-    }
-}
-
-impl SpatialIndex for KdTree {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn point(&self, i: usize) -> Point2 {
-        self.points[i]
-    }
-
-    fn knn(&self, query: Point2, k: usize) -> Vec<(usize, f64)> {
+    /// The `min(k, n)` points nearest to `query`, as `(index, distance)`
+    /// sorted by ascending `(distance, index)`. Exact; a point at the query
+    /// location is returned like any other (callers filter self-matches).
+    pub fn knn(&self, query: Point2, k: usize) -> Vec<(usize, f64)> {
         let k = k.min(self.points.len());
         if k == 0 {
             return Vec::new();
@@ -582,27 +298,16 @@ impl SpatialIndex for KdTree {
         self.knn_rec(0, self.points.len(), 0, query, &mut best);
         best.into_sorted()
     }
-
-    fn in_radius(&self, center: Point2, radius: f64) -> Vec<(usize, f64)> {
-        if self.points.is_empty() || radius < 0.0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        self.radius_rec(0, self.points.len(), 0, center, radius, &mut out);
-        out.sort_unstable_by_key(|&(i, d)| (Nf64(d), i));
-        out
-    }
 }
 
 /// Exact k-NN lists for every indexed point, excluding the point itself:
 /// `result[i]` holds up to `k` neighbour indices of point `i`, nearest
-/// first. This is the candidate-list builder the sparse planning pipeline
-/// feeds to graph construction and the tour refiner, in O(n·k·log n) total.
-pub fn knn_lists<I: SpatialIndex>(index: &I, k: usize) -> Vec<Vec<usize>> {
-    (0..index.len())
+/// first. The tour refiner's candidate lists are built from these, in
+/// O(n·k·log n) total.
+pub fn knn_lists(tree: &KdTree, k: usize) -> Vec<Vec<usize>> {
+    (0..tree.points.len())
         .map(|i| {
-            index
-                .knn(index.point(i), k + 1)
+            tree.knn(tree.points[i], k + 1)
                 .into_iter()
                 .filter(|&(j, _)| j != i)
                 .take(k)
@@ -632,88 +337,60 @@ mod tests {
         (0..n).map(|_| Point2::new(next() * 1000.0, next() * 1000.0)).collect()
     }
 
-    fn assert_index_matches_brute<I: SpatialIndex>(index: &I, points: &[Point2], k: usize) {
+    fn assert_tree_matches_brute(points: &[Point2], k: usize) {
+        let tree = KdTree::new(points);
         let brute = BruteForceIndex::new(points);
         for (qi, &q) in points.iter().enumerate().step_by(7) {
-            assert_eq!(index.knn(q, k), brute.knn(q, k), "knn mismatch at {qi}");
+            assert_eq!(tree.knn(q, k), brute.knn(q, k), "knn mismatch at {qi}");
         }
-        let center = Point2::new(400.0, 600.0);
-        for radius in [0.0, 35.0, 250.0, 5000.0] {
-            assert_eq!(
-                index.in_radius(center, radius),
-                brute.in_radius(center, radius),
-                "radius {radius} mismatch"
-            );
-        }
-    }
-
-    #[test]
-    fn grid_knn_matches_brute_force() {
-        let points = cloud(257, 1);
-        assert_index_matches_brute(&UniformGrid::new(&points), &points, 5);
     }
 
     #[test]
     fn kdtree_knn_matches_brute_force() {
-        let points = cloud(257, 2);
-        assert_index_matches_brute(&KdTree::new(&points), &points, 5);
+        assert_tree_matches_brute(&cloud(257, 2), 5);
     }
 
     #[test]
     fn clustered_points_still_exact() {
-        // Heavy clustering: grid occupancy is badly skewed, kd-tree deep.
+        // Heavy clustering: the kd-tree is deep on one side.
         let mut points = cloud(64, 3);
         for p in cloud(192, 4) {
             points.push(Point2::new(p.x * 0.01 + 500.0, p.y * 0.01 + 500.0));
         }
-        assert_index_matches_brute(&UniformGrid::new(&points), &points, 9);
-        assert_index_matches_brute(&KdTree::new(&points), &points, 9);
+        assert_tree_matches_brute(&points, 9);
     }
 
     #[test]
     fn duplicate_points_tie_break_by_index() {
         let points = pts(&[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (9.0, 9.0)]);
-        for index in [&UniformGrid::new(&points) as &dyn SpatialIndex, &KdTree::new(&points)] {
-            let got = index.knn(Point2::new(1.0, 1.0), 2);
-            assert_eq!(got, vec![(0, 0.0), (1, 0.0)]);
-        }
+        let got = KdTree::new(&points).knn(Point2::new(1.0, 1.0), 2);
+        assert_eq!(got, vec![(0, 0.0), (1, 0.0)]);
     }
 
     #[test]
     fn collinear_points_handled() {
-        // Zero vertical extent: the grid degenerates to one row.
+        // Zero vertical extent: every y-split ties.
         let points: Vec<Point2> = (0..40).map(|i| Point2::new(i as f64 * 3.0, 5.0)).collect();
-        assert_index_matches_brute(&UniformGrid::new(&points), &points, 4);
-        assert_index_matches_brute(&KdTree::new(&points), &points, 4);
+        assert_tree_matches_brute(&points, 4);
     }
 
     #[test]
     fn empty_and_tiny_sets() {
-        for index in [
-            &UniformGrid::new(&[]) as &dyn SpatialIndex,
-            &KdTree::new(&[]),
-            &BruteForceIndex::new(&[]),
-        ] {
-            assert!(index.is_empty());
-            assert!(index.knn(Point2::ORIGIN, 3).is_empty());
-            assert!(index.in_radius(Point2::ORIGIN, 10.0).is_empty());
-            assert_eq!(index.nearest(Point2::ORIGIN), None);
-        }
+        assert!(KdTree::new(&[]).knn(Point2::ORIGIN, 3).is_empty());
+        assert!(BruteForceIndex::new(&[]).knn(Point2::ORIGIN, 3).is_empty());
         let one = pts(&[(3.0, 4.0)]);
-        let grid = UniformGrid::new(&one);
-        assert_eq!(grid.nearest(Point2::ORIGIN), Some((0, 5.0)));
-        assert_eq!(grid.knn(Point2::ORIGIN, 10), vec![(0, 5.0)]);
+        let tree = KdTree::new(&one);
+        assert_eq!(tree.knn(Point2::ORIGIN, 1), vec![(0, 5.0)]);
+        assert_eq!(tree.knn(Point2::ORIGIN, 10), vec![(0, 5.0)]);
     }
 
     #[test]
     fn query_outside_bounds() {
         let points = cloud(100, 5);
-        let grid = UniformGrid::new(&points);
         let tree = KdTree::new(&points);
         let brute = BruteForceIndex::new(&points);
         for q in [Point2::new(-500.0, -500.0), Point2::new(2000.0, 500.0), Point2::new(500.0, -1e6)]
         {
-            assert_eq!(grid.knn(q, 3), brute.knn(q, 3));
             assert_eq!(tree.knn(q, 3), brute.knn(q, 3));
         }
     }
@@ -797,9 +474,9 @@ mod tests {
     #[test]
     fn k_larger_than_n_is_clamped() {
         let points = cloud(5, 7);
-        let grid = UniformGrid::new(&points);
-        assert_eq!(grid.knn(Point2::new(500.0, 500.0), 100).len(), 5);
-        let lists = knn_lists(&grid, 100);
+        let tree = KdTree::new(&points);
+        assert_eq!(tree.knn(Point2::new(500.0, 500.0), 100).len(), 5);
+        let lists = knn_lists(&tree, 100);
         assert!(lists.iter().all(|l| l.len() == 4));
     }
 }

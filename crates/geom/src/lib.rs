@@ -12,8 +12,8 @@
 //!   paper),
 //! * [`deploy`] — random/grid/clustered sensor deployments and depot
 //!   placement matching Section VII.A of the paper,
-//! * [`index`] — exact spatial indexes (uniform grid, kd-tree) powering the
-//!   near-linear planning pipeline,
+//! * [`index`] — the exact kd-tree (and its brute-force oracle) powering
+//!   the near-linear planning pipeline,
 //! * [`rng`] — deterministic derivation of per-topology RNG streams from a
 //!   single master seed, so every experiment is reproducible bit-for-bit.
 
@@ -30,6 +30,6 @@ pub use deploy::{
     DepotPlacement,
 };
 pub use hull::{convex_hull, hull_contains, hull_perimeter};
-pub use index::{knn_lists, BruteForceIndex, KdTree, SpatialIndex, UniformGrid};
+pub use index::{knn_lists, BruteForceIndex, KdTree};
 pub use point::Point2;
 pub use rng::{derive_seed, derived_rng, master_rng};

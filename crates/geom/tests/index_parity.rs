@@ -1,8 +1,8 @@
-//! Property tests: the accelerated spatial indexes are *exact* — every
-//! query agrees with the brute-force oracle on random point clouds,
-//! including duplicated points and degenerate layouts.
+//! Property tests: the kd-tree is *exact* — every query agrees with the
+//! brute-force oracle on random point clouds, including duplicated points
+//! and degenerate layouts.
 
-use perpetuum_geom::index::{knn_lists, BruteForceIndex, KdTree, SpatialIndex, UniformGrid};
+use perpetuum_geom::index::{knn_lists, BruteForceIndex, KdTree};
 use perpetuum_geom::Point2;
 use proptest::prelude::*;
 
@@ -25,25 +25,8 @@ proptest! {
     ) {
         let q = Point2::new(qx, qy);
         let brute = BruteForceIndex::new(&points);
-        let grid = UniformGrid::new(&points);
         let tree = KdTree::new(&points);
-        let want = brute.knn(q, k);
-        prop_assert_eq!(grid.knn(q, k), want.clone());
-        prop_assert_eq!(tree.knn(q, k), want);
-    }
-
-    #[test]
-    fn radius_parity_with_brute_force(
-        points in arb_points(180),
-        radius in 0.0..800.0f64,
-        qx in 0.0..1000.0f64,
-        qy in 0.0..1000.0f64,
-    ) {
-        let q = Point2::new(qx, qy);
-        let brute = BruteForceIndex::new(&points);
-        let want = brute.in_radius(q, radius);
-        prop_assert_eq!(UniformGrid::new(&points).in_radius(q, radius), want.clone());
-        prop_assert_eq!(KdTree::new(&points).in_radius(q, radius), want);
+        prop_assert_eq!(tree.knn(q, k), brute.knn(q, k));
     }
 
     #[test]
@@ -58,22 +41,23 @@ proptest! {
             points.extend_from_slice(&base);
         }
         let brute = BruteForceIndex::new(&points);
-        let grid = UniformGrid::new(&points);
         let tree = KdTree::new(&points);
         for &q in base.iter().take(10) {
-            let want = brute.knn(q, k);
-            prop_assert_eq!(grid.knn(q, k), want.clone());
-            prop_assert_eq!(tree.knn(q, k), want);
+            prop_assert_eq!(tree.knn(q, k), brute.knn(q, k));
         }
     }
 
     #[test]
     fn knn_lists_parity(points in arb_points(120), k in 1..9usize) {
+        // The oracle's lists: each point's k + 1 nearest, minus itself.
         let brute = BruteForceIndex::new(&points);
-        let grid = UniformGrid::new(&points);
-        let tree = KdTree::new(&points);
-        let want = knn_lists(&brute, k);
-        prop_assert_eq!(knn_lists(&grid, k), want.clone());
-        prop_assert_eq!(knn_lists(&tree, k), want);
+        let want: Vec<Vec<usize>> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                brute.knn(p, k + 1).into_iter().map(|(j, _)| j).filter(|&j| j != i).take(k).collect()
+            })
+            .collect();
+        prop_assert_eq!(knn_lists(&KdTree::new(&points), k), want);
     }
 }

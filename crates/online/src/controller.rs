@@ -43,7 +43,6 @@ use std::fmt;
 use perpetuum_core::incremental::IncrementalPlanner;
 use perpetuum_core::network::Network;
 use perpetuum_core::recovery::degraded_tour_set;
-use perpetuum_core::refine::{refine, Budget};
 use perpetuum_core::schedule::ScheduleSeries;
 use perpetuum_core::var::{RepairStrategy, VarInput, VarPlan};
 use perpetuum_energy::predictor::{Drift, EwmaPredictor, SensorEstimator};
@@ -54,10 +53,6 @@ use crate::telemetry::TelemetryBatch;
 
 /// Comparison slack for dispatch times, matching the sim engine's epsilon.
 const EPS: f64 = 1e-9;
-
-/// Base seed for full-replan refinement, xor-folded with the replan
-/// counter so every round walks a fresh (but reproducible) trajectory.
-const REFINE_SEED: u64 = 0x5EED_0F12_3456_789A;
 
 /// Typed ingest/construction failures. The serve layer maps these onto
 /// HTTP 4xx bodies; the sim harness treats any of them as a bug.
@@ -135,24 +130,12 @@ pub struct OnlineConfig {
     /// Extra head start (time units) required between a predicted death and
     /// the next scheduled visit before the visit counts as "in time".
     pub emergency_slack: f64,
-    /// Anytime-refinement step budget applied to every *full* replan's
-    /// fresh plan (`perpetuum_core::refine`; 0 = constructive plans
-    /// only). Refinement is seeded from the replan counter, so the
-    /// controller stays byte-deterministic. Incremental splices are not
-    /// refined — their point is to be cheap.
-    pub refine_steps: u64,
 }
 
 impl OnlineConfig {
     /// Paper-default controller over a monitoring period of `horizon`.
     pub fn new(horizon: f64) -> Self {
-        Self {
-            horizon,
-            gamma: EwmaPredictor::DEFAULT_GAMMA,
-            margin: 0.0,
-            emergency_slack: 0.0,
-            refine_steps: 0,
-        }
+        Self { horizon, gamma: EwmaPredictor::DEFAULT_GAMMA, margin: 0.0, emergency_slack: 0.0 }
     }
 
     /// Override the EWMA discount.
@@ -170,12 +153,6 @@ impl OnlineConfig {
     /// Override the emergency head-start slack.
     pub fn with_emergency_slack(mut self, slack: f64) -> Self {
         self.emergency_slack = slack;
-        self
-    }
-
-    /// Override the full-replan refinement budget.
-    pub fn with_refine_steps(mut self, steps: u64) -> Self {
-        self.refine_steps = steps;
         self
     }
 
@@ -768,29 +745,12 @@ impl OnlineController {
         self.adopt_plan(plan);
     }
 
-    /// Installs a from-scratch plan (refined when configured), then
-    /// executes any immediate repair dispatch it scheduled at `now`.
+    /// Installs a from-scratch plan, then executes any immediate repair
+    /// dispatch it scheduled at `now`.
     fn adopt_plan(&mut self, plan: VarPlan) {
         self.planner_calls += 1;
         self.full_replans += 1;
         self.series = plan.series;
-        if self.cfg.refine_steps > 0 {
-            // Anytime upgrade of the fresh constructive plan. Set ids and
-            // dispatch times are preserved exactly, so `base_ids` below
-            // stays valid and feasibility is untouched; the seed advances
-            // with the replan counter, keeping the controller
-            // byte-deterministic. Later incremental splices overwrite a
-            // refined base set with a constructive one — cheapness is the
-            // splice tier's contract, and the next full round re-refines.
-            let budget = Budget::steps(self.cfg.refine_steps);
-            let (refined, _) = refine(
-                &self.network,
-                &self.series,
-                &budget,
-                REFINE_SEED ^ self.full_replans as u64,
-            );
-            self.series = refined;
-        }
         self.base_ids = plan.base_set_ids;
         self.next_dispatch = 0;
         self.revision += 1;
@@ -1013,51 +973,6 @@ mod tests {
         let d0 = &ctl.series().sets()[ctl.base_ids[0]];
         assert!(d0.contains_sensor(3));
         assert!(d0.contains_sensor(0));
-    }
-
-    /// Full-replan refinement must only ever lower the travel bill, keep
-    /// the dispatch grid intact (so `base_ids` and emergency targeting
-    /// stay valid), and leave the controller byte-deterministic.
-    #[test]
-    fn refine_steps_cuts_full_replan_cost_deterministically() {
-        let mut s = 0xDECAFu64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let sensors: Vec<Point2> =
-            (0..40).map(|_| Point2::new(next() * 200.0, next() * 200.0)).collect();
-        let depots = vec![Point2::new(50.0, 50.0), Point2::new(150.0, 150.0)];
-        let network = Network::new(sensors, depots);
-        let cycles: Vec<f64> = (0..40).map(|i| 6.0 + (i % 4) as f64 * 4.0).collect();
-        let rates: Vec<f64> = cycles.iter().map(|c| 1.0 / c).collect();
-
-        let build = |steps: u64| {
-            OnlineController::new(
-                network.clone(),
-                vec![1.0; 40],
-                rates.clone(),
-                OnlineConfig::new(200.0).with_refine_steps(steps),
-            )
-            .expect("valid controller")
-        };
-        let plain = build(0);
-        let refined = build(300_000);
-        let refined_again = build(300_000);
-
-        assert!(
-            refined.series().service_cost() < plain.series().service_cost(),
-            "refinement found no gain on a 40-sensor scatter: {} vs {}",
-            refined.series().service_cost(),
-            plain.series().service_cost()
-        );
-        assert_eq!(refined.series().dispatches(), plain.series().dispatches());
-        assert_eq!(refined.series().sets().len(), plain.series().sets().len());
-        let bytes =
-            |c: &OnlineController| serde_json::to_string(c.series()).expect("serialize series");
-        assert_eq!(bytes(&refined), bytes(&refined_again), "refined replans must be reproducible");
     }
 
     #[test]

@@ -1200,8 +1200,13 @@ mod tests {
 
     #[test]
     fn records_round_trip_through_the_framing() {
+        // Every config field off its default: a field the journal drops
+        // decodes back to its default and fails the comparison. A struct
+        // literal, so a new field must be given a value here.
+        let tuned = OnlineConfig { horizon: 250.0, gamma: 0.3, margin: 0.15, emergency_slack: 0.5 };
         for record in [
             Record::Create { id: 7, seed: seed() },
+            Record::Create { id: 8, seed: ControllerSeed { config: tuned, ..seed() } },
             Record::Frames(vec![frame(7, 1.0), frame(9, 2.0)]),
             Record::End { id: 7, reason: EndReason::Quarantined },
             Record::Epoch { generation: 42 },

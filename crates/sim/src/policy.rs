@@ -13,7 +13,7 @@ use perpetuum_core::incremental::IncrementalPlanner;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::{Instance, Network};
 use perpetuum_core::schedule::{ScheduleSeries, TourSet};
-use perpetuum_core::var::{replan_variable_with, RepairStrategy, VarInput};
+use perpetuum_core::var::{RepairStrategy, VarInput};
 use perpetuum_energy::predictor::schedule_still_applicable;
 use std::time::{Duration, Instant};
 
@@ -313,7 +313,6 @@ impl ChargingPolicy for GreedyPolicy<'_> {
 #[derive(Debug)]
 pub struct VarPolicy<'a> {
     network: &'a Network,
-    assigned: Vec<f64>,
     /// The explicit dispatches of the current plan. With the planner's
     /// grid (if any) they make up the whole plan.
     prefix: ScheduleSeries,
@@ -327,8 +326,11 @@ pub struct VarPolicy<'a> {
     /// in `[0, 1)`.
     pub cycle_margin: f64,
     replans: usize,
-    /// `None` until seeded; also the incremental/full mode switch.
+    /// The current partition (its classes are the assigned cycles) and,
+    /// after an incremental replan, the anchor grid. `None` only before
+    /// [`ChargingPolicy::initialize`].
     planner: Option<IncrementalPlanner>,
+    /// Off in [`VarPolicy::full_replanning`]: every replan re-seeds.
     incremental_enabled: bool,
     incremental_replans: usize,
     full_replans: usize,
@@ -341,7 +343,6 @@ impl<'a> VarPolicy<'a> {
     pub fn new(network: &'a Network) -> Self {
         Self {
             network,
-            assigned: Vec::new(),
             prefix: ScheduleSeries::new(),
             repair: RepairStrategy::NearestScheduling,
             cycle_margin: 0.0,
@@ -414,8 +415,7 @@ impl<'a> VarPolicy<'a> {
         // Timing is observational only — it never influences planning, so
         // runs stay deterministic.
         let t0 = Instant::now();
-        // Only incremental mode ever seeds a planner.
-        if let Some(planner) = self.planner.as_mut() {
+        if let Some(planner) = self.planner.as_mut().filter(|_| self.incremental_enabled) {
             if let Ok(urgent) = planner.reclassify(&input) {
                 let mut prefix = ScheduleSeries::new();
                 if let Some(set) = urgent {
@@ -424,31 +424,28 @@ impl<'a> VarPolicy<'a> {
                 }
                 let mut series = prefix.clone();
                 planner.emit_until(self.network, &mut series, obs.next_decision);
-                self.assigned = (0..self.network.n()).map(|i| planner.assigned_cycle(i)).collect();
                 self.prefix = prefix;
                 self.incremental_replans += 1;
                 self.planner_time_incremental += t0.elapsed();
                 return PlanUpdate::Replace(series);
             }
         }
-        let plan = if self.incremental_enabled {
-            let (plan, planner) = IncrementalPlanner::seed(&input, self.repair);
-            self.planner = Some(planner);
-            plan
-        } else {
-            replan_variable_with(&input, self.repair)
-        };
+        // Bit-identical to `replan_variable_with`; a seeded planner's
+        // `assigned_cycle` equals the plan's rounded cycles exactly.
+        let (plan, planner) = IncrementalPlanner::seed(&input, self.repair);
+        self.planner = Some(planner);
         self.full_replans += 1;
         self.planner_time_full += t0.elapsed();
-        self.assigned = plan.assigned_cycles;
         self.prefix = plan.series.clone();
         PlanUpdate::Replace(plan.series)
     }
 
     /// Hands the engine the plan's next window of grid dispatches (none
-    /// when the plan is explicit only).
+    /// when the plan is explicit only, as every full-replanning plan is).
     fn extend(&mut self, obs: &Observation) -> PlanUpdate {
-        let Some(planner) = self.planner.as_mut() else { return PlanUpdate::Keep };
+        let Some(planner) = self.planner.as_mut().filter(|_| self.incremental_enabled) else {
+            return PlanUpdate::Keep;
+        };
         let t0 = Instant::now();
         let mut series = ScheduleSeries::new();
         planner.emit_until(self.network, &mut series, obs.next_decision);
@@ -510,9 +507,7 @@ impl ChargingPolicy for VarPolicy<'_> {
     }
 
     fn on_slot_boundary(&mut self, obs: &Observation) -> PlanUpdate {
-        if self.assigned.is_empty() {
-            return PlanUpdate::Keep;
-        }
+        let Some(planner) = self.planner.as_ref() else { return PlanUpdate::Keep };
         // The paper's applicability band covers sensors that are charged
         // from full at their assigned cadence; a sensor part-way through a
         // wait can still be starved by an in-band rate increase, so the
@@ -520,7 +515,7 @@ impl ChargingPolicy for VarPolicy<'_> {
         let shrink = 1.0 - self.cycle_margin;
         let prefix_next = self.prefix_next_charges(obs.time);
         let applicable = (0..obs.levels.len()).all(|i| {
-            schedule_still_applicable(self.assigned[i], obs.max_cycle_hat(i) * shrink, 0.0)
+            schedule_still_applicable(planner.assigned_cycle(i), obs.max_cycle_hat(i) * shrink, 0.0)
                 && self.residual_reaches_next_charge(obs, i, prefix_next.as_deref())
         });
         if applicable {

@@ -87,7 +87,6 @@ pub mod prelude {
     pub use perpetuum_core::qtsp::q_rooted_tsp_src;
     pub use perpetuum_core::rounding::partition_cycles;
     pub use perpetuum_core::schedule::ScheduleSeries;
-    pub use perpetuum_core::stats::analyze;
     pub use perpetuum_core::var::{replan_variable, VarInput};
     pub use perpetuum_energy::CycleDistribution;
     pub use perpetuum_exp::minmax::min_max_cover;
