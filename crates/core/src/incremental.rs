@@ -12,15 +12,26 @@
 //!
 //! * **Forest surgery** — a class migration inserts/removes sensors from
 //!   the affected `D_k`. The set's forest is recomputed over its new
-//!   membership by the same exact kd-tree Borůvka kernel the from-scratch
-//!   paths use, fed each member's cached cheapest depot — so the splice
-//!   equals [`crate::qmsf::rooted_msf_points`] on the new members exactly.
-//!   The kernel starts from the restriction of the all-sensor forest
-//!   `D_K` (one `u32` parent per sensor, fixed from seeding on, since
-//!   every sensor stays in `D_K`): by the restriction lemma those edges
-//!   are already exact, so a splice searches only for the few edges that
+//!   membership by the same exact Borůvka kernel the from-scratch paths
+//!   use, so the splice equals [`crate::qmsf::rooted_msf_points`] on the
+//!   new members exactly. The kernel starts from the restriction of the
+//!   all-sensor forest `D_K` (fixed from seeding on, since every sensor
+//!   stays in `D_K`), which also hands each member the nearest depot it
+//!   was contracted with: by the restriction lemma those edges are
+//!   already exact, so a splice searches only for the few edges that
 //!   reconnect what the removed sensors held together. The urgent batch
 //!   starts from the same forest.
+//! * **Neighbour table** — the first incremental replan
+//!   ([`IncrementalPlanner::reclassify`] or
+//!   [`IncrementalPlanner::apply_migrations`]) builds each sensor's 16
+//!   nearest sensors as `u32` ids, `4·k` = 64 bytes per sensor. Every
+//!   Algorithm-1 call after it reads the table: splices, urgent batches
+//!   and, through [`IncrementalPlanner::reseed`], a full re-seed's builds.
+//!   It depends on geometry alone, so it is never invalidated; seeding
+//!   alone (session creation, one-shot plans) never builds it. The kernel
+//!   takes a point's nearest foreign member from its list where the list
+//!   certifies it and queries a kd-tree only for the rest (DESIGN.md §8);
+//!   the trees are the ones it finds without a table.
 //! * **Warm-started tours** — each root's previous tour is repaired in
 //!   place: departed nodes are dropped (triangle inequality — never
 //!   longer), arrivals are cheapest-inserted, and a localized 2-opt
@@ -51,18 +62,21 @@
 
 use crate::mtd::nu2;
 use crate::network::Network;
-use crate::qmsf::{super_root_forest, RootedForest, SupersetTree};
+use crate::qmsf::{subset_forest, Kernel, RootedForest, SupersetTree};
 use crate::qtsp::{tour_from_tree_doubling, tours_for_forest, QTours};
 use crate::rounding::power_class;
 use crate::schedule::{ScheduleSeries, TourSet};
 use crate::var::{replan_variable_detailed, RepairStrategy, VarDetailed, VarInput, VarPlan};
-use perpetuum_geom::Point2;
-use perpetuum_graph::{Metric, Tour};
+use perpetuum_graph::{Metric, MstWork, NeighbourTable, Tour};
 
 /// When more than this fraction of the sensors migrate class in one
 /// replan, surgery would touch most of the forest anyway — fall back to a
 /// full replan instead.
 const MIGRATION_FALLBACK_FRACTION: f64 = 0.25;
+
+/// Entries per sensor in the planner's [`NeighbourTable`]: 64 bytes per
+/// sensor as `u32` ids.
+const NEIGHBOURS: usize = 16;
 
 /// Why an incremental replan refused and a full re-seed is required.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,16 +145,15 @@ impl DynamicSet {
     }
 
     /// Splices `removed` out of and `inserted` into the set: forest
-    /// surgery plus warm-started tour repair. `best_depot[s]` is the
-    /// precomputed `(distance, depot index)` super-root edge of sensor `s`,
-    /// and `all_sensors` the forest of `D_K` built with those edges.
+    /// surgery on `kernel`, started from `all_sensors`, the forest of
+    /// `D_K`, plus warm-started tour repair.
     fn splice(
         &mut self,
         network: &Network,
         removed: &[usize],
         inserted: &[usize],
-        best_depot: &[(f64, usize)],
         all_sensors: &SupersetTree,
+        kernel: &mut Kernel<'_>,
     ) {
         let n = network.n();
         let q = network.q();
@@ -162,7 +175,7 @@ impl DynamicSet {
         members.sort_unstable();
 
         // --- forest surgery --------------------------------------------------
-        let forest = members_forest(network, &members, best_depot, all_sensors);
+        let forest = members_forest(network, &members, all_sensors, kernel);
 
         // --- warm-started tours ----------------------------------------------
         // Per-root membership deltas: arrivals, departures, and members the
@@ -224,22 +237,17 @@ impl DynamicSet {
     }
 }
 
-/// Algorithm 1 over `members` (ascending sensor ids), each attached to
-/// the super-root through its cached cheapest depot `best_depot[s] =
-/// (distance, depot)`, started from the restriction of the all-sensor
-/// forest — the forest a from-scratch build over the same members
-/// returns.
+/// Algorithm 1 over `members` (ascending sensor ids) on `kernel`, each
+/// attached to the super-root through the nearest depot the all-sensor
+/// forest was contracted with, started from that forest's restriction —
+/// the forest a from-scratch build over the same members returns.
 fn members_forest(
     network: &Network,
     members: &[usize],
-    best_depot: &[(f64, usize)],
     all_sensors: &SupersetTree,
+    kernel: &mut Kernel<'_>,
 ) -> RootedForest {
-    let positions: Vec<Point2> = members.iter().map(|&s| network.sensor_pos(s)).collect();
-    let (best_cost, best_root): (Vec<f64>, Vec<usize>) =
-        members.iter().map(|&s| best_depot[s]).unzip();
-    let seed = all_sensors.restrict(members, &best_cost);
-    super_root_forest(&positions, network.q(), &best_root, &best_cost, &seed).0
+    subset_forest(&network.dist_source(), members, network.q(), all_sensors, kernel)
 }
 
 /// The forest's per-depot trees as host node-id edges, in forest order.
@@ -360,11 +368,17 @@ pub struct IncrementalPlanner {
     /// `stale[k]` — some sensor crossed `D_k` since its last splice, so
     /// its membership may lag `class_of`.
     stale: Vec<bool>,
-    /// `(distance, depot index)` of every sensor's cheapest depot.
-    best_depot: Vec<(f64, usize)>,
     /// The forest of `D_K`, which holds every sensor for the planner's
-    /// life: every splice and urgent batch starts from its restriction.
+    /// life: every splice and urgent batch starts from its restriction
+    /// and takes each member's nearest depot from it.
     all_sensors: SupersetTree,
+    /// Every sensor's [`NEIGHBOURS`] nearest sensors, built at the first
+    /// incremental replan and read by every Algorithm-1 call after it.
+    /// Geometry only, so it is never invalidated; [`Self::reseed`] keeps it.
+    table: Option<NeighbourTable>,
+    /// Algorithm-1 kernel work since the first seed ([`Self::reseed`]
+    /// carries it over).
+    work: MstWork,
     /// The grid of the last replan; `None` after seeding (the seed plan's
     /// dispatches are its own).
     grid: Option<GridCursor>,
@@ -386,25 +400,34 @@ impl IncrementalPlanner {
     /// from its builds. The returned plan is bit-identical to
     /// [`crate::var::replan_variable_with`] on the same input.
     pub fn seed(input: &VarInput, repair: RepairStrategy) -> (VarPlan, Self) {
-        let VarDetailed { plan, partition, base_builds, all_sensors } =
-            replan_variable_detailed(input, repair);
+        Self::build(input, repair, None, MstWork::default())
+    }
+
+    /// [`Self::seed`] in place, for the same network: the full replan
+    /// reads the neighbour table this planner has built, if any, and the
+    /// new planner keeps it and the kernel work count.
+    pub fn reseed(&mut self, input: &VarInput, repair: RepairStrategy) -> VarPlan {
+        assert_eq!(
+            self.class_of.len(),
+            input.network.n(),
+            "planner seeded for a different network"
+        );
+        let (plan, next) = Self::build(input, repair, self.table.take(), self.work);
+        *self = next;
+        plan
+    }
+
+    fn build(
+        input: &VarInput,
+        repair: RepairStrategy,
+        table: Option<NeighbourTable>,
+        mut work: MstWork,
+    ) -> (VarPlan, Self) {
         let network = input.network;
-        let n = network.n();
-        assert!(n > 0, "seeding needs at least one sensor");
-        let src = network.dist_source();
-        let best_depot: Vec<(f64, usize)> = (0..n)
-            .map(|i| {
-                let node = network.sensor_node(i);
-                let mut best = (f64::INFINITY, 0usize);
-                for l in 0..network.q() {
-                    let d = src.get(node, network.depot_node(l));
-                    if d < best.0 {
-                        best = (d, l);
-                    }
-                }
-                best
-            })
-            .collect();
+        assert!(network.n() > 0, "seeding needs at least one sensor");
+        let VarDetailed { plan, partition, base_builds, all_sensors, work: seeded } =
+            replan_variable_detailed(input, repair, table.as_ref());
+        work += seeded;
         let k_max = partition.k_max();
         let sets: Vec<DynamicSet> = base_builds
             .into_iter()
@@ -420,8 +443,9 @@ impl IncrementalPlanner {
             class_of: partition.class_of,
             stale: vec![false; k_max + 1],
             sets,
-            best_depot,
             all_sensors,
+            table,
+            work,
             grid: None,
             migrated_sensors: 0,
             set_splices: 0,
@@ -492,6 +516,7 @@ impl IncrementalPlanner {
         if changes.len() as f64 > MIGRATION_FALLBACK_FRACTION * n as f64 {
             return Err(FullReason::TooManyMigrations);
         }
+        self.build_table(network);
         self.migrate(&changes);
 
         let mut first = ((input.now - self.anchor) / self.tau1).floor().max(0.0) as u64 + 1;
@@ -571,8 +596,21 @@ impl IncrementalPlanner {
         network: &Network,
         changes: &[(usize, usize)],
     ) -> Vec<usize> {
+        self.build_table(network);
         self.migrate(changes);
         (0..=self.k_max).filter(|&k| self.materialize(network, k)).collect()
+    }
+
+    /// Builds the neighbour table on the first incremental replan.
+    fn build_table(&mut self, network: &Network) {
+        self.table
+            .get_or_insert_with(|| NeighbourTable::new(network.sensor_positions(), NEIGHBOURS));
+    }
+
+    /// A kernel reading the planner's table; the caller adds its work to
+    /// the planner's.
+    fn kernel<'a>(table: &'a Option<NeighbourTable>, network: &'a Network) -> Kernel<'a> {
+        Kernel::with_table(table.as_ref(), network.sensor_positions())
     }
 
     /// Records class migrations in `class_of` and marks every cumulative
@@ -606,7 +644,9 @@ impl IncrementalPlanner {
         if removed.is_empty() && inserted.is_empty() {
             return false;
         }
-        self.sets[k].splice(network, &removed, &inserted, &self.best_depot, &self.all_sensors);
+        let mut kernel = Self::kernel(&self.table, network);
+        self.sets[k].splice(network, &removed, &inserted, &self.all_sensors, &mut kernel);
+        self.work += kernel.work;
         self.set_splices += 1;
         true
     }
@@ -614,7 +654,7 @@ impl IncrementalPlanner {
     /// The immediate batch at `input.now`: sensors whose residual cannot
     /// reach their next grid charge (or the horizon), freshly routed by
     /// Algorithm 2 over a forest started from the all-sensor forest.
-    fn urgent_batch(&self, input: &VarInput) -> Option<TourSet> {
+    fn urgent_batch(&mut self, input: &VarInput) -> Option<TourSet> {
         let network = input.network;
         let n = network.n();
         let urgent: Vec<usize> = (0..n)
@@ -627,7 +667,9 @@ impl IncrementalPlanner {
             return None;
         }
         let nodes: Vec<usize> = urgent.iter().map(|&i| network.sensor_node(i)).collect();
-        let forest = members_forest(network, &urgent, &self.best_depot, &self.all_sensors);
+        let mut kernel = Self::kernel(&self.table, network);
+        let forest = members_forest(network, &urgent, &self.all_sensors, &mut kernel);
+        self.work += kernel.work;
         let qt = tours_for_forest(&network.dist_source(), &forest, &nodes, &network.depot_nodes());
         Some(TourSet::from_qtours(qt, |v| v >= n))
     }
@@ -691,13 +733,20 @@ impl IncrementalPlanner {
         self.set_splices
     }
 
+    /// Algorithm-1 kernel work of every call since the first seed: the
+    /// seeds' own builds, splices and urgent batches.
+    pub fn mst_work(&self) -> MstWork {
+        self.work
+    }
+
     /// Doubling-rebuilt tour cost of `D_k`'s current forest — what the
     /// paper's Algorithm 2 would produce from the same trees. Test hook
     /// for the warm-tour bound.
     #[cfg(test)]
     fn rebuilt_cost(&self, network: &Network, k: usize) -> f64 {
         let members = &self.sets[k].members;
-        let forest = members_forest(network, members, &self.best_depot, &self.all_sensors);
+        let mut kernel = Self::kernel(&self.table, network);
+        let forest = members_forest(network, members, &self.all_sensors, &mut kernel);
         let src = network.dist_source();
         host_tree_edges(network, members, &forest)
             .iter()
@@ -712,6 +761,7 @@ mod tests {
     use super::*;
     use crate::qmsf::rooted_msf_points;
     use crate::var::check_var_plan;
+    use perpetuum_geom::Point2;
     use rand::{Rng, SeedableRng};
 
     fn sparse_network(n: usize, q: usize, seed: u64) -> Network {
@@ -862,19 +912,16 @@ mod tests {
                 planner.apply_migrations(&network, &changes);
                 for k in 0..=planner.k_max() {
                     let members = planner.set_members(k);
-                    let seeded = members_forest(
-                        &network,
-                        members,
-                        &planner.best_depot,
-                        &planner.all_sensors,
-                    );
+                    let mut kernel = IncrementalPlanner::kernel(&planner.table, &network);
+                    let seeded =
+                        members_forest(&network, members, &planner.all_sensors, &mut kernel);
                     let fresh = unseeded(members);
                     assert_eq!(seeded.trees, fresh.trees, "seed {seed} round {round} D_{k}");
                     assert_eq!(seeded.weight.to_bits(), fresh.weight.to_bits());
                 }
                 let batch: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.1)).collect();
-                let seeded =
-                    members_forest(&network, &batch, &planner.best_depot, &planner.all_sensors);
+                let mut kernel = IncrementalPlanner::kernel(&planner.table, &network);
+                let seeded = members_forest(&network, &batch, &planner.all_sensors, &mut kernel);
                 assert_eq!(seeded.trees, unseeded(&batch).trees, "seed {seed} round {round} batch");
             }
         }
@@ -1059,6 +1106,42 @@ mod tests {
         assert_eq!(spliced, vec![0, 1]);
         assert_eq!(planner.migrated_sensors(), 1);
         assert_eq!(planner.set_splices(), 2);
+    }
+
+    #[test]
+    fn the_first_incremental_replan_builds_the_table_and_a_reseed_keeps_it() {
+        let n = 80;
+        let network = sparse_network(n, 3, 9);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let cycles = spread_cycles(n, &mut rng);
+        let (_, mut planner) = seed_planner(&network, &cycles);
+        // Seeding pays for no table.
+        assert!(planner.table.is_none());
+        let seeded = planner.mst_work();
+        assert!(seeded.rounds > 0 && seeded.table_hits == 0, "{seeded:?}");
+
+        let changes = random_migrations(&planner, 8, &mut rng);
+        planner.apply_migrations(&network, &changes);
+        assert_eq!(planner.table.as_ref().map(NeighbourTable::bytes), Some(n * NEIGHBOURS * 4));
+        let migrated = planner.mst_work();
+        assert!(migrated.rounds > seeded.rounds && migrated.table_hits > 0, "{migrated:?}");
+
+        // A re-seed reads the table and keeps it and the work count; its
+        // plan is a fresh seed's, bit for bit.
+        let residuals = cycles.clone();
+        let input = VarInput {
+            network: &network,
+            max_cycles: &cycles,
+            residuals: &residuals,
+            now: 3.0,
+            horizon: 200.0,
+        };
+        let (fresh, _) = IncrementalPlanner::seed(&input, RepairStrategy::NearestScheduling);
+        let plan = planner.reseed(&input, RepairStrategy::NearestScheduling);
+        assert!(planner.table.is_some());
+        assert!(planner.mst_work().table_hits > migrated.table_hits);
+        assert_eq!(format!("{:?}", plan.series), format!("{:?}", fresh.series));
+        assert_eq!(plan.assigned_cycles, fresh.assigned_cycles);
     }
 
     /// Drifted cycles and residuals for one replanning round.

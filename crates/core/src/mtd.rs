@@ -17,6 +17,7 @@
 //! `⌈T/τ'_n⌉` times.
 
 use crate::network::Instance;
+use crate::qmsf::Kernel;
 use crate::qtsp::nested_tours;
 use crate::rounding::{partition_cycles, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
@@ -69,8 +70,9 @@ pub(crate) fn build_cumulative_tour_sets(
     let n = network.n();
     let cums: Vec<Vec<usize>> = (0..=partition.k_max()).map(|k| partition.cumulative(k)).collect();
     let src = network.dist_source();
-    nested_tours(&src, &cums, &network.depot_nodes(), |_, qt| TourSet::from_qtours(qt, |v| v >= n))
-        .0
+    let depots = network.depot_nodes();
+    let mut kernel = Kernel::default();
+    nested_tours(&src, &cums, &depots, &mut kernel, |_, qt| TourSet::from_qtours(qt, |v| v >= n)).0
 }
 
 /// Emits dispatches at `start + j·τ_1` for `j = 1, 2, …` while strictly

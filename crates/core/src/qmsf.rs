@@ -6,22 +6,34 @@
 //! exact algorithm: contract all roots into a single super-root (taking the
 //! cheapest root edge per terminal), compute an MST, then un-contract.
 //!
-//! Lemma 1 of the paper proves this exact. Every planner runs it through
-//! [`rooted_msf_points`]: the contracted MST comes from the kd-tree
-//! Borůvka kernel [`perpetuum_graph::super_root_mst`], exact at any size in
+//! Lemma 1 of the paper proves this exact. Every planner path runs one
+//! kernel for the contracted MST: the kd-tree Borůvka
+//! [`perpetuum_graph::super_root_mst_with`], exact at any size in
 //! `O(m log² m)` without a dense matrix. [`rooted_msf_general`] keeps the
 //! paper's dense `O(m²)` construction as the oracle the tests compare
 //! against; the tests in this crate also check both against brute force.
 //!
-//! Both accept arbitrary terminal–root distances, which Section VI.B
-//! needs: its repair step uses *super-roots representing whole
-//! schedulings*, whose distance to a sensor is the nearest distance to any
-//! node already in the scheduling.
+//! Two things can make a call cheaper without changing its forest. A
+//! `SupersetTree` — the exact tree of a superset with nearest-root
+//! costs — seeds a subset's call with its surviving edges and hands it
+//! the superset's contraction, so the nearest root of a terminal is
+//! computed once per superset. A `Kernel` carries the neighbour table an
+//! [`crate::incremental::IncrementalPlanner`] keeps over the network's
+//! sensors (geometry only, `4·k` bytes per sensor, built at its first
+//! incremental replan and never invalidated) and sums the kernel's work
+//! counters; one-shot callers pass an empty one.
+//!
+//! [`rooted_msf_general`] and [`rooted_msf_points`] accept arbitrary
+//! terminal–root distances, which Section VI.B needs: its repair step
+//! uses *super-roots representing whole schedulings*, whose distance to a
+//! sensor is the nearest distance to any node already in the scheduling.
 
 use perpetuum_geom::Point2;
 use perpetuum_graph::mst::prim;
 use perpetuum_graph::mst::Edge;
-use perpetuum_graph::{super_root_mst, DistMatrix, DistSource, Metric};
+use perpetuum_graph::{
+    super_root_mst_with, DistMatrix, DistSource, Metric, MstWork, NeighbourTable, Neighbours,
+};
 
 /// A forest of root-attached trees produced by [`rooted_msf_general`].
 #[derive(Debug, Clone)]
@@ -105,19 +117,19 @@ pub fn rooted_msf_general<M: Metric>(term_dist: &M, root_dist: &[Vec<f64>]) -> R
     }
 
     // Contract: node t < m is terminal t, node m is the super-root whose
-    // edge to terminal t costs min_r root_dist[r][t] via best_root[t].
-    let (best_root, best_cost) = cheapest_roots(m, root_dist);
+    // edge to terminal t costs min_r root_dist[r][t] via root[t].
+    let contraction = cheapest_roots(m, root_dist);
     let contracted = DistMatrix::from_fn(m + 1, |i, j| {
         // from_fn only asks for i < j, so j == m exactly when the super-root
         // is involved.
         if j == m {
-            best_cost[i]
+            contraction.cost[i]
         } else {
             term_dist.get(i, j)
         }
     });
     let mst = prim(&contracted);
-    uncontract(m, q, &mst, &best_root, &best_cost, |a, b| term_dist.get(a, b))
+    uncontract(m, q, &mst, &contraction, |a, b| term_dist.get(a, b))
 }
 
 /// Panics unless there is a root and every root row covers the `m`
@@ -127,34 +139,42 @@ fn check_root_rows(m: usize, root_dist: &[Vec<f64>]) {
     assert!(root_dist.iter().all(|r| r.len() == m), "root distance rows must cover every terminal");
 }
 
-/// The contraction of Algorithm 1: terminal `t`'s super-root edge costs
-/// `best_cost[t] = min_r root_dist[r][t]`, reached through root
-/// `best_root[t]` (the first minimum in root order).
-fn cheapest_roots(m: usize, root_dist: &[Vec<f64>]) -> (Vec<usize>, Vec<f64>) {
-    let mut best_root = vec![0usize; m];
-    let mut best_cost = vec![f64::INFINITY; m];
+/// The contraction of Algorithm 1: every root merged into one super-root,
+/// which terminal `t` reaches through root `root[t]` at cost `cost[t]`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Contraction {
+    root: Vec<usize>,
+    cost: Vec<f64>,
+}
+
+/// Each terminal's cheapest root: `cost[t] = min_r root_dist[r][t]`,
+/// reached through the first minimum in root order. The one place the
+/// contraction is computed; [`SupersetTree`] hands it on to subsets.
+fn cheapest_roots(m: usize, root_dist: &[Vec<f64>]) -> Contraction {
+    let mut root = vec![0usize; m];
+    let mut cost = vec![f64::INFINITY; m];
     for (r, row) in root_dist.iter().enumerate() {
         for (t, &d) in row.iter().enumerate() {
-            if d < best_cost[t] {
-                best_cost[t] = d;
-                best_root[t] = r;
+            if d < cost[t] {
+                cost[t] = d;
+                root[t] = r;
             }
         }
     }
-    (best_root, best_cost)
+    Contraction { root, cost }
 }
 
 /// Un-contracts a super-root MST into a [`RootedForest`]. `mst` is an MST
 /// edge list over `m + 1` nodes where node `m` is the super-root; each MST
 /// edge incident to it attaches one sub-tree to a specific physical root
-/// (via `best_root`), and a DSU over the terminal-terminal edges recovers
-/// those sub-trees. Shared by the planner kernel and the dense oracle.
+/// (via the contraction's `root`), and a DSU over the terminal-terminal
+/// edges recovers those sub-trees. Shared by the planner kernel and the
+/// dense oracle.
 fn uncontract(
     m: usize,
     q: usize,
     mst: &[(usize, usize)],
-    best_root: &[usize],
-    best_cost: &[f64],
+    contraction: &Contraction,
     term_w: impl Fn(usize, usize) -> f64,
 ) -> RootedForest {
     let mut dsu = perpetuum_graph::DisjointSets::new(m);
@@ -164,8 +184,8 @@ fn uncontract(
     for &(u, v) in mst {
         let (a, b) = (u.min(v), u.max(v));
         if b == m {
-            root_edges.push((best_root[a], a));
-            weight += best_cost[a];
+            root_edges.push((contraction.root[a], a));
+            weight += contraction.cost[a];
         } else {
             term_edges.push((a, b));
             dsu.union(a, b);
@@ -205,8 +225,8 @@ fn uncontract(
 /// (`root_dist[r][t]`, one row per root, `q ≥ 1`), never an `(m+1)²`
 /// matrix. Contracts the roots into one super-root exactly like
 /// [`rooted_msf_general`], takes the contracted MST from the kd-tree
-/// Borůvka kernel [`super_root_mst`] (edges in heap-Prim order from the
-/// super-root), and un-contracts it.
+/// Borůvka kernel [`super_root_mst_with`] (edges in heap-Prim order from
+/// the super-root), and un-contracts it.
 ///
 /// **Exactness** follows from the kernel's: each Borůvka round adds, for
 /// every component, its cheapest outgoing edge under a strict total order,
@@ -216,27 +236,68 @@ fn uncontract(
 /// whose rows differ from set to set, so it never starts from another
 /// set's forest.
 pub fn rooted_msf_points(term_points: &[Point2], root_dist: &[Vec<f64>]) -> RootedForest {
-    let m = term_points.len();
-    check_root_rows(m, root_dist);
-    let (best_root, best_cost) = cheapest_roots(m, root_dist);
-    super_root_forest(term_points, root_dist.len(), &best_root, &best_cost, &[]).0
+    msf_over_rows(term_points, &[], root_dist, &mut Kernel::default())
 }
 
-/// [`rooted_msf_points`] from an already-contracted input: terminal `t`
-/// hangs off root `best_root[t]` at cost `best_cost[t]` when it attaches to
-/// the super-root, and `seed` lists contracted-tree edges known in advance
-/// (see [`super_root_mst`]). Also returns the contracted tree itself, as
-/// `(parent, child)` pairs over terminal indices with the super-root at
-/// `term_points.len()`.
-pub(crate) fn super_root_forest(
+/// [`rooted_msf_points`] over terminals at host ids `terminals` (read
+/// only when `kernel` has a neighbour table).
+pub(crate) fn msf_over_rows(
     term_points: &[Point2],
+    terminals: &[usize],
+    root_dist: &[Vec<f64>],
+    kernel: &mut Kernel<'_>,
+) -> RootedForest {
+    check_root_rows(term_points.len(), root_dist);
+    let contraction = cheapest_roots(term_points.len(), root_dist);
+    super_root_forest(term_points, terminals, root_dist.len(), &contraction, &[], kernel).0
+}
+
+/// What a planner's Algorithm-1 calls share: the neighbour table they may
+/// read and the kernel work they add up.
+#[derive(Debug, Default)]
+pub(crate) struct Kernel<'a> {
+    /// A [`NeighbourTable`] over the host's sensors, which are its first
+    /// host ids, with their positions.
+    table: Option<(&'a NeighbourTable, &'a [Point2])>,
+    /// The work of every call so far.
+    pub(crate) work: MstWork,
+}
+
+impl<'a> Kernel<'a> {
+    /// Calls reading `table`, built over the sensor positions `sensors`.
+    pub(crate) fn with_table(table: Option<&'a NeighbourTable>, sensors: &'a [Point2]) -> Self {
+        Self { table: table.map(|t| (t, sensors)), work: MstWork::default() }
+    }
+
+    /// The contracted tree of the points at host ids `terminals` (read
+    /// only with a table) under `cost`, started from `seed`.
+    fn tree(
+        &mut self,
+        points: &[Point2],
+        terminals: &[usize],
+        cost: &[f64],
+        seed: &[Edge],
+    ) -> Vec<Edge> {
+        let near = self.table.map(|(table, sites)| Neighbours { table, sites, ids: terminals });
+        super_root_mst_with(points, cost, seed, near, &mut self.work)
+    }
+}
+
+/// The forest of `term_points` (at host ids `terminals`) under
+/// `contraction`, its contracted tree started from `seed` (see
+/// [`super_root_mst_with`]). Also returns that tree, as `(parent, child)`
+/// pairs over terminal indices with the super-root at
+/// `term_points.len()`.
+fn super_root_forest(
+    term_points: &[Point2],
+    terminals: &[usize],
     q: usize,
-    best_root: &[usize],
-    best_cost: &[f64],
+    contraction: &Contraction,
     seed: &[Edge],
+    kernel: &mut Kernel<'_>,
 ) -> (RootedForest, Vec<Edge>) {
-    let mst = super_root_mst(term_points, best_cost, seed);
-    let forest = uncontract(term_points.len(), q, &mst, best_root, best_cost, |a, b| {
+    let mst = kernel.tree(term_points, terminals, &contraction.cost, seed);
+    let forest = uncontract(term_points.len(), q, &mst, contraction, |a, b| {
         term_points[a].dist(term_points[b])
     });
     (forest, mst)
@@ -252,42 +313,59 @@ pub fn q_rooted_msf_src(
     terminals: &[usize],
     roots: &[usize],
 ) -> RootedForest {
-    let (tpts, best_root, best_cost) = contract(src, terminals, roots);
-    super_root_forest(&tpts, roots.len(), &best_root, &best_cost, &[]).0
+    q_rooted_msf_seeded(src, terminals, roots, None, &mut Kernel::default()).0
 }
 
-/// [`q_rooted_msf_src`] started from the restriction of `superset`'s tree
-/// (every terminal must belong to it), also returning the result as a
+/// [`q_rooted_msf_src`], started from the restriction of `superset`'s
+/// tree when given (every terminal must belong to it, and `roots` must
+/// be the roots it was built with), also returning the result as a
 /// [`SupersetTree`] for subsets of `terminals`. Equal to
-/// [`q_rooted_msf_src`] on the same input: both trees contract every
-/// terminal to its nearest root, so the restriction lemma applies.
+/// [`q_rooted_msf_src`] on the same input: a subset takes its
+/// nearest-root contraction from the superset, so the restriction lemma
+/// applies.
 pub(crate) fn q_rooted_msf_seeded(
     src: &DistSource<'_>,
     terminals: &[usize],
     roots: &[usize],
     superset: Option<&SupersetTree>,
+    kernel: &mut Kernel<'_>,
 ) -> (RootedForest, SupersetTree) {
-    let (tpts, best_root, best_cost) = contract(src, terminals, roots);
-    let seed = superset.map_or_else(Vec::new, |tree| tree.restrict(terminals, &best_cost));
-    let (forest, mst) = super_root_forest(&tpts, roots.len(), &best_root, &best_cost, &seed);
-    (forest, SupersetTree::new(src.len(), terminals, &best_cost, &mst))
-}
-
-/// Terminal positions and the nearest-root contraction of host
-/// `terminals` over host `roots`.
-fn contract(
-    src: &DistSource<'_>,
-    terminals: &[usize],
-    roots: &[usize],
-) -> (Vec<Point2>, Vec<usize>, Vec<f64>) {
     let points = src.positions();
     let tpts: Vec<Point2> = terminals.iter().map(|&t| points[t]).collect();
+    let (seed, contraction) = match superset {
+        Some(tree) => tree.restrict(terminals),
+        None => (Vec::new(), contract(points, terminals, roots)),
+    };
+    let (forest, mst) =
+        super_root_forest(&tpts, terminals, roots.len(), &contraction, &seed, kernel);
+    (forest, SupersetTree::new(src.len(), terminals, &contraction, &mst))
+}
+
+/// The forest of host `terminals` (all terminals of `superset`, built
+/// over `q` roots), seeded and contracted from `superset`: what
+/// [`q_rooted_msf_seeded`] returns, without the tree for further subsets.
+pub(crate) fn subset_forest(
+    src: &DistSource<'_>,
+    terminals: &[usize],
+    q: usize,
+    superset: &SupersetTree,
+    kernel: &mut Kernel<'_>,
+) -> RootedForest {
+    let points = src.positions();
+    let tpts: Vec<Point2> = terminals.iter().map(|&t| points[t]).collect();
+    let (seed, contraction) = superset.restrict(terminals);
+    super_root_forest(&tpts, terminals, q, &contraction, &seed, kernel).0
+}
+
+/// The nearest-root contraction of host `terminals` over host `roots`.
+fn contract(points: &[Point2], terminals: &[usize], roots: &[usize]) -> Contraction {
     // Physical-root distance rows: O(m·q) — q is small (the charger count).
-    let root_dist: Vec<Vec<f64>> =
-        roots.iter().map(|&rn| tpts.iter().map(|tp| points[rn].dist(*tp)).collect()).collect();
-    check_root_rows(tpts.len(), &root_dist);
-    let (best_root, best_cost) = cheapest_roots(tpts.len(), &root_dist);
-    (tpts, best_root, best_cost)
+    let root_dist: Vec<Vec<f64>> = roots
+        .iter()
+        .map(|&rn| terminals.iter().map(|&t| points[rn].dist(points[t])).collect())
+        .collect();
+    check_root_rows(terminals.len(), &root_dist);
+    cheapest_roots(terminals.len(), &root_dist)
 }
 
 /// `SupersetTree::parent` of a terminal attached to the super-root.
@@ -296,7 +374,8 @@ const SUPER_ROOT: u32 = u32::MAX;
 const ABSENT: u32 = u32::MAX - 1;
 
 /// An exact contracted Algorithm-1 tree kept to start its subsets from:
-/// one `u32` parent per host id, hung from the super-root.
+/// per host id, one `u32` parent, hung from the super-root, and the
+/// terminal's nearest root and its cost — 16 bytes.
 ///
 /// **Restriction lemma** (DESIGN.md §8). Let `T` be the minimum spanning
 /// tree of a superset's contracted graph and `S` a subset whose terminals
@@ -304,62 +383,49 @@ const ABSENT: u32 = u32::MAX - 1;
 /// subgraph of the superset's induced by `S` and the super-root, and every
 /// edge of `T` with both endpoints there is in `S`'s tree: no path through
 /// lighter edges joins its endpoints in the superset graph, so none does in
-/// the subgraph. Nearest-depot costs satisfy the condition; Section VI.B's
-/// scheduling rows do not.
+/// the subgraph. [`SupersetTree::restrict`] hands a subset the superset's
+/// own contraction, so the condition holds by construction. Section VI.B's
+/// scheduling rows would break it; they never come here.
 #[derive(Debug)]
 pub(crate) struct SupersetTree {
     /// `parent[v]`: the host id of terminal `v`'s parent, [`SUPER_ROOT`],
     /// or [`ABSENT`] when `v` is not a terminal of the tree.
     parent: Vec<u32>,
-    /// `cost[v]`: the super-root cost terminal `v` was contracted with,
-    /// kept in debug builds to check the lemma's condition.
-    #[cfg(debug_assertions)]
+    /// `root[v]`: the index of terminal `v`'s nearest root.
+    root: Vec<u32>,
+    /// `cost[v]`: terminal `v`'s super-root cost.
     cost: Vec<f64>,
 }
 
 impl SupersetTree {
-    /// The tree `mst` ([`super_root_mst`]'s `(parent, child)` pairs over
-    /// the indices of `terminals`, super-root last) in host-id space;
-    /// `host_len` bounds the host ids and `best_cost` is the contraction
-    /// the tree was built with.
-    pub(crate) fn new(
-        host_len: usize,
-        terminals: &[usize],
-        best_cost: &[f64],
-        mst: &[Edge],
-    ) -> Self {
+    /// The tree `mst` ([`super_root_mst_with`]'s `(parent, child)` pairs
+    /// over the indices of `terminals`, super-root last) in host-id space;
+    /// `host_len` bounds the host ids and `contraction` is the one the
+    /// tree was built with.
+    fn new(host_len: usize, terminals: &[usize], contraction: &Contraction, mst: &[Edge]) -> Self {
         let m = terminals.len();
         assert!(host_len < ABSENT as usize, "host ids must fit below the u32 markers");
-        debug_assert_eq!(best_cost.len(), m);
         debug_assert_eq!(mst.len(), m, "a spanning tree over the terminals and the super-root");
         let mut parent = vec![ABSENT; host_len];
         for &(p, c) in mst {
             parent[terminals[c]] = if p == m { SUPER_ROOT } else { terminals[p] as u32 };
         }
-        #[cfg(debug_assertions)]
-        let cost = {
-            let mut cost = vec![f64::NAN; host_len];
-            for (&v, &c) in terminals.iter().zip(best_cost) {
-                cost[v] = c;
-            }
-            cost
-        };
-        Self {
-            parent,
-            #[cfg(debug_assertions)]
-            cost,
+        let mut root = vec![0u32; host_len];
+        let mut cost = vec![f64::NAN; host_len];
+        for (t, &v) in terminals.iter().enumerate() {
+            root[v] = contraction.root[t] as u32;
+            cost[v] = contraction.cost[t];
         }
+        Self { parent, root, cost }
     }
 
-    /// The tree's edges whose endpoints both lie in `terminals` (host ids,
-    /// all terminals of the tree) or at the super-root, in the index space
-    /// of `terminals` with the super-root at `terminals.len()` — a seed
-    /// for [`super_root_mst`] over `terminals` contracted with
-    /// `best_cost`. Debug builds assert the lemma's condition: every
-    /// terminal keeps the super-root cost the tree was built with.
-    pub(crate) fn restrict(&self, terminals: &[usize], best_cost: &[f64]) -> Vec<Edge> {
+    /// The restriction to `terminals` (host ids, all terminals of the
+    /// tree): the tree's edges whose endpoints both lie in `terminals` or
+    /// at the super-root, in the index space of `terminals` with the
+    /// super-root at `terminals.len()` — a seed for the kernel — and the
+    /// terminals' contraction, taken from the tree.
+    pub(crate) fn restrict(&self, terminals: &[usize]) -> (Vec<Edge>, Contraction) {
         let m = terminals.len();
-        debug_assert_eq!(best_cost.len(), m);
         let mut index = vec![ABSENT; self.parent.len()];
         for (t, &v) in terminals.iter().enumerate() {
             index[v] = t as u32;
@@ -368,21 +434,17 @@ impl SupersetTree {
         for (t, &v) in terminals.iter().enumerate() {
             let p = self.parent[v];
             assert!(p != ABSENT, "terminal {v} is outside the superset tree");
-            #[cfg(debug_assertions)]
-            assert_eq!(
-                self.cost[v].to_bits(),
-                best_cost[t].to_bits(),
-                "terminal {v}: super-root cost {} differs from the superset's {}",
-                best_cost[t],
-                self.cost[v]
-            );
             if p == SUPER_ROOT {
                 seed.push((m, t));
             } else if index[p as usize] != ABSENT {
                 seed.push((index[p as usize] as usize, t));
             }
         }
-        seed
+        let contraction = Contraction {
+            root: terminals.iter().map(|&v| self.root[v] as usize).collect(),
+            cost: terminals.iter().map(|&v| self.cost[v]).collect(),
+        };
+        (seed, contraction)
     }
 }
 
@@ -641,10 +703,11 @@ mod tests {
     fn seeded_forest_equals_unseeded_on_subsets() {
         let (pts, all, roots) = line_superset();
         let src = DistSource::points(&pts);
-        let (_, tree) = q_rooted_msf_seeded(&src, &all, &roots, None);
+        let (_, tree) = q_rooted_msf_seeded(&src, &all, &roots, None, &mut Kernel::default());
         for step in [1usize, 2, 3, 7] {
             let subset: Vec<usize> = all.iter().copied().filter(|t| t % step == 0).collect();
-            let (seeded, _) = q_rooted_msf_seeded(&src, &subset, &roots, Some(&tree));
+            let (seeded, _) =
+                q_rooted_msf_seeded(&src, &subset, &roots, Some(&tree), &mut Kernel::default());
             let fresh = q_rooted_msf_src(&src, &subset, &roots);
             assert_eq!(seeded.trees, fresh.trees, "every {step}th sensor");
             assert_eq!(seeded.assignment, fresh.assignment, "every {step}th sensor");
@@ -655,21 +718,17 @@ mod tests {
     #[test]
     fn restriction_keeps_edges_between_survivors() {
         // A path 0 – 1 – 2 hung from the super-root at 0: dropping 1 keeps
-        // only the root edge of 0; dropping 2 keeps the whole rest.
-        let tree = SupersetTree::new(3, &[0, 1, 2], &[1.0, 2.0, 3.0], &[(3, 0), (0, 1), (1, 2)]);
-        assert_eq!(tree.restrict(&[0, 2], &[1.0, 3.0]), vec![(2, 0)]);
-        assert_eq!(tree.restrict(&[0, 1], &[1.0, 2.0]), vec![(2, 0), (0, 1)]);
-        assert!(tree.restrict(&[], &[]).is_empty());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "super-root cost")]
-    fn restriction_rejects_a_changed_super_root_cost() {
-        // Section VI.B's scheduling rows give a terminal another super-root
-        // cost than the superset's nearest depot: the lemma does not apply.
-        let tree = SupersetTree::new(3, &[0, 1, 2], &[1.0, 2.0, 3.0], &[(3, 0), (0, 1), (1, 2)]);
-        tree.restrict(&[0, 1], &[1.0, 0.5]);
+        // only the root edge of 0; dropping 2 keeps the whole rest. Each
+        // survivor keeps the superset's root and cost.
+        let contraction = Contraction { root: vec![1, 0, 1], cost: vec![1.0, 2.0, 3.0] };
+        let tree = SupersetTree::new(3, &[0, 1, 2], &contraction, &[(3, 0), (0, 1), (1, 2)]);
+        let survivors = |root: Vec<usize>, cost: Vec<f64>| Contraction { root, cost };
+        assert_eq!(tree.restrict(&[0, 2]), (vec![(2, 0)], survivors(vec![1, 1], vec![1.0, 3.0])));
+        assert_eq!(
+            tree.restrict(&[0, 1]),
+            (vec![(2, 0), (0, 1)], survivors(vec![1, 0], vec![1.0, 2.0]))
+        );
+        assert_eq!(tree.restrict(&[]), (Vec::new(), survivors(Vec::new(), Vec::new())));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! through [`mod@crate::refine`]. Its moves are strict improvements, so a
 //! refined plan keeps Theorem 1's bound.
 
-use crate::qmsf::{q_rooted_msf_seeded, q_rooted_msf_src, RootedForest, SupersetTree};
+use crate::qmsf::{q_rooted_msf_seeded, q_rooted_msf_src, Kernel, RootedForest, SupersetTree};
 use perpetuum_graph::{DistSource, Tour};
 
 /// The tree-to-tour argument of the doc-hidden [`tours_for_forest_src`]
@@ -105,17 +105,18 @@ pub fn q_rooted_tsp_src(src: &DistSource<'_>, terminals: &[usize], roots: &[usiz
 }
 
 /// Algorithm 2 over `terminals` whose Algorithm-1 forest starts from the
-/// restriction of `superset`'s tree (see [`SupersetTree`]): the tours of
-/// [`q_rooted_tsp_src`] on the same input, bit for bit, together
-/// with their forest and that forest as a tree for subsets of
-/// `terminals`.
+/// restriction of `superset`'s tree (see [`SupersetTree`]) and runs on
+/// `kernel`: the tours of [`q_rooted_tsp_src`] on the same input, bit for
+/// bit, together with their forest and that forest as a tree for subsets
+/// of `terminals`.
 pub(crate) fn route_from_superset(
     src: &DistSource<'_>,
     terminals: &[usize],
     roots: &[usize],
     superset: Option<&SupersetTree>,
+    kernel: &mut Kernel<'_>,
 ) -> (QTours, RootedForest, SupersetTree) {
-    let (forest, tree) = q_rooted_msf_seeded(src, terminals, roots, superset);
+    let (forest, tree) = q_rooted_msf_seeded(src, terminals, roots, superset, kernel);
     let qt = tours_for_forest(src, &forest, terminals, roots);
     (qt, forest, tree)
 }
@@ -127,13 +128,15 @@ pub(crate) fn route_from_superset(
 /// how Algorithm 3's cumulative sets `D_0 ⊂ … ⊂ D_K` are routed: most of
 /// each `D_k`'s forest is already in `D_{k+1}`'s.
 ///
-/// `keep(forest, tours)` turns each build into what the caller holds on
-/// to, so nothing else outlives its set. Returns the kept values indexed
-/// like the sets, and the forest of `sets[K]` as a tree for its subsets.
+/// Every build runs on `kernel`. `keep(forest, tours)` turns each build
+/// into what the caller holds on to, so nothing else outlives its set.
+/// Returns the kept values indexed like the sets, and the forest of
+/// `sets[K]` as a tree for its subsets.
 pub(crate) fn nested_tours<T>(
     src: &DistSource<'_>,
     sets: &[Vec<usize>],
     roots: &[usize],
+    kernel: &mut Kernel<'_>,
     mut keep: impl FnMut(RootedForest, QTours) -> T,
 ) -> (Vec<T>, SupersetTree) {
     let mut kept = Vec::with_capacity(sets.len());
@@ -141,7 +144,7 @@ pub(crate) fn nested_tours<T>(
     let mut below: Option<SupersetTree> = None;
     for terminals in sets.iter().rev() {
         let superset = below.as_ref().or(top.as_ref());
-        let (qt, forest, tree) = route_from_superset(src, terminals, roots, superset);
+        let (qt, forest, tree) = route_from_superset(src, terminals, roots, superset, kernel);
         kept.push(keep(forest, qt));
         if top.is_none() {
             top = Some(tree);

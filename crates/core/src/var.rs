@@ -25,12 +25,12 @@ use std::collections::BTreeMap;
 
 use crate::mtd::{nu2, push_dispatch_timeline};
 use crate::network::Network;
-use crate::qmsf::{rooted_msf_points, RootedForest, SupersetTree};
+use crate::qmsf::{msf_over_rows, Kernel, RootedForest, SupersetTree};
 use crate::qtsp::{nested_tours, route_from_superset, QTours};
 use crate::rounding::{partition_cycles, power_class, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
 use perpetuum_geom::Point2;
-use perpetuum_graph::Metric;
+use perpetuum_graph::{Metric, MstWork, NeighbourTable};
 
 /// Inputs to one replanning round at time `now`.
 #[derive(Debug, Clone, Copy)]
@@ -92,7 +92,7 @@ pub fn replan_variable_with(input: &VarInput, repair: RepairStrategy) -> VarPlan
             base_set_ids: Vec::new(),
         };
     }
-    replan_variable_detailed(input, repair).plan
+    replan_variable_detailed(input, repair, None).plan
 }
 
 /// Everything a replanning round computed, beyond the plan itself: the
@@ -111,11 +111,19 @@ pub(crate) struct VarDetailed {
     /// The forest of `D_K`, the set of all sensors, as the tree every
     /// nearest-depot forest over a subset of the sensors can start from.
     pub(crate) all_sensors: SupersetTree,
+    /// The work of the round's Algorithm-1 calls.
+    pub(crate) work: MstWork,
 }
 
 /// Like [`replan_variable_with`], but keeps the intermediate per-class
-/// builds (see [`VarDetailed`]). Requires a non-empty network.
-pub(crate) fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> VarDetailed {
+/// builds (see [`VarDetailed`]), and every Algorithm-1 call reads `table`,
+/// a neighbour table over the network's sensors, when given. Requires a
+/// non-empty network.
+pub(crate) fn replan_variable_detailed(
+    input: &VarInput,
+    repair: RepairStrategy,
+    table: Option<&NeighbourTable>,
+) -> VarDetailed {
     let network = input.network;
     let n = network.n();
     assert!(n > 0, "detailed replanning needs at least one sensor");
@@ -124,6 +132,7 @@ pub(crate) fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy)
     assert!(input.now < input.horizon, "replanning after the horizon");
 
     let mut series = ScheduleSeries::new();
+    let mut kernel = Kernel::with_table(table, network.sensor_positions());
 
     let partition = partition_cycles(input.max_cycles);
     let tau1 = partition.tau1;
@@ -189,7 +198,7 @@ pub(crate) fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy)
                 }
                 let points = src.positions();
                 let tpts: Vec<Point2> = term_nodes.iter().map(|&v| points[v]).collect();
-                let forest = rooted_msf_points(&tpts, &root_dist);
+                let forest = msf_over_rows(&tpts, &term_nodes, &root_dist, &mut kernel);
                 for (t_idx, &j) in forest.assignment.iter().enumerate() {
                     added.entry(j as u64).or_default().push(terminals[t_idx]);
                 }
@@ -207,16 +216,17 @@ pub(crate) fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy)
     let cum_nodes: Vec<Vec<usize>> =
         cums.iter().map(|d| d.iter().map(|&i| network.sensor_node(i)).collect()).collect();
     let (base_builds, all_sensors) =
-        nested_tours(&src, &cum_nodes, &depot_nodes, |forest, qt| (forest, qt));
+        nested_tours(&src, &cum_nodes, &depot_nodes, &mut kernel, |forest, qt| (forest, qt));
     let base_ids: Vec<usize> = base_builds
         .iter()
         .map(|(_, qt)| series.add_set(TourSet::from_qtours(qt.clone(), |v| v >= n)))
         .collect();
     // A modified scheduling keeps nearest-depot costs, so its forest starts
     // from D_K's.
-    let route = |sensors: &[usize]| -> TourSet {
+    let mut route = |sensors: &[usize]| -> TourSet {
         let nodes: Vec<usize> = sensors.iter().map(|&i| network.sensor_node(i)).collect();
-        let (qt, _, _) = route_from_superset(&src, &nodes, &depot_nodes, Some(&all_sensors));
+        let (qt, _, _) =
+            route_from_superset(&src, &nodes, &depot_nodes, Some(&all_sensors), &mut kernel);
         TourSet::from_qtours(qt, |v| v >= n)
     };
 
@@ -254,7 +264,7 @@ pub(crate) fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy)
 
     let plan =
         VarPlan { series, assigned_cycles: partition.rounded.clone(), base_set_ids: base_ids };
-    VarDetailed { plan, partition, base_builds, all_sensors }
+    VarDetailed { plan, partition, base_builds, all_sensors, work: kernel.work }
 }
 
 /// Base sensors of early scheduling `j` (`j = 0` is the extra immediate
@@ -463,7 +473,8 @@ mod tests {
                 now,
                 horizon: now + rng.gen_range(10.0..500.0),
             };
-            let detailed = replan_variable_detailed(&input, RepairStrategy::NearestScheduling);
+            let detailed =
+                replan_variable_detailed(&input, RepairStrategy::NearestScheduling, None);
             let src = network.dist_source();
             let depots = network.depot_nodes();
             for (i, set) in detailed.plan.series.sets().iter().enumerate() {

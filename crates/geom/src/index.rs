@@ -50,8 +50,10 @@ impl KBest {
         } else if let Some(&(worst, wi)) = self.heap.peek() {
             // Strict (d, i) ordering: on distance ties the lower index wins.
             if (Nf64(d), i) < (worst, wi) {
-                self.heap.pop();
-                self.heap.push((Nf64(d), i));
+                // Replace the worst in place: one sift instead of two.
+                if let Some(mut top) = self.heap.peek_mut() {
+                    *top = (Nf64(d), i);
+                }
             }
         }
     }

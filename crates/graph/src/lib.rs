@@ -12,8 +12,9 @@
 //!   against: on-demand point distances, so no instance materializes `n²`
 //!   floats,
 //! * [`sparse`] — CSR graphs, binary-heap Prim in `O(m log n)` and
-//!   [`sparse::super_root_mst`], the exact kd-tree Borůvka minimum
-//!   spanning tree behind the planners' Algorithm 1,
+//!   [`sparse::super_root_mst_with`], the exact Borůvka minimum spanning
+//!   tree behind the planners' Algorithm 1, with its optional
+//!   [`sparse::NeighbourTable`] and [`sparse::MstWork`] counters,
 //! * [`dsu::DisjointSets`] — union–find with path halving and union by size,
 //! * [`mst`] — Prim's algorithm in `O(n²)` on dense matrices (the right
 //!   complexity class for complete graphs) and Kruskal on edge lists,
@@ -47,5 +48,8 @@ pub mod tsp_heur;
 pub use dist::{DistSource, Metric};
 pub use dsu::DisjointSets;
 pub use matrix::DistMatrix;
-pub use sparse::{prim_sparse, super_root_mst, SparseGraph};
+pub use sparse::{
+    prim_sparse, super_root_mst, super_root_mst_with, MstWork, NeighbourTable, Neighbours,
+    SparseGraph,
+};
 pub use tour::Tour;

@@ -7,11 +7,20 @@
 //! * [`SparseGraph`] — CSR adjacency built from an undirected edge list,
 //! * [`prim_sparse`] — binary-heap Prim on a [`SparseGraph`],
 //!   `O(m log n)`, reporting disconnection instead of failing silently,
-//! * [`super_root_mst`] — the exact minimum spanning tree of the complete
-//!   Euclidean graph over a point set plus one *super-root* joined to every
-//!   point at an arbitrary cost: Borůvka rounds whose cheapest edges come
-//!   from kd-tree nearest-foreign-point queries, `O(n log² n)` on the
-//!   deployments the planners see, never an `n²` matrix.
+//! * [`super_root_mst_with`] — the exact minimum spanning tree of the
+//!   complete Euclidean graph over a point set plus one *super-root* joined
+//!   to every point at an arbitrary cost: Borůvka rounds whose cheapest
+//!   edges come from nearest-foreign-point answers, `O(n log² n)` on the
+//!   deployments the planners see, never an `n²` matrix. [`super_root_mst`]
+//!   is the same kernel without a table,
+//! * [`NeighbourTable`] — every site's `k` nearest sites as `u32` ids
+//!   (`4·k` bytes per site), sorted by `(distance, id)`. A caller that
+//!   solves many point sets drawn from one fixed site set (the incremental
+//!   planner over a network's sensors) builds it once; the kernel then
+//!   takes each point's answer from its list where the list certifies it,
+//!   and queries a kd-tree, built on demand, only for the rest,
+//! * [`MstWork`] — the kernel's work counters: rounds, table hits, kd-tree
+//!   queries and kd-trees built.
 //!
 //! Determinism: ties are broken by a strict total order on edges, Prim's
 //! heap is popped in a fixed order, and all distance values are the same
@@ -20,7 +29,7 @@
 
 use crate::dsu::DisjointSets;
 use crate::mst::Edge;
-use perpetuum_geom::{KdTree, Point2};
+use perpetuum_geom::{knn_lists, KdTree, Point2};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -184,6 +193,90 @@ fn offer(slot: &mut Option<KeyedEdge>, edge: KeyedEdge) {
     }
 }
 
+/// Every site's `k` nearest other sites, as `u32` ids sorted by ascending
+/// `(distance, id)` — the order [`KdTree::nearest_foreign`] breaks ties by.
+///
+/// Built once over a fixed point set (a network's sensors) and never
+/// invalidated, since it depends on geometry alone: `4·k` bytes per site.
+/// It lets [`super_root_mst_with`] answer most nearest-foreign questions
+/// without a kd-tree query. A list holds every site whose `(distance, id)`
+/// precedes its last entry, so its first entry that is a foreign member
+/// of a kernel call is that member's exact answer, and a list with none
+/// bounds the answer from below by its last distance.
+#[derive(Debug, Clone)]
+pub struct NeighbourTable {
+    sites: usize,
+    /// Entries per list: `min(k, sites − 1)`.
+    width: usize,
+    /// `ids[s·width..(s + 1)·width]`: site `s`'s list.
+    ids: Vec<u32>,
+}
+
+impl NeighbourTable {
+    /// The table of `sites` with up to `k` entries per list, from one
+    /// kd-tree's exact `knn` queries ([`knn_lists`]): `O(n·k·log n)`.
+    pub fn new(sites: &[Point2], k: usize) -> Self {
+        let n = sites.len();
+        assert!(n < u32::MAX as usize, "site ids must fit in u32");
+        let width = k.min(n.saturating_sub(1));
+        let lists = knn_lists(&KdTree::new(sites), width);
+        let ids: Vec<u32> = lists.iter().flatten().map(|&j| j as u32).collect();
+        debug_assert_eq!(ids.len(), n * width);
+        Self { sites: n, width, ids }
+    }
+
+    /// Bytes held by the lists.
+    pub fn bytes(&self) -> usize {
+        self.ids.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Whether every list holds every other site (`k ≥ sites − 1`).
+    fn complete(&self) -> bool {
+        self.width + 1 >= self.sites
+    }
+
+    fn list(&self, site: usize) -> &[u32] {
+        &self.ids[site * self.width..(site + 1) * self.width]
+    }
+}
+
+/// One [`super_root_mst_with`] call's view of a [`NeighbourTable`]: the
+/// positions the table was built over, and which site each point of the
+/// call is.
+#[derive(Debug, Clone, Copy)]
+pub struct Neighbours<'a> {
+    /// The table.
+    pub table: &'a NeighbourTable,
+    /// The positions of the table's sites.
+    pub sites: &'a [Point2],
+    /// `ids[t]`: the site point `t` of the call sits at, strictly
+    /// ascending, so the call's point order breaks distance ties the way
+    /// the lists do.
+    pub ids: &'a [usize],
+}
+
+/// Work done by [`super_root_mst_with`] calls, summed with `+=`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MstWork {
+    /// Borůvka rounds.
+    pub rounds: u64,
+    /// Nearest-foreign answers read off a [`NeighbourTable`] list.
+    pub table_hits: u64,
+    /// Exact [`KdTree::nearest_foreign`] queries.
+    pub tree_queries: u64,
+    /// kd-trees built (at most one per call, only once a query is due).
+    pub trees_built: u64,
+}
+
+impl std::ops::AddAssign for MstWork {
+    fn add_assign(&mut self, other: Self) {
+        self.rounds += other.rounds;
+        self.table_hits += other.table_hits;
+        self.tree_queries += other.tree_queries;
+        self.trees_built += other.trees_built;
+    }
+}
+
 /// The minimum spanning tree of the *super-root graph* of `points`: nodes
 /// `0..m` are the points, node `m` is a super-root joined to point `t` at
 /// cost `root_cost[t]`, and every two points are joined at their Euclidean
@@ -205,27 +298,54 @@ fn offer(slot: &mut Option<KeyedEdge>, edge: KeyedEdge) {
 /// heap-Prim from the super-root attaches them (what [`prim_sparse`] on
 /// any graph containing the tree would emit), whatever the seed.
 ///
-/// **Method.** Borůvka: each round, every component takes its cheapest
-/// outgoing edge — the lesser of its points' super-root edges and the
-/// nearest point outside the component, found by a kd-tree query that
-/// skips subtrees lying wholly inside the querying component. By the cut
-/// property each such edge belongs to the minimum spanning tree, and
-/// under a strict edge order the chosen edges never close a cycle. Two
-/// rules keep rounds from repeating work:
+/// This is [`super_root_mst_with`] without a neighbour table.
+pub fn super_root_mst(points: &[Point2], root_cost: &[f64], seed: &[Edge]) -> Vec<Edge> {
+    super_root_mst_with(points, root_cost, seed, None, &mut MstWork::default())
+}
+
+/// [`super_root_mst`], taking nearest-foreign answers from `near`'s
+/// neighbour lists where they are exact, and adding the work done to
+/// `work`. The tree and its edge order are the same with or without a
+/// table.
 ///
-/// * a point keeps its last nearest-foreign answer while that neighbour is
-///   still foreign (components only grow, so it is still the nearest);
-///   once the neighbour has joined, the old distance is a lower bound on
-///   the new answer, and the query is skipped while that bound exceeds the
-///   component's best edge so far;
-/// * the component with the most points does not search, and its partial
-///   pick is dropped: every other component still adds an edge of the
-///   tree and so joins at least one other, which leaves at most `⌈c/2⌉`
-///   of a round's `c` components.
+/// **Method.** Borůvka: each round, every component takes its cheapest
+/// outgoing edge — the lesser of its points' super-root edges and, per
+/// point, the edge to the nearest point outside the component. By the cut
+/// property each such edge belongs to the minimum spanning tree, and
+/// under a strict edge order the chosen edges never close a cycle. Each
+/// round finds the nearest foreign points in two passes:
+///
+/// 1. *Certified answers.* A point keeps its last answer while that
+///    neighbour is still foreign (components only grow, so it is still
+///    the nearest). Otherwise, with a table, the point's list is scanned
+///    from where its last scan stopped: its first member of another
+///    component is the exact answer (the list holds every site preceding
+///    its last entry in `(distance, id)` order, and the call's points
+///    ascend in site id). A list with no such member bounds the answer
+///    from below by its last distance.
+/// 2. *Queries.* Every point still without an answer keeps a lower bound —
+///    a stale answer's distance, a list's last distance or a failed
+///    query's radius — and is skipped while that bound exceeds its
+///    component's best edge so far. The rest go to the exact
+///    [`KdTree::nearest_foreign`] query, which skips subtrees lying wholly
+///    inside the querying component, on a kd-tree built when the first
+///    query is due. Without a table every unanswered point comes here.
+///
+/// The component with the most points does not search, and its partial
+/// pick is dropped: every other component still adds an edge of the tree
+/// and so joins at least one other, which leaves at most `⌈c/2⌉` of a
+/// round's `c` components.
 ///
 /// `O(log m)` rounds of at most `m` queries: `O(m log² m)` on the uniform
-/// and clustered deployments the planners see.
-pub fn super_root_mst(points: &[Point2], root_cost: &[f64], seed: &[Edge]) -> Vec<Edge> {
+/// and clustered deployments the planners see, plus `O(k)` list steps per
+/// point over the whole call.
+pub fn super_root_mst_with(
+    points: &[Point2],
+    root_cost: &[f64],
+    seed: &[Edge],
+    near: Option<Neighbours<'_>>,
+    work: &mut MstWork,
+) -> Vec<Edge> {
     let m = points.len();
     assert_eq!(root_cost.len(), m, "one super-root cost per point");
     if m == 0 {
@@ -246,36 +366,88 @@ pub fn super_root_mst(points: &[Point2], root_cost: &[f64], seed: &[Edge]) -> Ve
         chosen.push((a, b, weight(a, b)));
     }
     if chosen.len() < m {
-        boruvka(points, root_cost, &mut dsu, &mut chosen);
+        let lists = near.map(|near| Lists::new(near, points));
+        boruvka(points, root_cost, lists, &mut dsu, &mut chosen, work);
     }
     let graph = SparseGraph::from_edges(m + 1, &chosen);
     prim_sparse(&graph, m).expect("a spanning tree is connected").0
 }
 
 /// The `near` entry of a point whose last query found no foreign point
-/// within its bound.
+/// within its bound, and the `local` entry of a site outside the call.
 const NO_POINT: u32 = u32::MAX;
 
-/// The Borůvka rounds of [`super_root_mst`]: adds tree edges to `chosen`
-/// (and joins them in `dsu`) until the `m` points and the super-root are
-/// one component.
+/// A [`Neighbours`] view resolved to the call's point ids, with a scan
+/// cursor per point.
+struct Lists<'a> {
+    near: Neighbours<'a>,
+    /// `local[s]`: the point at site `s`, or [`NO_POINT`].
+    local: Vec<u32>,
+    /// `cursor[t]`: entries of point `t`'s list before this one are
+    /// outside the call or in `t`'s component, which they stay.
+    cursor: Vec<u32>,
+}
+
+impl<'a> Lists<'a> {
+    fn new(near: Neighbours<'a>, points: &[Point2]) -> Self {
+        assert_eq!(near.ids.len(), points.len(), "one site per point");
+        assert_eq!(near.sites.len(), near.table.sites, "the table's own sites");
+        assert!(near.ids.windows(2).all(|w| w[0] < w[1]), "site ids must ascend");
+        let mut local = vec![NO_POINT; near.table.sites];
+        for (t, &s) in near.ids.iter().enumerate() {
+            debug_assert_eq!(near.sites[s], points[t], "point {t} is not at site {s}");
+            local[s] = t as u32;
+        }
+        Self { near, local, cursor: vec![0; points.len()] }
+    }
+
+    /// Point `t`'s nearest foreign point as `Ok(index)` when its list
+    /// certifies one, else `Err(lower bound)` on its distance.
+    fn nearest_foreign(&mut self, t: usize, label: &[u32]) -> Result<usize, f64> {
+        let site = self.near.ids[t];
+        let list = self.near.table.list(site);
+        let mut c = self.cursor[t] as usize;
+        while let Some(&s) = list.get(c) {
+            let j = self.local[s as usize];
+            if j != NO_POINT && label[j as usize] != label[t] {
+                self.cursor[t] = c as u32;
+                return Ok(j as usize);
+            }
+            c += 1;
+        }
+        self.cursor[t] = c as u32;
+        if self.near.table.complete() {
+            return Err(f64::INFINITY);
+        }
+        let pos = self.near.sites[site];
+        Err(list.last().map_or(0.0, |&s| self.near.sites[s as usize].dist(pos)))
+    }
+}
+
+/// The Borůvka rounds of [`super_root_mst_with`]: adds tree edges to
+/// `chosen` (and joins them in `dsu`) until the `m` points and the
+/// super-root are one component.
 fn boruvka(
     points: &[Point2],
     root_cost: &[f64],
+    mut lists: Option<Lists<'_>>,
     dsu: &mut DisjointSets,
     chosen: &mut Vec<(usize, usize, f64)>,
+    work: &mut MstWork,
 ) {
     let m = points.len();
-    let tree = KdTree::new(points);
+    let mut tree: Option<KdTree> = None;
     let mut label = vec![0u32; m];
     let mut size = vec![0u32; m + 1];
     let mut cheapest: Vec<Option<KeyedEdge>> = vec![None; m + 1];
     // `near[t] = (j, d)`: point t's last nearest-foreign answer, or
-    // `(NO_POINT, bound)` when none lay within `bound`. Either way `d` is a
-    // lower bound on t's nearest foreign distance from then on, and `j`,
-    // while still foreign, is that nearest point itself.
+    // `(NO_POINT, d)` when it has none. Either way `d` is a lower bound on
+    // t's nearest foreign distance from then on, and `j`, while still
+    // foreign, is that nearest point itself.
     let mut near: Vec<(u32, f64)> = vec![(NO_POINT, 0.0); m];
+    let mut unanswered: Vec<usize> = Vec::new();
     while chosen.len() < m {
+        work.rounds += 1;
         size.fill(0);
         for (t, l) in label.iter_mut().enumerate() {
             *l = dsu.find(t) as u32;
@@ -283,7 +455,6 @@ fn boruvka(
         }
         let root_comp = dsu.find(m);
         let largest = (0..=m).max_by_key(|&c| (size[c], Reverse(c))).expect("m > 0");
-        let subtree = tree.subtree_labels(&label);
         cheapest.fill(None);
         for (t, &c) in root_cost.iter().enumerate() {
             let comp = label[t] as usize;
@@ -293,7 +464,9 @@ fn boruvka(
                 offer(&mut cheapest[root_comp], edge);
             }
         }
-        for (t, &p) in points.iter().enumerate() {
+        // Pass 1: certified answers.
+        unanswered.clear();
+        for t in 0..m {
             let comp = label[t] as usize;
             if comp == largest {
                 continue;
@@ -303,13 +476,36 @@ fn boruvka(
                 offer(&mut cheapest[comp], KeyedEdge::new(d, t, j as usize));
                 continue;
             }
+            match lists.as_mut().map(|l| l.nearest_foreign(t, &label)) {
+                Some(Ok(j)) => {
+                    work.table_hits += 1;
+                    let d = points[t].dist(points[j]);
+                    near[t] = (j as u32, d);
+                    offer(&mut cheapest[comp], KeyedEdge::new(d, t, j));
+                    continue;
+                }
+                Some(Err(bound)) => near[t] = (NO_POINT, d.max(bound)),
+                None => {}
+            }
+            unanswered.push(t);
+        }
+        // Pass 2: exact queries where the lower bound leaves room.
+        let mut subtree: Option<Vec<u32>> = None;
+        for &t in &unanswered {
+            let comp = label[t] as usize;
             // Only a foreign point at most as far as the component's best
             // edge so far can improve on it.
             let bound = cheapest[comp].map_or(f64::INFINITY, |e| e.w);
-            if d > bound {
+            if near[t].1 > bound {
                 continue;
             }
-            match tree.nearest_foreign(p, label[t], &label, &subtree, bound) {
+            let tree = tree.get_or_insert_with(|| {
+                work.trees_built += 1;
+                KdTree::new(points)
+            });
+            let subtree = subtree.get_or_insert_with(|| tree.subtree_labels(&label));
+            work.tree_queries += 1;
+            match tree.nearest_foreign(points[t], label[t], &label, subtree, bound) {
                 Some((j, d)) => {
                     near[t] = (j as u32, d);
                     offer(&mut cheapest[comp], KeyedEdge::new(d, t, j));
@@ -453,6 +649,47 @@ mod tests {
         }
         let (full, _) = prim_sparse(&SparseGraph::from_edges(m + 1, &all), m).unwrap();
         assert_eq!(super_root_mst(&pts, &root_cost, &[]), full);
+    }
+
+    #[test]
+    fn neighbour_lists_are_the_k_nearest_by_distance_then_id() {
+        // Ten points repeated: ties at distance zero and beyond.
+        let mut pts = cloud(60, 300.0);
+        pts.extend_from_within(..10);
+        let n = pts.len();
+        for k in [0, 1, 5, n - 1, n + 4] {
+            let table = NeighbourTable::new(&pts, k);
+            assert_eq!(table.bytes(), 4 * n * k.min(n - 1));
+            assert_eq!(table.complete(), k + 1 >= n);
+            for (s, &p) in pts.iter().enumerate() {
+                let mut others: Vec<(f64, usize)> =
+                    (0..n).filter(|&j| j != s).map(|j| (pts[j].dist(p), j)).collect();
+                others.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let expected: Vec<u32> = others.iter().take(k).map(|&(_, j)| j as u32).collect();
+                assert_eq!(table.list(s), expected, "site {s}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_backed_kernel_matches_tree_only_on_a_subset() {
+        // Every other point of a cloud, under lists of one entry (mostly
+        // non-members, so most points fall back to a query) and of all
+        // sites (no query at all).
+        let sites = cloud(120, 500.0);
+        let ids: Vec<usize> = (0..sites.len()).step_by(2).collect();
+        let pts: Vec<Point2> = ids.iter().map(|&i| sites[i]).collect();
+        let root_cost: Vec<f64> = pts.iter().map(|p| p.dist(Point2::new(250.0, 0.0))).collect();
+        let expected = super_root_mst(&pts, &root_cost, &[]);
+        for (k, queries) in [(1, true), (sites.len(), false)] {
+            let table = NeighbourTable::new(&sites, k);
+            let near = Neighbours { table: &table, sites: &sites, ids: &ids };
+            let mut work = MstWork::default();
+            assert_eq!(super_root_mst_with(&pts, &root_cost, &[], Some(near), &mut work), expected);
+            assert!(work.rounds > 0 && work.table_hits > 0, "k = {k}: {work:?}");
+            assert_eq!(work.tree_queries > 0, queries, "k = {k}: {work:?}");
+            assert_eq!(work.trees_built, u64::from(queries), "k = {k}: {work:?}");
+        }
     }
 
     #[test]

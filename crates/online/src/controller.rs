@@ -15,11 +15,13 @@
 //!    planner invocations**.
 //! 3. **Incremental replanning** — when only rounding classes shift (and
 //!    `τ₁`/`K` survive), the affected cumulative sets `D_k` are *spliced*
-//!    by the persistent [`IncrementalPlanner`] (bounded candidate-edge
-//!    forest surgery + warm-started tour repair) and future dispatches are
+//!    by the persistent [`IncrementalPlanner`] (exact forest surgery,
+//!    which reads the planner's neighbour table from the first migration
+//!    on, + warm-started tour repair) and future dispatches are
 //!    retargeted in place; the dispatch timeline is untouched. A `τ₁`
 //!    undercut or a class-structure change falls back to a full
-//!    Algorithm-3 round with `V^a` repair, which re-seeds the planner.
+//!    Algorithm-3 round with `V^a` repair, which re-seeds the planner
+//!    (keeping its neighbour table: the network has not changed).
 //! 4. **Emergency dispatch** — after every batch, a sensor whose predicted
 //!    death precedes its next scheduled visit gets an immediate rescue
 //!    tour appended at `now`. Every plan mutation bumps `revision` and
@@ -332,7 +334,9 @@ impl OnlineController {
             .zip(&initial_rates)
             .map(|(&c, &r)| SensorEstimator::new(cfg.gamma, cfg.margin, cfg.horizon, c, r))
             .collect();
-        let (plan, planner) = plan_from_scratch(&network, &sensors, 0.0, cfg.horizon);
+        let (plan, planner) = plan_from_scratch(&network, &sensors, 0.0, cfg.horizon, |input| {
+            IncrementalPlanner::seed(input, REPAIR)
+        });
         let mut ctl = Self {
             sensors,
             now: 0.0,
@@ -737,11 +741,14 @@ impl OnlineController {
     }
 
     /// Full tier: rebuild the plan from scratch with Algorithm 3 + the
-    /// nearest-scheduling `V^a` repair, re-seeding the planner.
+    /// nearest-scheduling `V^a` repair, re-seeding the planner (which keeps
+    /// its neighbour table: the network has not changed).
     fn full_replan(&mut self) {
-        let (plan, planner) =
-            plan_from_scratch(&self.network, &self.sensors, self.now, self.cfg.horizon);
-        self.planner = planner;
+        let planner = &mut self.planner;
+        let plan =
+            plan_from_scratch(&self.network, &self.sensors, self.now, self.cfg.horizon, |input| {
+                planner.reseed(input, REPAIR)
+            });
         self.adopt_plan(plan);
     }
 
@@ -860,18 +867,21 @@ impl OnlineController {
     }
 }
 
-/// Algorithm 3 + the nearest-scheduling `V^a` repair over the sensors'
-/// current estimates at `now`, with the incremental planner seeded from it.
-fn plan_from_scratch(
+/// The repair every full replan runs: the paper's nearest scheduling.
+const REPAIR: RepairStrategy = RepairStrategy::NearestScheduling;
+
+/// Runs `seed` — Algorithm 3 + the `V^a` repair, seeding or re-seeding the
+/// incremental planner — over the sensors' current estimates at `now`.
+fn plan_from_scratch<T>(
     network: &Network,
     sensors: &[SensorEstimator],
     now: f64,
     horizon: f64,
-) -> (VarPlan, IncrementalPlanner) {
+    seed: impl FnOnce(&VarInput) -> T,
+) -> T {
     let taus: Vec<f64> = sensors.iter().map(SensorEstimator::tau_hat).collect();
     let residuals: Vec<f64> = sensors.iter().map(|s| s.residual_hat(now)).collect();
-    let input = VarInput { network, max_cycles: &taus, residuals: &residuals, now, horizon };
-    IncrementalPlanner::seed(&input, RepairStrategy::NearestScheduling)
+    seed(&VarInput { network, max_cycles: &taus, residuals: &residuals, now, horizon })
 }
 
 #[cfg(test)]

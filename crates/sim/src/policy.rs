@@ -15,6 +15,7 @@ use perpetuum_core::network::{Instance, Network};
 use perpetuum_core::schedule::{ScheduleSeries, TourSet};
 use perpetuum_core::var::{RepairStrategy, VarInput};
 use perpetuum_energy::predictor::schedule_still_applicable;
+use perpetuum_graph::MstWork;
 use std::time::{Duration, Instant};
 
 /// What the base station observes at a decision point.
@@ -390,6 +391,12 @@ impl<'a> VarPolicy<'a> {
         self.planner.as_ref().map_or(0, IncrementalPlanner::set_splices)
     }
 
+    /// Algorithm-1 kernel work of every replan so far, seeds included
+    /// (zero before the first).
+    pub fn mst_work(&self) -> MstWork {
+        self.planner.as_ref().map_or_else(MstWork::default, IncrementalPlanner::mst_work)
+    }
+
     /// Wall-clock seconds spent in incremental replans, including the
     /// splices their later windows trigger.
     pub fn planner_seconds_incremental(&self) -> f64 {
@@ -431,9 +438,17 @@ impl<'a> VarPolicy<'a> {
             }
         }
         // Bit-identical to `replan_variable_with`; a seeded planner's
-        // `assigned_cycle` equals the plan's rounded cycles exactly.
-        let (plan, planner) = IncrementalPlanner::seed(&input, self.repair);
-        self.planner = Some(planner);
+        // `assigned_cycle` equals the plan's rounded cycles exactly. A
+        // re-seed keeps the planner's neighbour table: the network is the
+        // same.
+        let plan = match self.planner.as_mut() {
+            Some(planner) => planner.reseed(&input, self.repair),
+            None => {
+                let (plan, planner) = IncrementalPlanner::seed(&input, self.repair);
+                self.planner = Some(planner);
+                plan
+            }
+        };
         self.full_replans += 1;
         self.planner_time_full += t0.elapsed();
         self.prefix = plan.series.clone();
